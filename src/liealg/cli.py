@@ -40,7 +40,7 @@ from .io import (
     scalar_to_string,
     string_to_scalar,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, ShapeError, Subspace
 from .selfdual import (
     ConstructionError,
     ContractionInput,
@@ -351,7 +351,10 @@ def _load_matrix_file(path, field) -> list[Matrix]:
                 and all(isinstance(r, list) for r in grid)):
             raise AlgebraFileError(f"{path}: matrix {idx} must be a list of rows")
         rows = [[string_to_scalar(field, x) for x in r] for r in grid]
-        mats.append(Matrix(field, rows))
+        try:
+            mats.append(Matrix(field, rows))
+        except ShapeError as exc:
+            raise AlgebraFileError(f"{path}: matrix {idx}: {exc}") from None
     return mats
 
 

@@ -148,10 +148,8 @@ def single_diagonal_metric_solve(n: int, hat=MOD3_BALANCED) -> DiagonalMetricRes
             row[n - i] = row[n - i] + b
             if any(x != zero for x in row):
                 rows.add(tuple(row))
-    if rows:
-        space = nullspace(Matrix(field, sorted(rows, key=str)))
-    else:
-        space = Subspace.full(field, n + 1)
+    space = (nullspace(Matrix(field, rows)) if rows
+             else Subspace.full(field, n + 1))
     weights = _all_nonzero_element(space, field)
     if weights is None:
         return DiagonalMetricResult(n, False, None)

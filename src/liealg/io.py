@@ -69,13 +69,18 @@ def string_to_scalar(field, s: str):
     return field(value)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _field_of_document(doc) -> object:
     marker = doc.get("field", "Q")
     if marker == "Q":
         return QQ
     if marker == "Fp":
         p = doc.get("p")
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise AlgebraFileError("field 'Fp' requires an integer 'p'")
         try:
             return PrimeField(p)
@@ -123,7 +128,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
             f"format tag must be {FORMAT_TAG!r}")
     field = _field_of_document(doc)
     dim = doc.get("dim")
-    _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
+    _expect(_is_int(dim) and dim >= 0,
             "dim must be a non-negative integer")
     raw = doc.get("brackets", [])
     _expect(isinstance(raw, list), "brackets must be a list")
@@ -131,7 +136,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     for rec in raw:
         _expect(isinstance(rec, dict), "bracket record must be an object")
         i, j = rec.get("i"), rec.get("j")
-        _expect(isinstance(i, int) and isinstance(j, int),
+        _expect(_is_int(i) and _is_int(j),
                 "bracket indices must be integers")
         _expect(0 <= i < j < dim,
                 f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -143,7 +148,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
         for t in terms:
             _expect(isinstance(t, dict), "bracket term must be an object")
             k = t.get("k")
-            _expect(isinstance(k, int) and 0 <= k < dim,
+            _expect(_is_int(k) and 0 <= k < dim,
                     f"term index {k!r} out of range")
             _expect(k not in seen, f"duplicate term index {k} in ({i},{j})")
             seen.add(k)
@@ -157,8 +162,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     grading = doc.get("grading")
     if grading is not None:
         _expect(isinstance(grading, list) and len(grading) == dim
-                and all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in grading),
+                and all(_is_int(x) for x in grading),
                 "grading must be a list of dim integers")
     try:
         alg = LieAlgebra(field, dim, brackets, labels=labels, grading=grading)

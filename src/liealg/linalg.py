@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and prime fields.
 
-Matrices are immutable row-major grids of exact scalars.  The reduced
-row-echelon form here normalizes pivots to 1 and eliminates above and
-below, which makes RREF bases canonical: two spans of the same subspace
-always produce bit-identical ``Subspace`` objects.  No floating point
-appears anywhere in this module.
+Matrices are immutable row-major grids of exact scalars.  Every
+elimination runs through one sparse Gauss-Jordan kernel (``_insert``,
+``_reduce``) on ``{col: value}`` rows.  Its rows keep a 1 at their pivot
+and no entry in any other pivot column, i.e. they are always the
+reduced row-echelon form of what was inserted, which is unique for the
+span: row order and duplicates cannot change it, so two spans of the
+same subspace give bit-identical ``Subspace`` objects.  No floating
+point appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -150,44 +153,70 @@ def _dot(u, v, zero):
     return s
 
 
-def _rref_rows(field, rows):
-    """In-place RREF on a list of row lists; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _reduce(echelon: dict, row: dict) -> None:
+    """Clear every pivot column of the ``{pivot: row}`` echelon from ``row``.
+
+    Stored rows have no entry in other pivot columns, so one subtraction
+    per pivot that ``row`` touches suffices, in any order.
+    """
+    for p in [c for c in row if c in echelon]:
+        f = row[p]
+        for c, y in echelon[p].items():
+            x = row.get(c)
+            x = -f * y if x is None else x - f * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def _insert(echelon: dict, row: dict):
+    """Reduce ``row`` and store it, clearing its pivot from the other rows.
+
+    Returns ``(pivot, lead)`` with the pivot entry before normalisation,
+    or None (storing nothing) if the row was dependent.
+    """
+    _reduce(echelon, row)
+    if not row:
+        return None
+    pivot = min(row)
+    lead = row[pivot]
+    row = {c: x / lead for c, x in row.items()}
+    single = {pivot: row}
+    for other in echelon.values():
+        if pivot in other:
+            _reduce(single, other)
+    echelon[pivot] = row
+    return pivot, lead
+
+
+def _sparse(row) -> dict:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _echelon(rows) -> dict:
+    echelon: dict = {}
+    for r in rows:
+        _insert(echelon, _sparse(r))
+    return echelon
+
+
+def _dense(row: dict, ncols: int, zero) -> tuple:
+    return tuple(row.get(c, zero) for c in range(ncols))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form of ``m`` and its pivot column indices."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(m.field, rows)
-    return Matrix(m.field, rows) if rows else m, pivots
+    echelon = _echelon(m.rows)
+    pivots = sorted(echelon)
+    zero = m.field.zero
+    rows = [_dense(echelon[p], m.ncols, zero) for p in pivots]
+    rows += [(zero,) * m.ncols] * (m.nrows - len(pivots))
+    return Matrix(m.field, rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m.rows))
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -196,45 +225,40 @@ def nullspace(m: Matrix) -> "Subspace":
     The free-variable vectors are re-reduced by the Subspace constructor,
     so the result carries the canonical RREF basis like any other span.
     """
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
+    echelon = _echelon(m.rows)
     zero, one = m.field.zero, m.field.one
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in echelon:
+            continue
         v = [zero] * m.ncols
         v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.rows[r][f]
+        for p, row in echelon.items():
+            if f in row:
+                v[p] = -row[f]
         basis.append(v)
     return Subspace(m.field, m.ncols, basis)
 
 
 def det(m: Matrix):
-    """Exact determinant by elimination with pivoting."""
+    """Exact determinant: the signed product of the elimination leads.
+
+    Inserting the rows in order, each pivot lead divides out of the row
+    and the reduced rows end as a permutation of the identity whose sign
+    is the parity of the inversions among the pivot columns.
+    """
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    n = m.nrows
-    field = m.field
-    zero = field.zero
-    rows = [list(r) for r in m.rows]
-    result = field.one
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result = result * rows[c][c]
-        inv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != zero:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    echelon: dict = {}
+    result = m.field.one
+    for r in m.rows:
+        found = _insert(echelon, _sparse(r))
+        if found is None:
+            return m.field.zero
+        pivot, lead = found
+        if sum(1 for p in echelon if p > pivot) % 2:
+            lead = -lead
+        result = result * lead
     return result
 
 
@@ -243,17 +267,13 @@ def solve(m: Matrix, b: Sequence):
     bvec = [m.field(x) for x in b]
     if len(bvec) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
-    aug_rows = [list(r) + [bv] for r, bv in zip(m.rows, bvec)]
-    if not aug_rows:
-        return tuple()
-    pivots = _rref_rows(m.field, aug_rows)
-    if m.ncols in pivots:
+    n = m.ncols
+    echelon = _echelon(list(r) + [bv] for r, bv in zip(m.rows, bvec))
+    if n in echelon:
         return None  # a pivot in the augmented column means inconsistency
     zero = m.field.zero
-    x = [zero] * m.ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug_rows[r][-1]
-    return tuple(x)
+    return tuple(echelon[c].get(n, zero) if c in echelon else zero
+                 for c in range(n))
 
 
 class Subspace:
@@ -263,19 +283,20 @@ class Subspace:
     the RREF normal form makes sound: equal spaces have identical bases.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
 
     def __init__(self, field, ambient_dim: int, vectors: Iterable[Sequence]):
         rows = [[field(x) for x in v] for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("spanning vector of wrong length")
-        _rref_rows(field, rows)
+        echelon = _echelon(rows)
         zero = field.zero
-        rows = [r for r in rows if any(x != zero for x in r)]
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "basis", tuple(
+            _dense(echelon[p], ambient_dim, zero) for p in sorted(echelon)))
+        object.__setattr__(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -298,7 +319,7 @@ class Subspace:
         """Span of the given basis coordinates."""
         zero, one = field.zero, field.one
         vecs = []
-        for i in sorted(set(indices)):
+        for i in indices:
             v = [zero] * ambient_dim
             v[i] = one
             vecs.append(v)
@@ -315,30 +336,19 @@ class Subspace:
         return Matrix(self.field, self.basis)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        zero = self.field.zero
-        pivots = []
-        for row in self.basis:
-            for c, x in enumerate(row):
-                if x != zero:
-                    pivots.append(c)
-                    break
-        return tuple(pivots)
+        return tuple(sorted(self._echelon))
 
     def reduce(self, v: Sequence) -> tuple:
         """Canonical representative of v modulo this subspace."""
         vec = [self.field(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector of wrong length")
-        zero = self.field.zero
-        for row, c in zip(self.basis, self.pivot_columns()):
-            if vec[c] != zero:
-                f = vec[c]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return tuple(vec)
+        row = _sparse(vec)
+        _reduce(self._echelon, row)
+        return _dense(row, self.ambient_dim, self.field.zero)
 
     def contains(self, v: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -363,16 +373,9 @@ class Subspace:
             [-other.basis[b][i] for b in range(l)]
             for i in range(self.ambient_dim)
         ])
-        sols = nullspace(stacked)
-        zero = self.field.zero
-        vecs = []
-        for s in sols.basis:
-            v = [zero] * self.ambient_dim
-            for a in range(k):
-                if s[a] != zero:
-                    v = [x + s[a] * y for x, y in zip(v, self.basis[a])]
-            vecs.append(v)
-        return Subspace(self.field, self.ambient_dim, vecs)
+        combine = self.basis_matrix().transpose()
+        return Subspace(self.field, self.ambient_dim,
+                        [combine * s[:k] for s in nullspace(stacked).basis])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
-from .linalg import Matrix, ShapeError, Subspace, det, nullspace
+from .linalg import Matrix, ShapeError, Subspace, det, nullspace, solve
 
 __all__ = [
     "ConstructionError",
@@ -78,24 +78,27 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     index = _sym_index(d)
     nun = len(index)
     zero = alg.field.zero
-    rows = set()
+    equations = set()
     for k in range(d):
         for i in range(d):
             for j in range(i, d):
-                row = [zero] * nun
-                hit = False
+                eq = {}
                 for l, c in alg.bracket_basis(k, i):
-                    row[index[(min(l, j), max(l, j))]] += c
-                    hit = True
+                    a = index[(min(l, j), max(l, j))]
+                    eq[a] = eq.get(a, zero) + c
                 for l, c in alg.bracket_basis(k, j):
-                    row[index[(min(i, l), max(i, l))]] += c
-                    hit = True
-                if hit and any(x != zero for x in row):
-                    rows.add(tuple(row))
-    if rows:
-        space = nullspace(Matrix(alg.field, sorted(rows, key=str)))
-    else:
-        space = Subspace.full(alg.field, nun)
+                    a = index[(min(i, l), max(i, l))]
+                    eq[a] = eq.get(a, zero) + c
+                equations.add(frozenset((a, c) for a, c in eq.items() if c))
+    equations.discard(frozenset())
+    rows = []
+    for eq in equations:
+        row = [zero] * nun
+        for a, c in eq:
+            row[a] = c
+        rows.append(row)
+    space = (nullspace(Matrix(alg.field, rows)) if rows
+             else Subspace.full(alg.field, nun))
     forms = []
     for v in space.basis:
         grid = [[zero] * d for _ in range(d)]
@@ -124,10 +127,15 @@ def nondegenerate_invariant_metric(alg: LieAlgebra, max_coeff: int = 5,
     which is weaker than a nonexistence proof; see ``is_self_dual`` for
     the certified negative.
     """
-    forms = invariant_form_space(alg)
+    return _search_metric(invariant_form_space(alg), max_coeff, budget)
+
+
+def _search_metric(forms: list[BilinearForm], max_coeff: int = 5,
+                   budget: int = 20000) -> BilinearForm | None:
+    """The search of ``nondegenerate_invariant_metric`` over given forms."""
     if not forms:
         return None
-    zero = alg.field.zero
+    zero = forms[0].field.zero
     for f in forms:
         if f.det() != zero:
             return f
@@ -191,11 +199,7 @@ def is_self_dual(alg: LieAlgebra, max_space_dim: int = 4,
     if not forms:
         return SelfDuality("no", certificate={
             "kind": "empty-invariant-form-space", "space_dim": 0})
-    zero = alg.field.zero
-    for f in forms:
-        if f.det() != zero:
-            return SelfDuality("yes", metric=f)
-    metric = nondegenerate_invariant_metric(alg)
+    metric = _search_metric(forms)
     if metric is not None:
         return SelfDuality("yes", metric=metric)
     if len(forms) <= max_space_dim and alg.dim <= max_alg_dim:
@@ -359,13 +363,11 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
         rho = inp.action[i]
         for x in range(a):
             put(i, r + x, [(r + y, rho.entry(y, x)) for y in range(a)])
+    pulled = [rho.transpose() * g for rho in inp.action]
     for x in range(a):
         for y in range(x + 1, a):
-            terms = []
-            for i in range(r):
-                val = _dot_vec(inp.action[i].col(x), g.col(y), zero)
-                terms.append((r + a + i, val))
-            put(r + x, r + y, terms)
+            put(r + x, r + y, [(r + a + i, pulled[i].entry(x, y))
+                               for i in range(r)])
     for i in range(r):
         for j in range(r):
             # coadjoint: [b_i, beta_j] = - sum_k c_{i k}^{j} beta_k
@@ -392,13 +394,6 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
     metric = BilinearForm(Matrix(field, grid))
     _enforce_metric_postconditions(out, metric, "double extension")
     return out, metric
-
-
-def _dot_vec(u, v, zero):
-    t = zero
-    for x, y in zip(u, v):
-        t = t + x * y
-    return t
 
 
 def _merge_terms(brackets, zero):
@@ -479,7 +474,9 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     change = Matrix(field, basis_rows).transpose()
 
     def coords(v):
-        sol = _solve_exact(change, v)
+        sol = solve(change, v)
+        if sol is None:
+            raise ConstructionError("basis change became inconsistent")
         return sol[:r], sol[r:]
 
     brackets: dict[tuple[int, int], list] = {}
@@ -492,7 +489,8 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     for i in range(r):
         for j in range(i + 1, r):
             alpha, gamma = coords(alg.bracket(b0.basis[i], b0.basis[j]))
-            assert all(x == zero for x in gamma)
+            if any(gamma):
+                raise ConstructionError("the subalgebra is not closed under the bracket")
             put(i, j, [(k, c) for k, c in enumerate(alpha)])
             put(i, r + pd + j, [(r + pd + k, c) for k, c in enumerate(alpha)])
     for i in range(r):
@@ -522,14 +520,6 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     metric = BilinearForm(Matrix(field, grid))
     _enforce_metric_postconditions(out, metric, "contraction")
     return out, metric
-
-
-def _solve_exact(m: Matrix, b):
-    from .linalg import solve
-    sol = solve(m, b)
-    if sol is None:
-        raise ConstructionError("basis change became inconsistent")
-    return sol
 
 
 # ---------------------------------------------------------------------------

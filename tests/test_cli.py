@@ -366,6 +366,12 @@ def test_dext_pipeline(tmp_path, capsys):
                                        "-o", str(out)])
     assert code == 1 and "skew" in report["error"]
 
+    # a ragged action matrix is malformed input, not a traceback
+    action.write_text(json.dumps([[["-1", "0"], ["0"]]]))
+    code, _, err = _run(capsys, ["dext", "--base", str(base), "--by", str(by),
+                                 "--action", str(action), "-o", str(out)])
+    assert code == 3 and "malformed" in err
+
 
 def test_dext_decomposability_capped(tmp_path, capsys, monkeypatch):
     base = tmp_path / "base.json"
@@ -435,6 +441,16 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     noncanon.write_text(dump_document(doc))
     code, _, err = _run(capsys, ["check", "jacobi", str(noncanon)])
     assert code == 3
+
+    # JSON booleans are not indices, even where they equal the right one
+    boolean = tmp_path / "boolean.json"
+    for key, value in (("i", False), ("j", True), ("k", True)):
+        doc = algebra_to_document(truncated_algebra(3))
+        record = doc["brackets"][0]
+        (record["terms"][0] if key == "k" else record)[key] = value
+        boolean.write_text(dump_document(doc))
+        code, _, err = _run(capsys, ["check", "jacobi", str(boolean)])
+        assert code == 3 and "malformed" in err
 
 
 def test_json_report_file(tmp_path, capsys):

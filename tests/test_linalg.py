@@ -241,3 +241,116 @@ def test_float_rank_cross_check():
         exact = rank(Matrix(QQ, grid))
         approx = numpy.linalg.matrix_rank(numpy.array(grid, dtype=float))
         assert exact == approx
+
+
+# -- sympy oracle ------------------------------------------------------------
+
+ORACLE_FIELDS = (QQ, F5, PrimeField(7))
+
+
+def _sympy_oracle(field):
+    """Converters to sympy's DomainMatrix over ``field``, and back."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if field == QQ:
+        dom = sympy.QQ
+
+        def to(x):
+            return dom(x.numerator, x.denominator)
+
+        def back(y):
+            return Fraction(int(y.numerator), int(y.denominator))
+    else:
+        dom = sympy.GF(field.characteristic)
+
+        def to(x):
+            return dom(x.r)
+
+        def back(y):
+            return field(int(y))
+
+    def dm(rows, ncols):
+        return DomainMatrix([[to(x) for x in r] for r in rows],
+                            (len(rows), ncols), dom)
+
+    def ours(d):
+        return [[back(y) for y in r] for r in d.to_list()]
+
+    return dm, ours, back
+
+
+def _sparse_matrix(rng, field, nrows, ncols, density):
+    return Matrix(field, [[field(rng.randint(-5, 5)) if rng.random() < density
+                           else field.zero for _ in range(ncols)]
+                          for _ in range(nrows)])
+
+
+def _oracle_matrices(rng, field):
+    """Square, wide, tall, rank-deficient and duplicated-row matrices,
+    each dense and sparse."""
+    for density in (1.0, 0.3):
+        yield _sparse_matrix(rng, field, 5, 5, density)
+        yield _sparse_matrix(rng, field, 3, 6, density)
+        yield _sparse_matrix(rng, field, 6, 3, density)
+        yield (_sparse_matrix(rng, field, 5, 2, density)
+               * _sparse_matrix(rng, field, 2, 5, density))
+        rows = list(_sparse_matrix(rng, field, 3, 5, density).rows) * 2
+        rng.shuffle(rows)
+        yield Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_kernel_matches_sympy(field):
+    dm, ours, back = _sympy_oracle(field)
+    rng = random.Random(41 + field.characteristic)
+    for _ in range(6):
+        for m in _oracle_matrices(rng, field):
+            want, want_pivots = dm(m.rows, m.ncols).rref()
+            reduced, pivots = rref(m)
+            assert pivots == list(want_pivots)
+            assert reduced == Matrix(field, ours(want))
+            assert rank(m) == len(want_pivots)
+            assert nullspace(m) == Subspace(
+                field, m.ncols, ours(dm(m.rows, m.ncols).nullspace()))
+            if m.is_square():
+                assert det(m) == back(dm(m.rows, m.ncols).det())
+            x0 = [field(rng.randint(-3, 3)) for _ in range(m.ncols)]
+            for b in (m * x0, [field(rng.randint(-3, 3)) for _ in range(m.nrows)]):
+                aug = [list(r) + [v] for r, v in zip(m.rows, b)]
+                red, piv = dm(aug, m.ncols + 1).rref()
+                if m.ncols in piv:
+                    assert solve(m, b) is None
+                    continue
+                x = [field.zero] * m.ncols
+                for row, p in zip(ours(red), piv):
+                    x[p] = row[-1]
+                assert solve(m, b) == tuple(x)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_subspace_ignores_row_order_and_duplicates(field):
+    dm, ours, _ = _sympy_oracle(field)
+    rng = random.Random(43 + field.characteristic)
+    for _ in range(6):
+        for m in _oracle_matrices(rng, field):
+            s = Subspace(field, m.ncols, m.rows)
+            want, pivots = dm(m.rows, m.ncols).rref()
+            assert s.basis == tuple(map(tuple, ours(want)[:len(pivots)]))
+            vecs = list(m.rows) * 2
+            rng.shuffle(vecs)
+            t = Subspace(field, m.ncols, vecs)
+            assert t == s and t.basis == s.basis and hash(t) == hash(s)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_det_flips_sign_under_row_swap(field):
+    rng = random.Random(47 + field.characteristic)
+    for _ in range(6):
+        for m in _oracle_matrices(rng, field):
+            if not m.is_square():
+                continue
+            i, j = rng.sample(range(m.nrows), 2)
+            rows = list(m.rows)
+            rows[i], rows[j] = rows[j], rows[i]
+            assert det(Matrix(field, rows)) == -det(m)
