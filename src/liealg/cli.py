@@ -9,8 +9,9 @@ family members), ``dext`` and ``wigner`` (metric constructions).
 
 Exit codes: 0 the property holds or the command succeeded, 1 a checked
 property fails (a witness is reported), 2 usage error, 3 malformed
-input file.  Reports are deterministic; the human summary goes to
-stdout, the machine JSON to --json PATH or to stdout with --porcelain.
+input file, or a file or stream that cannot be read or written.
+Reports are deterministic; the human summary goes to stdout, the
+machine JSON to --json PATH or to stdout with --porcelain.
 
 The environment variable LIEALG_BRUTE_CAP overrides the default cap
 (65536) on the number of subsets the brute-force ideal enumeration may
@@ -36,11 +37,13 @@ from .hats import IDENTITY_HAT, MOD3_BALANCED, ZModHat
 from .io import (
     AlgebraFileError,
     load_algebra,
+    parse_grid,
+    read_json,
     save_algebra,
     scalar_to_string,
     string_to_scalar,
 )
-from .linalg import Matrix, ShapeError, Subspace
+from .linalg import Matrix, Subspace
 from .selfdual import (
     ConstructionError,
     ContractionInput,
@@ -256,6 +259,8 @@ def _cmd_analyze(args):
         report["invariant_metric"] = _matrix_json(duality.metric.matrix)
     if duality.certificate is not None:
         report["certificate"] = duality.certificate
+    if duality.reason is not None:
+        report["reason"] = duality.reason
     if metric is not None:
         report["file_metric_invariant"] = metric.is_invariant(alg)
         report["file_metric_nondegenerate"] = metric.is_nondegenerate()
@@ -267,6 +272,8 @@ def _cmd_analyze(args):
         f"solvable: {report['solvable']}, nilpotent: {report['nilpotent']}",
         f"self-dual: {duality.verdict}",
     ]
+    if duality.reason is not None:
+        human.append(f"  reason: {duality.reason}")
     if metric is not None:
         human.append(
             f"file metric: invariant={report['file_metric_invariant']}, "
@@ -336,42 +343,23 @@ def _cmd_classify(args):
 
 def _load_matrix_file(path, field) -> list[Matrix]:
     """A bare JSON list of matrices (rows of canonical scalar strings)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"invalid JSON in {path}: {exc}") from None
+    doc = read_json(path)
     if isinstance(doc, dict) and "action" in doc:
         doc = doc["action"]
     if not isinstance(doc, list):
         raise AlgebraFileError(f"{path}: expected a list of matrices")
-    mats = []
-    for idx, grid in enumerate(doc):
-        if not (isinstance(grid, list)
-                and all(isinstance(r, list) for r in grid)):
-            raise AlgebraFileError(f"{path}: matrix {idx} must be a list of rows")
-        rows = [[string_to_scalar(field, x) for x in r] for r in grid]
-        try:
-            mats.append(Matrix(field, rows))
-        except ShapeError as exc:
-            raise AlgebraFileError(f"{path}: matrix {idx}: {exc}") from None
-    return mats
+    return [parse_grid(field, grid, f"{path}: matrix {idx}")
+            for idx, grid in enumerate(doc)]
 
 
 def _load_form_file(path, field) -> BilinearForm:
     """A symmetric matrix, bare or under a 'metric' key."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"invalid JSON in {path}: {exc}") from None
+    doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("metric")
-    if not isinstance(doc, list):
-        raise AlgebraFileError(f"{path}: expected a matrix or a 'metric' entry")
-    rows = [[string_to_scalar(field, x) for x in r] for r in doc]
+    grid = parse_grid(field, doc, f"{path}: the pairing form")
     try:
-        return BilinearForm(Matrix(field, rows))
+        return BilinearForm(grid)
     except ValueError as exc:
         raise AlgebraFileError(f"{path}: {exc}") from None
 
@@ -546,26 +534,28 @@ def _emit(args, code: int, report: dict, human: list[str]):
     else:
         for line in human:
             print(line)
+    sys.stdout.flush()
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, report, human = args.handler(args)
+        try:
+            code, report, human = args.handler(args)
+        except _Failure as exc:
+            code, report, human = (1, {"error": str(exc), **exc.details},
+                                   [f"FAIL: {exc}"])
+        _emit(args, code, report, human)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _Failure as exc:
-        _emit(args, 1, {"error": str(exc), **exc.details}, [f"FAIL: {exc}"])
-        return 1
     except AlgebraFileError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"cannot read or write file: {exc}", file=sys.stderr)
         return 3
-    _emit(args, code, report, human)
     return code
 
 

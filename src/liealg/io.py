@@ -30,6 +30,8 @@ __all__ = [
     "dump_document",
     "save_algebra",
     "load_algebra",
+    "read_json",
+    "parse_grid",
 ]
 
 FORMAT_TAG = "liealg-v1"
@@ -121,6 +123,24 @@ def _expect(cond: bool, message: str):
         raise AlgebraFileError(message)
 
 
+def parse_grid(field, raw, what: str,
+               shape: tuple[int, int] | None = None) -> Matrix:
+    """A rectangular JSON array of canonical scalar strings as a Matrix.
+
+    ``what`` names the array in error messages; ``shape`` (rows, cols),
+    when given, must match exactly.
+    """
+    _expect(isinstance(raw, list) and all(isinstance(r, list) for r in raw),
+            f"{what} must be a list of rows")
+    width = len(raw[0]) if raw else 0
+    _expect(all(len(r) == width for r in raw),
+            f"{what} has rows of unequal length")
+    if shape is not None:
+        _expect((len(raw), width) == shape,
+                f"{what} must be a {shape[0]} x {shape[1]} array")
+    return Matrix(field, [[string_to_scalar(field, x) for x in r] for r in raw])
+
+
 def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     """Parse a document back into (algebra, metric or None)."""
     _expect(isinstance(doc, dict), "document must be a JSON object")
@@ -171,13 +191,9 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     metric = None
     raw_metric = doc.get("metric")
     if raw_metric is not None:
-        _expect(isinstance(raw_metric, list) and len(raw_metric) == dim
-                and all(isinstance(r, list) and len(r) == dim
-                        for r in raw_metric),
-                "metric must be a dim x dim array")
-        grid = [[string_to_scalar(field, x) for x in row] for row in raw_metric]
+        grid = parse_grid(field, raw_metric, "metric", (dim, dim))
         try:
-            metric = BilinearForm(Matrix(field, grid))
+            metric = BilinearForm(grid)
         except ValueError as exc:
             raise AlgebraFileError(str(exc)) from None
     return alg, metric
@@ -193,10 +209,15 @@ def save_algebra(path, alg: LieAlgebra, metric: BilinearForm | None = None):
         fh.write(dump_document(algebra_to_document(alg, metric)))
 
 
-def load_algebra(path) -> tuple[LieAlgebra, BilinearForm | None]:
+def read_json(path):
+    """The JSON value stored at path; a file that is not UTF-8 JSON is
+    an AlgebraFileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"invalid JSON: {exc}") from None
-    return document_to_algebra(doc)
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise AlgebraFileError(f"invalid JSON in {path}: {exc}") from None
+
+
+def load_algebra(path) -> tuple[LieAlgebra, BilinearForm | None]:
+    return document_to_algebra(read_json(path))

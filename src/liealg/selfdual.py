@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
+from .io import scalar_to_string
 from .linalg import Matrix, ShapeError, Subspace, det, nullspace, solve
 
 __all__ = [
@@ -109,111 +110,107 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     return forms
 
 
-def _combination(forms: list[BilinearForm], coeffs) -> BilinearForm:
-    acc = forms[0].scale(coeffs[0])
-    for f, c in zip(forms[1:], coeffs[1:]):
-        acc = acc.add(f.scale(c))
-    return acc
+# The bounds of is_self_dual: points of the grid certificate, and
+# determinants of the coefficient search.
+_GRID_BUDGET = 64
+_SEARCH_BUDGET = 20000
 
 
-def nondegenerate_invariant_metric(alg: LieAlgebra, max_coeff: int = 5,
-                                   budget: int = 20000) -> BilinearForm | None:
-    """A non-degenerate invariant form, by bounded deterministic search.
-
-    Tries the basis of ``invariant_form_space`` first, then integer
-    combinations with coefficients in [-max_coeff, max_coeff], ordered
-    by coefficient radius and then lexicographically, up to ``budget``
-    determinant evaluations.  None means "not found at this depth",
-    which is weaker than a nonexistence proof; see ``is_self_dual`` for
-    the certified negative.
-    """
-    return _search_metric(invariant_form_space(alg), max_coeff, budget)
-
-
-def _search_metric(forms: list[BilinearForm], max_coeff: int = 5,
-                   budget: int = 20000) -> BilinearForm | None:
-    """The search of ``nondegenerate_invariant_metric`` over given forms."""
-    if not forms:
-        return None
-    zero = forms[0].field.zero
-    for f in forms:
-        if f.det() != zero:
-            return f
-    s = len(forms)
-    spent = 0
-    for radius in range(1, max_coeff + 1):
-        values = range(-radius, radius + 1)
-        for coeffs in itertools.product(values, repeat=s):
-            if max(abs(c) for c in coeffs) != radius:
-                continue
-            spent += 1
-            if spent > budget:
-                return None
-            candidate = _combination(forms, coeffs)
-            if candidate.det() != zero:
-                return candidate
+def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
+    """The first non-degenerate sum c_a F_a over the coefficient tuples."""
+    field = forms[0].field
+    for coeffs in points:
+        acc = forms[0].scale(field(coeffs[0]))
+        for f, c in zip(forms[1:], coeffs[1:]):
+            acc = acc.add(f.scale(field(c)))
+        if acc.is_nondegenerate():
+            return acc
     return None
+
+
+def _by_radius(s: int):
+    """Integer s-tuples ordered by max-norm radius 1, 2, ..., then
+    lexicographically within a radius."""
+    for radius in itertools.count(1):
+        for coeffs in itertools.product(range(-radius, radius + 1), repeat=s):
+            if max(map(abs, coeffs)) == radius:
+                yield coeffs
 
 
 @dataclass(frozen=True)
 class SelfDuality:
-    """Tri-state answer: yes (with metric), no (with certificate), unknown."""
+    """Tri-state answer: yes (with metric), no (with certificate),
+    unknown (with reason)."""
     verdict: str
     metric: BilinearForm | None = None
     certificate: dict | None = None
+    reason: str | None = None
 
 
-def _generic_determinant_is_zero(alg_dim: int, forms: list[BilinearForm],
-                                 grid_budget: int = 20000) -> tuple[bool, int] | None:
-    """Decide det(sum t_a F_a) = 0 identically, by grid interpolation.
-
-    The determinant is a polynomial of total degree <= alg_dim in the
-    t_a, so vanishing on the grid {0..alg_dim}^s forces it to vanish
-    identically.  Returns (is_zero, points) or None if the grid would
-    exceed the budget.
-    """
-    s = len(forms)
-    field = forms[0].field
-    points = (alg_dim + 1) ** s
-    if points > grid_budget:
-        return None
-    for coeffs in itertools.product(range(alg_dim + 1), repeat=s):
-        candidate = _combination(forms, [field(c) for c in coeffs])
-        if candidate.det() != field.zero:
-            return (False, points)
-    return (True, points)
-
-
-def is_self_dual(alg: LieAlgebra, max_space_dim: int = 4,
-                 max_alg_dim: int = 10) -> SelfDuality:
+def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     """Does the algebra admit an invariant metric?
 
-    'yes' carries a metric.  'no' carries an exact certificate: the
-    determinant of a generic combination of the invariant-form basis is
-    the zero polynomial (interpolated on a full grid, so this is a
-    proof, not a search failure); it is only attempted when the form
-    space has dimension <= max_space_dim and the algebra dimension is
-    <= max_alg_dim.  Anything else is 'unknown'.
+    One procedure over the basis F_1..F_s of ``invariant_form_space``,
+    d = alg.dim; each step proves its answer or stops inside a bound.
+    1. s = 0: 'no', certificate kind ``empty-invariant-form-space``.
+    2. The first non-degenerate F_a is the metric ('yes').
+    3. If the grid {0..d}^s has at most 64 points, its first
+       non-degenerate sum t_a F_a is the metric.  If there is none,
+       det(sum t_a F_a), of degree <= d, is the zero polynomial
+       (Schwartz, JACM 1980): 'no', kind ``generic-determinant-zero``
+       with ``space_dim``, ``matrix_dim`` and ``grid_points``.
+    4. A nonzero x with F_a x = 0 for all a is in the radical of every
+       combination: 'no', kind ``common-radical`` with ``space_dim``,
+       ``matrix_dim`` and ``witness`` (x as canonical scalar strings).
+    5. The first non-degenerate integer combination, by coefficient
+       radius and then lexicographically, within 20000 determinants is
+       the metric.  Otherwise 'unknown', with the limits in ``reason``.
     """
     forms = invariant_form_space(alg)
     if not forms:
         return SelfDuality("no", certificate={
             "kind": "empty-invariant-form-space", "space_dim": 0})
-    metric = _search_metric(forms)
+    for f in forms:
+        if f.is_nondegenerate():
+            return SelfDuality("yes", metric=f)
+    s, d = len(forms), alg.dim
+    points = (d + 1) ** s
+    if points <= _GRID_BUDGET:
+        metric = _first_metric(forms, itertools.product(range(d + 1), repeat=s))
+        if metric is not None:
+            return SelfDuality("yes", metric=metric)
+        return SelfDuality("no", certificate={
+            "kind": "generic-determinant-zero",
+            "space_dim": s,
+            "matrix_dim": d,
+            "grid_points": points,
+        })
+    radical = nullspace(Matrix(alg.field, [row for f in forms
+                                           for row in f.matrix.rows]))
+    if not radical.is_zero():
+        return SelfDuality("no", certificate={
+            "kind": "common-radical",
+            "space_dim": s,
+            "matrix_dim": d,
+            "witness": [scalar_to_string(x) for x in radical.basis[0]],
+        })
+    metric = _first_metric(forms, itertools.islice(_by_radius(s), _SEARCH_BUDGET))
     if metric is not None:
         return SelfDuality("yes", metric=metric)
-    if len(forms) <= max_space_dim and alg.dim <= max_alg_dim:
-        outcome = _generic_determinant_is_zero(alg.dim, forms)
-        if outcome is not None:
-            is_zero, points = outcome
-            if is_zero:
-                return SelfDuality("no", certificate={
-                    "kind": "generic-determinant-zero",
-                    "space_dim": len(forms),
-                    "matrix_dim": alg.dim,
-                    "grid_points": points,
-                })
-    return SelfDuality("unknown")
+    return SelfDuality("unknown", reason=(
+        f"the {s} invariant forms have no common radical, the grid "
+        f"certificate needs {d + 1}^{s} points (budget {_GRID_BUDGET}), "
+        f"and no non-degenerate combination was found among the first "
+        f"{_SEARCH_BUDGET} by coefficient radius"))
+
+
+def nondegenerate_invariant_metric(alg: LieAlgebra) -> BilinearForm | None:
+    """The metric of ``is_self_dual``, or None when it has none.
+
+    None covers both a certified 'no' and an 'unknown'; call
+    ``is_self_dual`` to tell them apart.
+    """
+    return is_self_dual(alg).metric
 
 
 # ---------------------------------------------------------------------------

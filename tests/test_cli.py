@@ -1,11 +1,13 @@
 """Command-line surface and the JSON file format."""
 
 import json
+import sys
 
 import pytest
 
+from liealg import selfdual
 from liealg.cli import main
-from liealg.core import BilinearForm, LieAlgebra
+from liealg.core import BilinearForm, LieAlgebra, direct_sum
 from liealg.family import canonical_metric, truncated_algebra
 from liealg.fields import QQ, PrimeField
 from liealg.io import (
@@ -288,6 +290,28 @@ def test_analyze_certificate(tmp_path, capsys):
     assert code == 0
     assert report["self_dual"] == "no"
     assert report["certificate"]["kind"] == "generic-determinant-zero"
+    assert "reason" not in report
+
+    path = tmp_path / "a7.json"
+    save_algebra(path, truncated_algebra(7))
+    code, report = _porcelain(capsys, ["analyze", str(path)])
+    assert code == 0 and report["self_dual"] == "no"
+    assert report["certificate"] == {
+        "kind": "common-radical", "space_dim": 3, "matrix_dim": 8,
+        "witness": ["0", "0", "0", "0", "0", "0", "0", "1"]}
+
+
+def test_analyze_unknown_carries_reason(tmp_path, capsys, monkeypatch):
+    a3 = truncated_algebra(3)
+    path = tmp_path / "a33.json"
+    save_algebra(path, direct_sum(a3, a3))
+    monkeypatch.setattr(selfdual, "_SEARCH_BUDGET", 0)
+    code, report = _porcelain(capsys, ["analyze", str(path)])
+    assert code == 0 and report["self_dual"] == "unknown"
+    assert "certificate" not in report and "invariant_metric" not in report
+    assert "common radical" in report["reason"]
+    code, out, _ = _run(capsys, ["analyze", str(path)])
+    assert code == 0 and "reason: " in out
 
 
 def test_classify_family_mode(capsys):
@@ -373,6 +397,53 @@ def test_dext_pipeline(tmp_path, capsys):
     assert code == 3 and "malformed" in err
 
 
+def test_dext_malformed_pairing_form(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    save_algebra(base, LieAlgebra(QQ, 2, {}),
+                 BilinearForm.from_entries(QQ, [["0", "1"], ["1", "0"]]))
+    by = tmp_path / "line.json"
+    save_algebra(by, LieAlgebra(QQ, 1, {}))
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps([[["-1", "0"], ["0", "1"]]]))
+    pairing = tmp_path / "F.json"
+    argv = ["dext", "--base", str(base), "--by", str(by), "--action",
+            str(action), "--F", str(pairing), "-o", str(tmp_path / "d.json")]
+    pairing.write_text(json.dumps({"metric": [["9"]]}))
+    code, report = _porcelain(capsys, argv)
+    assert code == 0
+    for bad in ([1], {"metric": [["1"], 7]}, [["1"], ["1", "0"]],
+                [["1", "2"], ["3", "4"]], {"metric": None}, [["x"]]):
+        pairing.write_text(json.dumps(bad))
+        code, _, err = _run(capsys, argv)
+        assert code == 3 and "malformed" in err
+
+
+def test_output_errors_exit_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a4.json"
+    save_algebra(path, truncated_algebra(4))
+    code, out, err = _run(capsys, ["analyze", str(path), "--json",
+                                   str(tmp_path / "missing" / "x.json")])
+    assert code == 3 and out == "" and "cannot read or write" in err
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    metric_file = tmp_path / "a3.json"
+    save_algebra(metric_file, truncated_algebra(3), canonical_metric(3))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    for flags in (["--porcelain"], []):
+        assert main(["analyze", str(path), *flags]) == 3
+        # a failure report (exit 1) is written the same way
+        assert main(["wigner", "--algebra", str(metric_file), "--subalgebra",
+                     "3", "-o", str(tmp_path / "w.json"), *flags]) == 3
+    monkeypatch.undo()
+    assert "Broken pipe" in capsys.readouterr().err
+
+
 def test_dext_decomposability_capped(tmp_path, capsys, monkeypatch):
     base = tmp_path / "base.json"
     save_algebra(base, LieAlgebra(QQ, 2, {}),
@@ -434,6 +505,10 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     garbage.write_text("not json {")
     code, _, err = _run(capsys, ["check", "jacobi", str(garbage)])
     assert code == 3 and "malformed" in err
+    for raw in (b"\xff\xfe{", b"[" * 100000 + b"]" * 100000):
+        garbage.write_bytes(raw)  # not UTF-8; nested past the recursion limit
+        code, _, err = _run(capsys, ["check", "jacobi", str(garbage)])
+        assert code == 3 and "malformed" in err
 
     noncanon = tmp_path / "noncanon.json"
     doc = algebra_to_document(truncated_algebra(3))

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from liealg import selfdual
 from liealg.core import BilinearForm, LieAlgebra, direct_sum, form_block_sum
 from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
 from liealg.fields import QQ
-from liealg.linalg import Matrix, Subspace
+from liealg.hats import IDENTITY_HAT
+from liealg.io import string_to_scalar
+from liealg.linalg import Matrix, Subspace, solve
 from liealg.selfdual import (
     ConstructionError,
     ContractionInput,
@@ -166,10 +169,93 @@ def test_is_self_dual_no_heisenberg():
     assert is_self_dual(_heisenberg()).verdict == "no"
 
 
-def test_is_self_dual_unknown_when_certificate_out_of_reach():
-    answer = is_self_dual(truncated_algebra(4), max_space_dim=1)
+def test_is_self_dual_unknown_when_certificate_out_of_reach(monkeypatch):
+    """A3 + A3: all five basis forms are degenerate, the grid has 9^5
+    points and the forms share no radical, so only the search is left."""
+    a3 = truncated_algebra(3)
+    both = direct_sum(a3, a3)
+    forms = invariant_form_space(both)
+    assert len(forms) == 5 and not any(f.is_nondegenerate() for f in forms)
+    monkeypatch.setattr(selfdual, "_SEARCH_BUDGET", 0)
+    answer = is_self_dual(both)
     assert answer.verdict == "unknown"
     assert answer.metric is None and answer.certificate is None
+    assert isinstance(answer.reason, str) and answer.reason
+
+
+def _check_no_certificate(alg, monkeypatch):
+    """is_self_dual says 'no' with a certificate that checks out against
+    the forms it was computed from."""
+    seen = []
+    monkeypatch.setattr(selfdual, "invariant_form_space",
+                        lambda a: seen.append(invariant_form_space(a)) or seen[-1])
+    answer = is_self_dual(alg)
+    assert answer.verdict == "no" and answer.metric is None
+    assert answer.reason is None
+    cert = answer.certificate
+    assert cert["space_dim"] == len(seen[0]) >= 1
+    assert cert["matrix_dim"] == alg.dim
+    if cert["kind"] == "common-radical":
+        x = [string_to_scalar(QQ, c) for c in cert["witness"]]
+        assert any(x)
+        for form in seen[0]:
+            assert not any(form.matrix * x)
+    else:
+        assert cert["kind"] == "generic-determinant-zero"
+        assert cert["grid_points"] == (alg.dim + 1) ** len(seen[0]) <= 64
+    return cert["kind"]
+
+
+def test_is_self_dual_no_for_every_nonmetric_member(monkeypatch):
+    kinds = {n: _check_no_certificate(truncated_algebra(n), monkeypatch)
+             for n in [*range(1, 21), 29] if n % 3}
+    assert {n for n, k in kinds.items() if k == "common-radical"} == \
+        {n for n in kinds if n >= 7}
+
+
+def _rotated(alg, p):
+    """The algebra in the basis formed by the rows of the invertible p."""
+    rows = [p.row(i) for i in range(alg.dim)]
+    columns = p.transpose()
+    brackets = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            coords = solve(columns, alg.bracket(rows[i], rows[j]))
+            terms = [(k, c) for k, c in enumerate(coords) if c]
+            if terms:
+                brackets[(i, j)] = terms
+    return LieAlgebra(alg.field, alg.dim, brackets)
+
+
+def test_is_self_dual_no_does_not_depend_on_the_basis(monkeypatch):
+    a7 = truncated_algebra(7)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        d = a7.dim
+        lower = Matrix(QQ, [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+                             for j in range(d)] for i in range(d)])
+        rotated = _rotated(a7, lower * lower.transpose())
+        assert rotated != a7 and rotated.check_jacobi() is None
+        assert _check_no_certificate(rotated, monkeypatch) == "common-radical"
+
+
+def test_is_self_dual_no_witt_algebra_by_grid():
+    w10 = truncated_algebra(10, IDENTITY_HAT)
+    assert is_self_dual(w10).certificate == {
+        "kind": "generic-determinant-zero", "space_dim": 1,
+        "matrix_dim": 11, "grid_points": 12}
+
+
+def test_is_self_dual_direct_sum_metric_from_search():
+    a3 = truncated_algebra(3)
+    both = direct_sum(a3, a3)
+    forms = invariant_form_space(both)
+    expected = forms[0].scale(-1)
+    for f in forms[1:]:
+        expected = expected.add(f.scale(-1))
+    answer = is_self_dual(both)
+    assert answer.verdict == "yes" and answer.reason is None
+    assert answer.metric == expected
 
 
 def test_orthogonal_complement_pins():
