@@ -15,7 +15,9 @@ machine JSON to --json PATH or to stdout with --porcelain.
 
 The environment variable LIEALG_BRUTE_CAP overrides the default cap
 (65536) on the number of subsets the brute-force ideal enumeration may
-visit.
+visit.  It bounds ``ideals`` and ``classify FILE`` (exit 2 over the
+cap) and the decomposability verdict of ``dext`` ("unknown" over the
+cap).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .selfdual import (
     decomposability_check,
     deeper_verdict,
     double_extend,
-    double_extension_candidates,
     is_self_dual,
     wigner_contract,
 )
@@ -313,7 +314,7 @@ def _cmd_classify(args):
             "n": n,
             "decomposable": split is not None,
             "split": _split_json(split),
-            "candidates": list(double_extension_candidates(n)),
+            "candidates": list(verdict.candidates),
             "verdict": verdict.verdict.value,
         }
         human = [
@@ -364,13 +365,6 @@ def _load_form_file(path, field) -> BilinearForm:
         raise AlgebraFileError(f"{path}: {exc}") from None
 
 
-def _decomposability_verdict(alg, metric, cap) -> str:
-    if (1 << alg.dim) > cap:
-        return "unknown"
-    split = decomposability_check(alg, metric)
-    return "yes" if split is not None else "no"
-
-
 def _cmd_dext(args):
     base_alg, omega = load_algebra(args.base)
     if omega is None:
@@ -392,7 +386,13 @@ def _cmd_dext(args):
     except (ValueError, ConstructionError) as exc:
         raise _Failure(str(exc))
     save_algebra(args.output, out, metric)
-    verdict = _decomposability_verdict(out, metric, _brute_cap())
+    try:
+        ideals = enumerate_coordinate_ideals(out, _brute_cap())
+    except ValueError:
+        verdict = "unknown"
+    else:
+        split = decomposability_check(out, metric, ideals)
+        verdict = "yes" if split is not None else "no"
     report = {
         "dim": out.dim,
         "decomposable": verdict,

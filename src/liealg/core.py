@@ -150,30 +150,10 @@ class LieAlgebra:
         zero, one = self.field.zero, self.field.one
         return tuple(one if j == i else zero for j in range(self.dim))
 
-    def _bracket_basis_vector(self, i: int, y: Sequence) -> list:
-        """[x_i, y] with y a coordinate vector; avoids building x_i."""
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for j, yj in enumerate(y):
-            if yj == zero or j == i:
-                continue
-            for k, c in self.bracket_basis(i, j):
-                out[k] = out[k] + yj * c
-        return out
-
     def adjoint(self, x: Sequence) -> Matrix:
         """Matrix of y |-> [x, y]; column j is [x, x_j]."""
         x = self._coerce_vector(x)
-        zero = self.field.zero
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, xi in enumerate(x):
-                if xi == zero or i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j):
-                    col[k] = col[k] + xi * c
-            cols.append(col)
+        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
         return Matrix(self.field, zip(*cols)) if cols else Matrix(self.field, [])
 
     # -- identities --------------------------------------------------------
@@ -260,7 +240,7 @@ class LieAlgebra:
 
     def is_ideal(self, s: Subspace) -> bool:
         self._check_subspace(s)
-        return all(s.contains(self._bracket_basis_vector(i, v))
+        return all(s.contains(self.bracket(self.basis_vector(i), v))
                    for i in range(self.dim) for v in s.basis)
 
     def is_subalgebra(self, s: Subspace) -> bool:
@@ -285,10 +265,8 @@ class LieAlgebra:
         brackets = {}
         for a, ca in enumerate(kept):
             for b in range(a + 1, len(kept)):
-                w = [zero] * self.dim
-                for k, c in self.bracket_basis(ca, kept[b]):
-                    w[k] = c
-                red = j.reduce(w)
+                red = j.reduce(self.bracket(self.basis_vector(ca),
+                                            self.basis_vector(kept[b])))
                 terms = [(pos[c], red[c]) for c in kept if red[c] != zero]
                 if terms:
                     brackets[(a, b)] = terms
@@ -314,15 +292,10 @@ class LieAlgebra:
         if det(phi) == self.field.zero:
             return False
         cols = [phi.col(j) for j in range(self.dim)]
-        zero = self.field.zero
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = [zero] * self.dim
-                for k, c in self.bracket_basis(i, j):
-                    w[k] = c
-                if phi * tuple(w) != self.bracket(cols[i], cols[j]):
-                    return False
-        return True
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        return all(phi * self.bracket(basis[i], basis[j])
+                   == self.bracket(cols[i], cols[j])
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def derivation_space(self) -> DerivationSpace:
         """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] over all i < j.

@@ -256,25 +256,26 @@ class IdealClassification:
         return out
 
 
-def classify_ideals(n: int, hat=MOD3_BALANCED, cross_check: bool = True,
-                    max_subsets: int = DEFAULT_BRUTE_CAP) -> IdealClassification:
+def classify_ideals(n: int, hat=MOD3_BALANCED,
+                    cross_check: bool = True) -> IdealClassification:
     """Closed-form coordinate-ideal list, cross-checked by brute force.
 
     The closed form holds for the balanced mod-3 hat (and any hat with
     the same zero pattern): suffix spans for every m, plus a skip ideal
     for each m in 2..n+1 with hat(m) = 0, where m = n+1 contributes the
     degenerate skip span{T_{n-1}} (only when hat(n+1) = 0, i.e. for
-    n = 2 mod 3).  When the member is small enough the list is verified
-    against ``enumerate_coordinate_ideals`` and a mismatch raises
+    n = 2 mod 3).  When the member has at most 2^16 coordinate subsets
+    (``DEFAULT_BRUTE_CAP``) the list is verified against
+    ``enumerate_coordinate_ideals`` and a mismatch raises
     ``ClassificationMismatchError``.
     """
     suffix = tuple(range(0, n + 2))
     skip = tuple(m for m in range(2, n + 2) if hat.value(m) == 0)
     result = IdealClassification(n, suffix, skip, ())
-    if cross_check and (1 << (n + 1)) <= max_subsets:
+    if cross_check and (1 << (n + 1)) <= DEFAULT_BRUTE_CAP:
         field = hat.default_field()
         alg = truncated_algebra(n, hat, field)
-        brute = enumerate_coordinate_ideals(alg, max_subsets)
+        brute = enumerate_coordinate_ideals(alg)
         claimed = result.subspaces(field)
         if set(brute) != set(claimed) or len(claimed) != len(set(claimed)):
             raise ClassificationMismatchError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import random
 from dataclasses import dataclass
 
 from .core import BilinearForm, LieAlgebra
@@ -111,9 +112,9 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
 
 
 # The bounds of is_self_dual: points of the grid certificate, and
-# determinants of the coefficient search.
+# points of the seeded search.
 _GRID_BUDGET = 64
-_SEARCH_BUDGET = 20000
+_SEARCH_BUDGET = 16
 
 
 def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
@@ -128,13 +129,12 @@ def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
     return None
 
 
-def _by_radius(s: int):
-    """Integer s-tuples ordered by max-norm radius 1, 2, ..., then
-    lexicographically within a radius."""
-    for radius in itertools.count(1):
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=s):
-            if max(map(abs, coeffs)) == radius:
-                yield coeffs
+def _seeded_points(s: int, d: int):
+    """(-1, ..., -1), then points of {-d..d}^s from a fixed seed."""
+    yield (-1,) * s
+    rng = random.Random(0)
+    while True:
+        yield tuple(rng.randint(-d, d) for _ in range(s))
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,22 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     d = alg.dim; each step proves its answer or stops inside a bound.
     1. s = 0: 'no', certificate kind ``empty-invariant-form-space``.
     2. The first non-degenerate F_a is the metric ('yes').
-    3. If the grid {0..d}^s has at most 64 points, its first
-       non-degenerate sum t_a F_a is the metric.  If there is none,
-       det(sum t_a F_a), of degree <= d, is the zero polynomial
-       (Schwartz, JACM 1980): 'no', kind ``generic-determinant-zero``
-       with ``space_dim``, ``matrix_dim`` and ``grid_points``.
+    3. Let q = d + 1, or min(d + 1, p) over F_p.  If the grid
+       {0..q-1}^s has at most 64 points, its first non-degenerate sum
+       t_a F_a is the metric.  If there is none, det(sum t_a F_a), of
+       degree <= d, is the zero polynomial when q = d + 1 (Schwartz,
+       JACM 1980), and for p <= d the grid is all of F_p^s, so the
+       search was exhaustive: 'no', kind ``generic-determinant-zero``
+       with ``space_dim``, ``matrix_dim`` and ``grid_points`` (the
+       number of distinct points).
     4. A nonzero x with F_a x = 0 for all a is in the radical of every
        combination: 'no', kind ``common-radical`` with ``space_dim``,
        ``matrix_dim`` and ``witness`` (x as canonical scalar strings).
-    5. The first non-degenerate integer combination, by coefficient
-       radius and then lexicographically, within 20000 determinants is
-       the metric.  Otherwise 'unknown', with the limits in ``reason``.
+    5. The first non-degenerate sum among 16 points, (-1, ..., -1) and
+       then seeded points of {-d..d}^s, is the metric.  A random point
+       misses a nonzero det(sum t_a F_a) with probability at most
+       d / (2d + 1) (Schwartz, JACM 1980).  Otherwise 'unknown', with
+       the limits in ``reason``.
     """
     forms = invariant_form_space(alg)
     if not forms:
@@ -174,9 +179,11 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
         if f.is_nondegenerate():
             return SelfDuality("yes", metric=f)
     s, d = len(forms), alg.dim
-    points = (d + 1) ** s
+    p = alg.field.characteristic
+    q = min(d + 1, p) if p else d + 1
+    points = q ** s
     if points <= _GRID_BUDGET:
-        metric = _first_metric(forms, itertools.product(range(d + 1), repeat=s))
+        metric = _first_metric(forms, itertools.product(range(q), repeat=s))
         if metric is not None:
             return SelfDuality("yes", metric=metric)
         return SelfDuality("no", certificate={
@@ -194,14 +201,15 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
             "matrix_dim": d,
             "witness": [scalar_to_string(x) for x in radical.basis[0]],
         })
-    metric = _first_metric(forms, itertools.islice(_by_radius(s), _SEARCH_BUDGET))
+    metric = _first_metric(
+        forms, itertools.islice(_seeded_points(s, d), _SEARCH_BUDGET))
     if metric is not None:
         return SelfDuality("yes", metric=metric)
     return SelfDuality("unknown", reason=(
         f"the {s} invariant forms have no common radical, the grid "
-        f"certificate needs {d + 1}^{s} points (budget {_GRID_BUDGET}), "
-        f"and no non-degenerate combination was found among the first "
-        f"{_SEARCH_BUDGET} by coefficient radius"))
+        f"certificate needs {q}^{s} points (budget {_GRID_BUDGET}), "
+        f"and none of {_SEARCH_BUDGET} seeded combinations with "
+        f"coefficients in -{d}..{d} is non-degenerate"))
 
 
 def nondegenerate_invariant_metric(alg: LieAlgebra) -> BilinearForm | None:
@@ -242,9 +250,12 @@ def decomposability_check(alg: LieAlgebra, form: BilinearForm,
     """Search for an orthogonal split of the metric algebra.
 
     Scans the supplied ideal list (coordinate enumeration by default)
-    for a proper ideal J such that its orthogonal complement is an
-    ideal meeting J trivially, with the metric non-degenerate on J.
-    Returns the first split found, or None.
+    for the first proper J that passes two tests: the metric restricted
+    to J is non-degenerate, and J is an ideal.  These suffice for the
+    invariant, non-degenerate metric B: a non-degenerate B|_J gives
+    L = J + J-perp with J and J-perp meeting trivially, and the
+    orthogonal complement of an ideal is an ideal (Medina-Revoy, Ann.
+    Sci. ENS 18, 1985).  Returns (J, J-perp), or None.
     """
     if not form.is_nondegenerate():
         raise ValueError("decomposability check requires a non-degenerate form")
@@ -255,15 +266,10 @@ def decomposability_check(alg: LieAlgebra, form: BilinearForm,
         ideals = enumerate_coordinate_ideals(alg)
     zero = alg.field.zero
     for j in ideals:
-        if j.dim == 0 or j.dim == alg.dim:
-            continue
-        if det(form.restrict(j)) == zero:
-            continue
-        perp = orthogonal_complement(alg, form, j)
-        if not j.intersect(perp).is_zero():
-            continue
-        if alg.is_ideal(j) and alg.is_ideal(perp):
-            return Decomposition(j, perp)
+        if (0 < j.dim < alg.dim and det(form.restrict(j)) != zero
+                and alg.is_ideal(j)):
+            # B|_J non-degenerate => L = J + J-perp; J ideal => J-perp ideal
+            return Decomposition(j, orthogonal_complement(alg, form, j))
     return None
 
 

@@ -21,6 +21,7 @@ from liealg.io import (
     scalar_to_string,
     string_to_scalar,
 )
+from liealg.linalg import Matrix
 from liealg.selfdual import invariant_profile
 
 
@@ -459,6 +460,29 @@ def test_dext_decomposability_capped(tmp_path, capsys, monkeypatch):
                                        "--action", str(action),
                                        "-o", str(out)])
     assert code == 0 and report["decomposable"] == "unknown"
+
+
+def test_dext_decomposability_above_the_default_cap(tmp_path, capsys,
+                                                    monkeypatch):
+    """A 17-dim output has 2^17 subsets: over the default cap, within
+    the raised one, so the verdict is computed rather than refused."""
+    base = tmp_path / "base.json"
+    save_algebra(base, LieAlgebra(QQ, 15, {}),
+                 BilinearForm(Matrix.identity(QQ, 15)))
+    by = tmp_path / "line.json"
+    save_algebra(by, LieAlgebra(QQ, 1, {}))
+    # rotations in the planes (e0, e1) .. (e12, e13); e14 stays fixed
+    grid = [["0"] * 15 for _ in range(15)]
+    for a in range(0, 14, 2):
+        grid[a + 1][a], grid[a][a + 1] = "1", "-1"
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps([grid]))
+    monkeypatch.setenv("LIEALG_BRUTE_CAP", str(1 << 17))
+    code, report = _porcelain(capsys, ["dext", "--base", str(base),
+                                       "--by", str(by),
+                                       "--action", str(action),
+                                       "-o", str(tmp_path / "d.json")])
+    assert code == 0 and report["decomposable"] == "yes"
 
 
 def test_wigner_pipeline(tmp_path, capsys):

@@ -1,16 +1,24 @@
 """Invariant forms, metric search, decomposability, and the two constructions."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from liealg import selfdual
 from liealg.core import BilinearForm, LieAlgebra, direct_sum, form_block_sum
-from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
-from liealg.fields import QQ
+from liealg.family import (
+    canonical_metric,
+    classify_ideals,
+    enumerate_coordinate_ideals,
+    suffix_subspace,
+    truncated_algebra,
+)
+from liealg.fields import QQ, PrimeField
 from liealg.hats import IDENTITY_HAT
 from liealg.io import string_to_scalar
-from liealg.linalg import Matrix, Subspace, solve
+from liealg.linalg import Matrix, Subspace, det, solve
 from liealg.selfdual import (
     ConstructionError,
     ContractionInput,
@@ -258,6 +266,28 @@ def test_is_self_dual_direct_sum_metric_from_search():
     assert answer.metric == expected
 
 
+
+def test_is_self_dual_abelian_by_seeded_points():
+    """Abelian algebras of dim 3..7: every basis form is degenerate and
+    the grid is far over budget, so the seeded points find the metric."""
+    start = time.monotonic()
+    for d in range(3, 8):
+        alg = LieAlgebra(QQ, d, {})
+        answer = is_self_dual(alg)
+        assert answer.verdict == "yes"
+        assert answer.metric.is_nondegenerate()
+        assert answer.metric.invariance_witness(alg) is None
+    assert time.monotonic() - start < 1.0
+
+
+def test_is_self_dual_grid_counts_distinct_points_over_fp():
+    """Over F_2 the grid {0, 1}^2 is all of F_2^2: four points."""
+    answer = is_self_dual(truncated_algebra(4, field=PrimeField(2)))
+    assert answer.verdict == "no"
+    assert answer.certificate == {"kind": "generic-determinant-zero",
+                                  "space_dim": 2, "matrix_dim": 5,
+                                  "grid_points": 4}
+
 def test_orthogonal_complement_pins():
     a3 = truncated_algebra(3)
     m = canonical_metric(3)
@@ -322,6 +352,78 @@ def test_decomposability_validates_input():
     with pytest.raises(ValueError):
         decomposability_check(a3, _identity_form(4))  # not invariant
 
+
+
+def _four_condition_scan(alg, form, ideals):
+    """Reference split search: the first proper J in the list with B|_J
+    non-degenerate, J meeting its orthogonal complement trivially, and
+    both J and the complement ideals, each condition checked directly."""
+    for j in ideals:
+        if j.dim == 0 or j.dim == alg.dim:
+            continue
+        if det(form.restrict(j)) == 0:
+            continue
+        perp = orthogonal_complement(alg, form, j)
+        if not j.intersect(perp).is_zero():
+            continue
+        if alg.is_ideal(j) and alg.is_ideal(perp):
+            return Decomposition(j, perp)
+    return None
+
+
+def _dext_on_fifteen_dim_base(rotations):
+    """A line acting on the 15-dim Euclidean space, by zero or by
+    rotations in the planes (e0, e1) .. (e12, e13)."""
+    rho = [[0] * 15 for _ in range(15)]
+    if rotations:
+        for a in range(0, 14, 2):
+            rho[a + 1][a], rho[a][a + 1] = 1, -1
+    return double_extend(DoubleExtensionInput(
+        15, _identity_form(15), LieAlgebra(QQ, 1, {}),
+        (Matrix(QQ, rho),)))
+
+
+def test_decomposability_matches_the_four_condition_scan():
+    a3, a6 = truncated_algebra(3), truncated_algebra(6)
+    cases = []
+    for other, n in ((a3, 3), (a6, 6)):
+        cases.append((direct_sum(a3, other),
+                      form_block_sum(canonical_metric(3), canonical_metric(n)),
+                      None))
+    for n in (3, 6, 9, 12):
+        ideals = classify_ideals(n, cross_check=False).subspaces()
+        for b in (0, 1):
+            cases.append((truncated_algebra(n), canonical_metric(n, b), ideals))
+    # With the zero action the output is Abelian and all 2^17 coordinate
+    # subspaces are ideals; both scans stop in the first 17, so the head
+    # of the enumeration's order (dimension, then indices) stands in for it.
+    alg, metric = _dext_on_fifteen_dim_base(False)
+    assert alg.is_abelian()
+    cases.append((alg, metric, [Subspace.coordinate(QQ, 17, c) for k in (1, 2)
+                                for c in itertools.combinations(range(17), k)]))
+    alg, metric = _dext_on_fifteen_dim_base(True)
+    cases.append((alg, metric, enumerate_coordinate_ideals(alg, 1 << 17)))
+    # the rotated A3 + A3 splits, but along no coordinate ideal: both miss it
+    both = direct_sum(a3, a3)
+    rng = random.Random(3)
+    lower = Matrix(QQ, [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+                         for j in range(8)] for i in range(8)])
+    p = lower * lower.transpose()
+    block = form_block_sum(canonical_metric(3), canonical_metric(3)).matrix
+    cases.append((_rotated(both, p),
+                  BilinearForm(p * block * p.transpose()), None))
+    splits = []
+    for alg, metric, ideals in cases:
+        if ideals is None:
+            ideals = enumerate_coordinate_ideals(alg)
+        split = decomposability_check(alg, metric, ideals)
+        expected = _four_condition_scan(alg, metric, ideals)
+        assert split == expected
+        if split is not None:
+            assert split.component.basis == expected.component.basis
+            assert split.complement.basis == expected.complement.basis
+        splits.append(split is not None)
+    assert splits == [True, True] + [False] * 8 + [True, True, False]
 
 def _oscillator_input():
     acting = LieAlgebra(QQ, 1, {})
