@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
-from .linalg import Matrix, ShapeError, Subspace, det, nullspace
+from .linalg import Matrix, ShapeError, Subspace, _dot, _sparse, det, nullspace
 
 __all__ = [
     "LieAlgebra",
@@ -132,23 +132,29 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """[x, y] for coordinate vectors x, y."""
         x = self._coerce_vector(x)
-        y = self._coerce_vector(y)
-        zero = self.field.zero
-        out = [zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(self._coerce_vector(y)) if yj]
+        sc = self.sc
+        out = [self.field.zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == zero or i == j:
-                    continue
-                f = xi * yj
-                for k, c in self.bracket_basis(i, j):
-                    out[k] = out[k] + f * c
+            for j, yj in ys:
+                # (i, i) is never stored; [x_i, x_j] = -[x_j, x_i] for i > j
+                terms = sc.get((i, j) if i < j else (j, i))
+                if terms:
+                    f = xi * yj if i < j else -(xi * yj)
+                    for k, c in terms:
+                        out[k] = out[k] + f * c
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
         zero, one = self.field.zero, self.field.one
         return tuple(one if j == i else zero for j in range(self.dim))
+
+    def _bracket_table(self) -> list[list[tuple]]:
+        """table[i][j] = bracket_basis(i, j), read once per call."""
+        return [[self.bracket_basis(i, j) for j in range(self.dim)]
+                for i in range(self.dim)]
 
     def adjoint(self, x: Sequence) -> Matrix:
         """Matrix of y |-> [x, y]; column j is [x, x_j]."""
@@ -159,15 +165,20 @@ class LieAlgebra:
     # -- identities --------------------------------------------------------
 
     def check_jacobi(self) -> JacobiWitness | None:
-        """First (lexicographic) basis triple violating Jacobi, if any."""
+        """First (lexicographic) basis triple violating Jacobi, if any.
+
+        Triples i < j < k are scanned in ``itertools.combinations`` order;
+        the defect is the coordinate vector of the cyclic Jacobi sum.
+        """
         zero = self.field.zero
+        ad = self._bracket_table()
         for i, j, k in itertools.combinations(range(self.dim), 3):
             acc: dict[int, object] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, c1 in self.bracket_basis(a, b):
-                    for m, c2 in self.bracket_basis(l, c):
+                for l, c1 in ad[a][b]:
+                    for m, c2 in ad[l][c]:
                         acc[m] = acc.get(m, zero) + c1 * c2
-            if any(v != zero for v in acc.values()):
+            if any(acc.values()):
                 defect = [zero] * self.dim
                 for m, v in acc.items():
                     defect[m] = v
@@ -180,9 +191,7 @@ class LieAlgebra:
     def killing_form(self) -> "BilinearForm":
         """K(x_i, x_j) = trace(ad x_i . ad x_j)."""
         zero = self.field.zero
-        # adjacency per generator: ad[i][l] = [x_i, x_l] term list
-        ad = [[self.bracket_basis(i, l) for l in range(self.dim)]
-              for i in range(self.dim)]
+        ad = self._bracket_table()
         grid = [[zero] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
@@ -374,17 +383,11 @@ class BilinearForm:
         return self.matrix.entry(i, j)
 
     def value(self, x: Sequence, y: Sequence):
+        """B(x, y) = x^T M y; both vectors must have length ``dim``."""
         x = [self.field(v) for v in x]
-        y = [self.field(v) for v in y]
-        t = self.field.zero
-        for i, xi in enumerate(x):
-            if xi == self.field.zero:
-                continue
-            for j, yj in enumerate(y):
-                g = self.matrix.entry(i, j)
-                if yj != self.field.zero and g != self.field.zero:
-                    t = t + xi * g * yj
-        return t
+        if len(x) != self.dim:
+            raise ShapeError(f"vector of length {len(x)}, expected {self.dim}")
+        return _dot(_sparse(x), _sparse(self.matrix * y), self.field.zero)
 
     def det(self):
         return det(self.matrix)
@@ -404,23 +407,28 @@ class BilinearForm:
         return u * self.matrix * u.transpose()
 
     def invariance_witness(self, alg: LieAlgebra) -> tuple[int, int, int] | None:
-        """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0."""
+        """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0.
+
+        Triples are scanned lexicographically over k, then i, then j >= i.
+        """
         if alg.dim != self.dim:
             raise ShapeError("form/algebra dimension mismatch")
         zero = self.field.zero
+        ad = alg._bracket_table()
+        g = [_sparse(r) for r in self.matrix.rows]
         for k in range(alg.dim):
+            adk = ad[k]
             for i in range(alg.dim):
+                gi = g[i]
                 for j in range(i, alg.dim):
                     t = zero
-                    for l, c in alg.bracket_basis(k, i):
-                        g = self.matrix.entry(l, j)
-                        if g != zero:
-                            t = t + c * g
-                    for l, c in alg.bracket_basis(k, j):
-                        g = self.matrix.entry(i, l)
-                        if g != zero:
-                            t = t + c * g
-                    if t != zero:
+                    for l, c in adk[i]:
+                        if j in g[l]:
+                            t = t + c * g[l][j]
+                    for l, c in adk[j]:
+                        if l in gi:
+                            t = t + c * gi[l]
+                    if t:
                         return (k, i, j)
         return None
 

@@ -6,8 +6,10 @@ elimination runs through one sparse Gauss-Jordan kernel (``_insert``,
 and no entry in any other pivot column, i.e. they are always the
 reduced row-echelon form of what was inserted, which is unique for the
 span: row order and duplicates cannot change it, so two spans of the
-same subspace give bit-identical ``Subspace`` objects.  No floating
-point appears anywhere in this module.
+same subspace give bit-identical ``Subspace`` objects.  Products read
+both operands as the same ``{col: value}`` rows and sum only the
+products of nonzero entries (``_dot``).  No floating point appears
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -122,16 +124,17 @@ class Matrix:
             _check_same_field(self, other)
             if self.ncols != other.nrows:
                 raise ShapeError("matrix product shape mismatch")
-            cols = other.transpose().rows
+            cols = [_sparse(c) for c in zip(*other.rows)]
             zero = self.field.zero
-            return Matrix(self.field,
-                          [[_dot(r, c, zero) for c in cols] for r in self.rows])
+            return Matrix(self.field, [[_dot(r, c, zero) for c in cols]
+                                       for r in map(_sparse, self.rows)])
         # vector on the right
-        vec = tuple(self.field(x) for x in other)
+        vec = [self.field(x) for x in other]
         if self.ncols != len(vec):
             raise ShapeError("matrix-vector shape mismatch")
+        vec = _sparse(vec)
         zero = self.field.zero
-        return tuple(_dot(r, vec, zero) for r in self.rows)
+        return tuple(_dot(_sparse(r), vec, zero) for r in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -146,11 +149,11 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
 
 
-def _dot(u, v, zero):
-    s = zero
-    for a, b in zip(u, v):
-        s = s + a * b
-    return s
+def _dot(u: dict, v: dict, zero):
+    """Sum of u[c] * v[c] over the shared columns of two sparse rows."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum((a * v[c] for c, a in u.items() if c in v), zero)
 
 
 def _reduce(echelon: dict, row: dict) -> None:

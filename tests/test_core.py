@@ -1,14 +1,15 @@
 """Brackets, Jacobi witnesses, series, quotients, derivations, gradings."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from liealg.core import BilinearForm, LieAlgebra, NotAnIdealError, direct_sum
+from liealg.core import BilinearForm, JacobiWitness, LieAlgebra, NotAnIdealError, direct_sum
 from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
 from liealg.fields import PrimeField, QQ
-from liealg.linalg import Matrix, Subspace
+from liealg.linalg import Matrix, ShapeError, Subspace, solve
 
 
 def heisenberg():
@@ -355,3 +356,135 @@ def test_prime_field_algebra():
     # the top generator of the 5-element member is not central: w(-4) = -1
     assert truncated_algebra(4, field=f3).center().dim == 0
     assert truncated_algebra(4).center().dim == 0
+
+
+def test_bilinear_form_value_checks_lengths():
+    form = canonical_metric(3)
+    assert form.value([1, 0, 0, 0], [0, 0, 0, 1]) == 1
+    rng = random.Random(71)
+    for field in (QQ, PrimeField(5)):
+        g = canonical_metric(6, 2, field).matrix
+        for _ in range(10):
+            x, y = ([field(rng.randint(-3, 3)) for _ in range(7)] for _ in range(2))
+            want = sum((x[i] * g.entry(i, j) * y[j]
+                        for i in range(7) for j in range(7)), field.zero)
+            assert BilinearForm(g).value(x, y) == want
+    for x, y in (([1], [0, 0, 0, 1]), ([0, 0, 0, 0, 1], [0, 0, 0, 1]),
+                 ([1, 0, 0, 0], [1]), ([1, 0, 0, 0], [0, 0, 0, 1, 1])):
+        with pytest.raises(ShapeError):
+            form.value(x, y)
+
+
+# -- dense references for the sparse witness scans ---------------------------
+
+def _dense_invariance_witness(form, alg):
+    """Every (k, i, j) in order, every entry read: the reference scan."""
+    zero = form.field.zero
+    for k in range(alg.dim):
+        for i in range(alg.dim):
+            for j in range(i, alg.dim):
+                t = zero
+                for l, c in alg.bracket_basis(k, i):
+                    g = form.matrix.entry(l, j)
+                    if g != zero:
+                        t = t + c * g
+                for l, c in alg.bracket_basis(k, j):
+                    g = form.matrix.entry(i, l)
+                    if g != zero:
+                        t = t + c * g
+                if t != zero:
+                    return (k, i, j)
+    return None
+
+
+def _dense_check_jacobi(alg):
+    zero = alg.field.zero
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, c1 in alg.bracket_basis(a, b):
+                for m, c2 in alg.bracket_basis(l, c):
+                    acc[m] = acc.get(m, zero) + c1 * c2
+        if any(v != zero for v in acc.values()):
+            defect = [zero] * alg.dim
+            for m, v in acc.items():
+                defect[m] = v
+            return JacobiWitness(i, j, k, tuple(defect))
+    return None
+
+
+def _rotated_member(n, seed):
+    """Member n with its canonical metric in the basis of the rows of p = L.L^T,
+    L unit lower-triangular with small seeded integers."""
+    alg, metric = truncated_algebra(n), canonical_metric(n)
+    rng, d = random.Random(seed), n + 1
+    low = Matrix(QQ, [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+                       for j in range(d)] for i in range(d)])
+    p = low * low.transpose()
+    cols = p.transpose()
+    brackets = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            coords = solve(cols, alg.bracket(p.row(i), p.row(j)))
+            brackets[(i, j)] = [(k, c) for k, c in enumerate(coords) if c]
+    return (LieAlgebra(QQ, d, brackets),
+            BilinearForm(p * metric.matrix * p.transpose()))
+
+
+def _witness_cases():
+    for n in range(13):
+        for b in (0, 1):
+            yield truncated_algebra(n), canonical_metric(n, b)
+    yield _rotated_member(6, 3)
+    f5 = PrimeField(5)
+    yield truncated_algebra(6, field=f5), canonical_metric(6, field=f5)
+
+
+def _nonzero(rng, field):
+    return field(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def _perturb_form(rng, form):
+    grid = [list(r) for r in form.matrix.rows]
+    i, j = rng.randrange(form.dim), rng.randrange(form.dim)
+    grid[i][j] = grid[j][i] = grid[i][j] + _nonzero(rng, form.field)
+    return BilinearForm(Matrix(form.field, grid))
+
+
+def _perturb_constant(rng, alg):
+    table = {key: dict(terms) for key, terms in alg.sc.items()}
+    i, j = sorted(rng.sample(range(alg.dim), 2))
+    k = rng.randrange(alg.dim)
+    terms = table.setdefault((i, j), {})
+    terms[k] = terms.get(k, alg.field.zero) + _nonzero(rng, alg.field)
+    return LieAlgebra(alg.field, alg.dim, table)
+
+
+def test_witness_scans_match_the_dense_references():
+    rng = random.Random(67)
+    found_form = found_jacobi = 0
+    for alg, form in _witness_cases():
+        cases = [(alg, form)]
+        if alg.dim > 1:
+            cases += [(alg, _perturb_form(rng, form)) for _ in range(3)]
+            cases += [(_perturb_constant(rng, alg), form) for _ in range(3)]
+        for a, f in cases:
+            witness = f.invariance_witness(a)
+            assert witness == _dense_invariance_witness(f, a)
+            jacobi = a.check_jacobi()
+            assert jacobi == _dense_check_jacobi(a)
+            found_form += witness is not None
+            found_jacobi += jacobi is not None
+    # the perturbations do break both identities, so first witnesses are compared
+    assert found_form > 50 and found_jacobi > 10
+
+
+def test_witness_scans_pass_large_members():
+    for n in (60, 90):
+        alg, form = truncated_algebra(n), canonical_metric(n)
+        assert form.invariance_witness(alg) is None
+        assert alg.check_jacobi() is None
+    # the dense references take about 2 s at n = 90, so they run at n = 60
+    alg, form = truncated_algebra(60), canonical_metric(60)
+    assert _dense_invariance_witness(form, alg) is None
+    assert _dense_check_jacobi(alg) is None

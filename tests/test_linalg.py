@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liealg.core import BilinearForm
 from liealg.fields import FieldMismatchError, PrimeField, QQ
 from liealg.linalg import Matrix, ShapeError, Subspace, det, nullspace, rank, rref, solve
 
@@ -354,3 +355,117 @@ def test_det_flips_sign_under_row_swap(field):
             rows = list(m.rows)
             rows[i], rows[j] = rows[j], rows[i]
             assert det(Matrix(field, rows)) == -det(m)
+
+
+# -- products ----------------------------------------------------------------
+
+PRODUCT_FIELDS = (QQ, F5, F2)
+PRODUCT_DENSITIES = (0.0, 0.1, 1.0)
+
+
+def _naive_product(a_rows, b_rows, ncols, zero):
+    """Dense triple loop: the reference for Matrix products."""
+    out = []
+    for r in a_rows:
+        row = []
+        for j in range(ncols):
+            s = zero
+            for k, x in enumerate(r):
+                s = s + x * b_rows[k][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _product_scalar(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return field(rng.randint(0, field.characteristic - 1))
+
+
+def _product_matrix(rng, field, nrows, ncols, density):
+    return Matrix(field, [[_product_scalar(rng, field) if rng.random() < density
+                           else field.zero for _ in range(ncols)]
+                          for _ in range(nrows)])
+
+
+def _product_shapes(rng):
+    """(m, k, p) for an m x k times k x p product: random, 1 x n . n x 1,
+    n x 1 . 1 x n."""
+    for _ in range(8):
+        yield rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+    n = rng.randint(2, 9)
+    yield 1, n, 1
+    yield n, 1, n
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_products_match_the_dense_triple_loop(field):
+    rng = random.Random(53 + field.characteristic)
+    zero = field.zero
+    for density in PRODUCT_DENSITIES:
+        for m, k, p in _product_shapes(rng):
+            a = _product_matrix(rng, field, m, k, density)
+            b = _product_matrix(rng, field, k, p, rng.choice(PRODUCT_DENSITIES))
+            assert a * b == Matrix(field, _naive_product(a.rows, b.rows, p, zero))
+            v = _product_matrix(rng, field, 1, k, density).rows[0]
+            want = _naive_product(a.rows, [(x,) for x in v], 1, zero)
+            assert a * v == tuple(r[0] for r in want)
+            assert a * list(v) == a * v
+            assert (a * Matrix.zeros(field, k, p)).is_zero()
+            assert Matrix.zeros(field, p, m) * a == Matrix.zeros(field, p, k)
+
+
+def test_products_match_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+
+    def to_sympy(m):
+        return sympy.Matrix(m.nrows, m.ncols,
+                            [sympy.Rational(x.numerator, x.denominator)
+                             for r in m.rows for x in r])
+
+    def back(sm):
+        return Matrix(QQ, [[Fraction(int(x.p), int(x.q)) for x in sm.row(i)]
+                           for i in range(sm.rows)])
+
+    for density in PRODUCT_DENSITIES:
+        for m, k, p in _product_shapes(rng):
+            a = _product_matrix(rng, QQ, m, k, density)
+            b = _product_matrix(rng, QQ, k, p, density)
+            assert a * b == back(to_sympy(a) * to_sympy(b))
+            v = b.col(0)
+            assert a * v == back(to_sympy(a) * to_sympy(Matrix(QQ, zip(v)))).col(0)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_products_reject_shape_and_field_mismatches(field):
+    a = Matrix.identity(field, 3)
+    for bad in (Matrix.zeros(field, 2, 3), Matrix.zeros(field, 4, 1)):
+        with pytest.raises(ShapeError):
+            a * bad
+    for bad in ([1, 0], [1, 0, 0, 0], []):
+        with pytest.raises(ShapeError):
+            a * bad
+    other = F5 if field != F5 else QQ
+    with pytest.raises(FieldMismatchError):
+        a * Matrix.identity(other, 3)
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=str)
+def test_restrict_matches_the_explicit_gram_matrix(field):
+    rng = random.Random(61 + field.characteristic)
+    d = 6
+    for _ in range(5):
+        half = _product_matrix(rng, field, d, d, rng.choice((0.3, 1.0)))
+        m = half + half.transpose()
+        form = BilinearForm(m)
+        coordinate = Subspace.coordinate(field, d, rng.sample(range(d), 3))
+        rotated = Subspace(field, d, [[_product_scalar(rng, field) for _ in range(d)]
+                                      for _ in range(3)])
+        assert any(sum(1 for x in u if x) > 1 for u in rotated.basis)
+        for s in (coordinate, rotated):
+            gram = [[sum((u[i] * m.rows[i][j] * w[j]
+                          for i in range(d) for j in range(d)), field.zero)
+                     for w in s.basis] for u in s.basis]
+            assert form.restrict(s) == Matrix(field, gram)
