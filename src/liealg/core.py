@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
-from .linalg import Matrix, ShapeError, Subspace, _dot, _sparse, det, nullspace
+from .linalg import (Matrix, ShapeError, Subspace, _dense, _dot, _equations, _sparse,
+                     det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -68,16 +69,14 @@ class LieAlgebra:
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             if isinstance(terms, Mapping):
                 terms = terms.items()
-            clean = []
+            merged: dict = {}
             for k, c in terms:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target index {k} out of range")
-                c = field(c)
-                if c != zero:
-                    clean.append((k, c))
+                merged[k] = merged.get(k, zero) + field(c)
+            clean = tuple((k, c) for k, c in sorted(merged.items()) if c != zero)
             if clean:
-                clean.sort()
-                sc[(i, j)] = tuple(clean)
+                sc[(i, j)] = clean
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:
@@ -131,21 +130,23 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """[x, y] for coordinate vectors x, y."""
-        x = self._coerce_vector(x)
-        ys = [(j, yj) for j, yj in enumerate(self._coerce_vector(y)) if yj]
-        sc = self.sc
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in ys:
+        out = self._bracket(_sparse(self._coerce_vector(x)),
+                            _sparse(self._coerce_vector(y)))
+        return _dense(out, self.dim, self.field.zero)
+
+    def _bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse {index: coeff} vectors, without zero entries."""
+        sc, zero = self.sc, self.field.zero
+        out: dict = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
                 # (i, i) is never stored; [x_i, x_j] = -[x_j, x_i] for i > j
                 terms = sc.get((i, j) if i < j else (j, i))
                 if terms:
                     f = xi * yj if i < j else -(xi * yj)
                     for k, c in terms:
-                        out[k] = out[k] + f * c
-        return tuple(out)
+                        out[k] = out.get(k, zero) + f * c
+        return {k: c for k, c in out.items() if c}
 
     def basis_vector(self, i: int) -> tuple:
         zero, one = self.field.zero, self.field.one
@@ -208,8 +209,8 @@ class LieAlgebra:
     # -- subspaces and series ------------------------------------------------
 
     def _bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
-        vecs = [self.bracket(u, v) for u in s.basis for v in t.basis]
-        return Subspace(self.field, self.dim, vecs)
+        return Subspace._span(self.field, self.dim, (
+            self._bracket(u, v) for u in s._echelon.values() for v in t._echelon.values()))
 
     def derived_series(self) -> list[Subspace]:
         """D0 = L, D_{k+1} = [D_k, D_k], listed until stable."""
@@ -237,15 +238,13 @@ class LieAlgebra:
         return self.lower_central_series()[-1].is_zero()
 
     def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}, via stacked adjoint equations."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.structure_constant(i, j, k)
-                             for i in range(self.dim)])
-        if not rows:
-            return Subspace.full(self.field, self.dim)
-        return nullspace(Matrix(self.field, rows))
+        """{x : [x, y] = 0 for all y}: sum_i c_{ij}^k x_i = 0 for all j, k."""
+        eqs: dict = {}
+        for (i, j), terms in self.sc.items():
+            for k, c in terms:
+                eqs.setdefault((j, k), {})[i] = c
+                eqs.setdefault((i, k), {})[j] = -c
+        return nullspace(_equations(self.field, self.dim, eqs.values()))
 
     def is_ideal(self, s: Subspace) -> bool:
         self._check_subspace(s)
@@ -309,29 +308,26 @@ class LieAlgebra:
     def derivation_space(self) -> DerivationSpace:
         """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] over all i < j.
 
-        Unknowns are the dim^2 entries of D flattened row-major; equation
-        rows are assembled over ordered pairs i < j, output index k
-        ascending, which fixes the layout of the returned basis.
+        Unknowns are the dim^2 entries of D flattened row-major, which
+        fixes the layout of the returned basis.
         """
         d = self.dim
         zero = self.field.zero
+        ad = self._bracket_table()
         rows = []
         for i in range(d):
             for j in range(i + 1, d):
-                eq = [[zero] * (d * d) for _ in range(d)]
-                for l, c in self.bracket_basis(i, j):
+                eq: list[dict] = [{} for _ in range(d)]
+                for l, c in ad[i][j]:
                     for k in range(d):
-                        eq[k][k * d + l] = eq[k][k * d + l] + c
+                        eq[k][k * d + l] = eq[k].get(k * d + l, zero) + c
                 for r in range(d):
-                    for k, c in self.bracket_basis(r, j):
-                        eq[k][r * d + i] = eq[k][r * d + i] - c
-                    for k, c in self.bracket_basis(i, r):
-                        eq[k][r * d + j] = eq[k][r * d + j] - c
+                    for k, c in ad[r][j]:
+                        eq[k][r * d + i] = eq[k].get(r * d + i, zero) - c
+                    for k, c in ad[i][r]:
+                        eq[k][r * d + j] = eq[k].get(r * d + j, zero) - c
                 rows.extend(eq)
-        if not rows:
-            space = Subspace.full(self.field, d * d)
-        else:
-            space = nullspace(Matrix(self.field, rows))
+        space = nullspace(_equations(self.field, d * d, rows))
         inner = d - self.center().dim
         return DerivationSpace(space, inner, space.dim - inner)
 

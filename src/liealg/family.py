@@ -24,7 +24,7 @@ from typing import Iterable
 from .core import BilinearForm, LieAlgebra
 from .fields import QQ
 from .hats import MOD3_BALANCED, BalancedMod3
-from .linalg import Matrix, Subspace, nullspace
+from .linalg import Matrix, Subspace, _equations, nullspace
 
 __all__ = [
     "truncated_algebra",
@@ -129,27 +129,17 @@ def single_diagonal_metric_solve(n: int, hat=MOD3_BALANCED) -> DiagonalMetricRes
     """
     field = hat.default_field()
     zero, one = field.zero, field.one
-    rows = set()
+    rows = []
     for i in range(n + 1):
         # symmetry of the ansatz
         if i < n - i:
-            row = [zero] * (n + 1)
-            row[i] = one
-            row[n - i] = -one
-            rows.add(tuple(row))
+            rows.append({i: one, n - i: -one})
         for j in range(n + 1 - i):
             k = n - i - j
-            a = field(hat.value(k - i))
-            b = field(hat.value(k - j))
-            if a == zero and b == zero:
-                continue
-            row = [zero] * (n + 1)
-            row[j] = row[j] + a
-            row[n - i] = row[n - i] + b
-            if any(x != zero for x in row):
-                rows.add(tuple(row))
-    space = (nullspace(Matrix(field, rows)) if rows
-             else Subspace.full(field, n + 1))
+            row = {j: field(hat.value(k - i))}
+            row[n - i] = row.get(n - i, zero) + field(hat.value(k - j))
+            rows.append(row)
+    space = nullspace(_equations(field, n + 1, rows))
     weights = _all_nonzero_element(space, field)
     if weights is None:
         return DiagonalMetricResult(n, False, None)

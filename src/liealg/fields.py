@@ -18,18 +18,26 @@ class FieldMismatchError(ValueError):
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division; fine at CLI scale."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin with the prime bases 2..37, exact
+    below 2^64 (Sorenson and Webster, Math. Comp. 86, 2017); larger
+    moduli raise ValueError as out of range."""
+    if p >= 1 << 64:
+        raise ValueError(f"modulus {p} is out of range (at least 2^64)")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in bases:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

@@ -6,15 +6,19 @@ elimination runs through one sparse Gauss-Jordan kernel (``_insert``,
 and no entry in any other pivot column, i.e. they are always the
 reduced row-echelon form of what was inserted, which is unique for the
 span: row order and duplicates cannot change it, so two spans of the
-same subspace give bit-identical ``Subspace`` objects.  Products read
-both operands as the same ``{col: value}`` rows and sum only the
-products of nonzero entries (``_dot``).  No floating point appears
-anywhere in this module.
+same subspace give bit-identical ``Subspace`` objects.  Solvers hand
+their equations to ``nullspace`` as sparse rows of ``(col, coeff)``
+pairs with an explicit column count (``_equations``), and spans built
+from sparse vectors go straight into the kernel (``Subspace._span``), so
+no system is padded to dense width on the way in.  Products read both
+operands as the same ``{col: value}`` rows and sum only the products of
+nonzero entries (``_dot``).  No floating point appears anywhere in this
+module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import FieldMismatchError, FpElement, PrimeField, QQ, RationalField
 
@@ -197,10 +201,10 @@ def _sparse(row) -> dict:
     return {c: x for c, x in enumerate(row) if x}
 
 
-def _echelon(rows) -> dict:
+def _echelon(rows: Iterable[dict]) -> dict:
     echelon: dict = {}
     for r in rows:
-        _insert(echelon, _sparse(r))
+        _insert(echelon, r)
     return echelon
 
 
@@ -210,7 +214,7 @@ def _dense(row: dict, ncols: int, zero) -> tuple:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form of ``m`` and its pivot column indices."""
-    echelon = _echelon(m.rows)
+    echelon = _echelon(map(_sparse, m.rows))
     pivots = sorted(echelon)
     zero = m.field.zero
     rows = [_dense(echelon[p], m.ncols, zero) for p in pivots]
@@ -219,28 +223,46 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.rows))
+    return len(_echelon(map(_sparse, m.rows)))
 
 
-def nullspace(m: Matrix) -> "Subspace":
+class _Rows(NamedTuple):
+    """A linear system: ``ncols`` unknowns, one tuple of ``(col, coeff)``
+    pairs per equation, one pair per nonzero coefficient."""
+    field: object
+    ncols: int
+    rows: tuple
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+
+def _equations(field, ncols: int, rows: Iterable[dict]) -> _Rows:
+    """The system of the ``{col: coeff}`` rows, dropping zero
+    coefficients, empty rows and repeated rows."""
+    eqs = {frozenset((c, x) for c, x in r.items() if x) for r in rows} - {frozenset()}
+    return _Rows(field, ncols, tuple(map(tuple, eqs)))
+
+
+def nullspace(m: Matrix | _Rows) -> "Subspace":
     """Canonical basis of {v : m v = 0} as a subspace of the column space.
 
-    The free-variable vectors are re-reduced by the Subspace constructor,
-    so the result carries the canonical RREF basis like any other span.
+    ``m`` is a ``Matrix`` or a sparse system built by ``_equations``; a
+    system with no rows has the whole column space as its kernel.  The
+    free-variable vectors are re-reduced into the canonical RREF basis
+    like any other span.
     """
-    echelon = _echelon(m.rows)
-    zero, one = m.field.zero, m.field.one
-    basis = []
-    for f in range(m.ncols):
-        if f in echelon:
-            continue
-        v = [zero] * m.ncols
-        v[f] = one
-        for p, row in echelon.items():
-            if f in row:
-                v[p] = -row[f]
-        basis.append(v)
-    return Subspace(m.field, m.ncols, basis)
+    if isinstance(m, Matrix):
+        m = _equations(m.field, m.ncols, map(_sparse, m.rows))
+    echelon = _echelon(dict(r) for r in m.rows)
+    one = m.field.one
+    free = {f: {f: one} for f in range(m.ncols) if f not in echelon}
+    for p, row in echelon.items():
+        for f, x in row.items():
+            if f != p:
+                free[f][p] = -x
+    return Subspace._span(m.field, m.ncols, free.values())
 
 
 def det(m: Matrix):
@@ -271,7 +293,7 @@ def solve(m: Matrix, b: Sequence):
     if len(bvec) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     n = m.ncols
-    echelon = _echelon(list(r) + [bv] for r, bv in zip(m.rows, bvec))
+    echelon = _echelon(_sparse(list(r) + [bv]) for r, bv in zip(m.rows, bvec))
     if n in echelon:
         return None  # a pivot in the augmented column means inconsistency
     zero = m.field.zero
@@ -293,7 +315,17 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("spanning vector of wrong length")
-        echelon = _echelon(rows)
+        self._hold(field, ambient_dim, _echelon(map(_sparse, rows)))
+
+    @classmethod
+    def _span(cls, field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
+        """Span of sparse ``{col: value}`` rows of exact scalars; the
+        kernel consumes the rows."""
+        s = object.__new__(cls)
+        s._hold(field, ambient_dim, _echelon(rows))
+        return s
+
+    def _hold(self, field, ambient_dim: int, echelon: dict):
         zero = field.zero
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -364,21 +396,18 @@ class Subspace:
                         list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [U^T | -V^T]."""
+        """Intersection by Zassenhaus: the RREF of the rows (u, u) for u
+        in this basis and (v, 0) for v in the other's; its rows (0, w)
+        are the canonical basis of the intersection."""
         _check_same_field(self, other)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient_dim)
-        k, l = self.dim, other.dim
-        stacked = Matrix(self.field, [
-            [self.basis[a][i] for a in range(k)] +
-            [-other.basis[b][i] for b in range(l)]
-            for i in range(self.ambient_dim)
-        ])
-        combine = self.basis_matrix().transpose()
-        return Subspace(self.field, self.ambient_dim,
-                        [combine * s[:k] for s in nullspace(stacked).basis])
+        n = self.ambient_dim
+        echelon = _echelon(
+            [{**u, **{c + n: x for c, x in u.items()}} for u in self._echelon.values()]
+            + [dict(v) for v in other._echelon.values()])
+        return Subspace._span(self.field, n, ({c - n: x for c, x in row.items()}
+                                              for p, row in echelon.items() if p >= n))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

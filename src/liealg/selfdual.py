@@ -27,7 +27,7 @@ from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import Matrix, ShapeError, Subspace, det, nullspace, solve
+from .linalg import Matrix, ShapeError, Subspace, _equations, _sparse, det, nullspace, solve
 
 __all__ = [
     "ConstructionError",
@@ -78,29 +78,17 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """
     d = alg.dim
     index = _sym_index(d)
-    nun = len(index)
     zero = alg.field.zero
-    equations = set()
-    for k in range(d):
+    equations = []
+    for adk in alg._bracket_table():
         for i in range(d):
             for j in range(i, d):
-                eq = {}
-                for l, c in alg.bracket_basis(k, i):
-                    a = index[(min(l, j), max(l, j))]
-                    eq[a] = eq.get(a, zero) + c
-                for l, c in alg.bracket_basis(k, j):
+                eq = {index[(min(l, j), max(l, j))]: c for l, c in adk[i]}
+                for l, c in adk[j]:
                     a = index[(min(i, l), max(i, l))]
-                    eq[a] = eq.get(a, zero) + c
-                equations.add(frozenset((a, c) for a, c in eq.items() if c))
-    equations.discard(frozenset())
-    rows = []
-    for eq in equations:
-        row = [zero] * nun
-        for a, c in eq:
-            row[a] = c
-        rows.append(row)
-    space = (nullspace(Matrix(alg.field, rows)) if rows
-             else Subspace.full(alg.field, nun))
+                    eq[a] = eq[a] + c if a in eq else c
+                equations.append(eq)
+    space = nullspace(_equations(alg.field, len(index), equations))
     forms = []
     for v in space.basis:
         grid = [[zero] * d for _ in range(d)]
@@ -192,8 +180,8 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
             "matrix_dim": d,
             "grid_points": points,
         })
-    radical = nullspace(Matrix(alg.field, [row for f in forms
-                                           for row in f.matrix.rows]))
+    radical = nullspace(_equations(alg.field, d, (
+        _sparse(row) for f in forms for row in f.matrix.rows)))
     if not radical.is_zero():
         return SelfDuality("no", certificate={
             "kind": "common-radical",
@@ -232,10 +220,8 @@ def orthogonal_complement(alg: LieAlgebra, form: BilinearForm,
         raise ShapeError("dimension mismatch")
     if not form.is_nondegenerate():
         raise ValueError("orthogonal complement requires a non-degenerate form")
-    if s.is_zero():
-        return Subspace.full(alg.field, alg.dim)
-    rows = [tuple((form.matrix * v)) for v in s.basis]
-    return nullspace(Matrix(alg.field, rows))
+    return nullspace(_equations(alg.field, alg.dim, (
+        _sparse(form.matrix * v) for v in s.basis)))
 
 
 @dataclass(frozen=True)
@@ -349,40 +335,25 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
     dim = r + a + r
     zero, one = field.zero, field.one
     g = inp.omega.matrix
-    brackets: dict[tuple[int, int], list] = {}
-
-    def put(i, j, terms):
-        terms = [(k, c) for k, c in terms if c != zero]
-        if not terms:
-            return
-        if i > j:
-            i, j = j, i
-            terms = [(k, -c) for k, c in terms]
-        brackets.setdefault((i, j), []).extend(terms)
-
-    for (i, j), terms in inp.acting.sc.items():
-        put(i, j, list(terms))
+    brackets = dict(inp.acting.sc)
     for i in range(r):
         rho = inp.action[i]
         for x in range(a):
-            put(i, r + x, [(r + y, rho.entry(y, x)) for y in range(a)])
+            brackets[(i, r + x)] = [(r + y, rho.entry(y, x)) for y in range(a)]
     pulled = [rho.transpose() * g for rho in inp.action]
     for x in range(a):
         for y in range(x + 1, a):
-            put(r + x, r + y, [(r + a + i, pulled[i].entry(x, y))
-                               for i in range(r)])
+            brackets[(r + x, r + y)] = [(r + a + i, pulled[i].entry(x, y))
+                                        for i in range(r)]
     for i in range(r):
         for j in range(r):
             # coadjoint: [b_i, beta_j] = - sum_k c_{i k}^{j} beta_k
-            terms = []
-            for k in range(r):
-                c = inp.acting.structure_constant(i, k, j)
-                terms.append((r + a + k, -c))
-            put(i, r + a + j, terms)
+            brackets[(i, r + a + j)] = [
+                (r + a + k, -inp.acting.structure_constant(i, k, j)) for k in range(r)]
     labels = tuple(f"b{i}" for i in range(r)) + \
         tuple(f"a{x}" for x in range(a)) + \
         tuple(f"b{i}*" for i in range(r))
-    out = LieAlgebra(field, dim, _merge_terms(brackets, zero), labels=labels)
+    out = LieAlgebra(field, dim, brackets, labels=labels)
 
     grid = [[zero] * dim for _ in range(dim)]
     for i in range(r):
@@ -397,16 +368,6 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
     metric = BilinearForm(Matrix(field, grid))
     _enforce_metric_postconditions(out, metric, "double extension")
     return out, metric
-
-
-def _merge_terms(brackets, zero):
-    merged = {}
-    for key, terms in brackets.items():
-        acc: dict[int, object] = {}
-        for k, c in terms:
-            acc[k] = acc.get(k, zero) + c
-        merged[key] = [(k, c) for k, c in acc.items() if c != zero]
-    return merged
 
 
 def _enforce_metric_postconditions(alg: LieAlgebra, metric: BilinearForm,
@@ -550,9 +511,7 @@ def derived_suffix_check(n: int, m: int) -> bool:
         raise ValueError("m out of range")
     alg = truncated_algebra(n)
     s = suffix_subspace(n, m)
-    vecs = [alg.bracket(u, v) for u in s.basis for v in s.basis]
-    computed = Subspace(alg.field, alg.dim, vecs)
-    return computed == suffix_subspace(n, min(2 * m + 1, n + 1))
+    return alg._bracket_span(s, s) == suffix_subspace(n, min(2 * m + 1, n + 1))
 
 
 class Verdict(enum.Enum):
@@ -578,6 +537,15 @@ def deeper_verdict(n: int) -> DeeperVerdict:
     self-dual; if no candidate passes, the member is at best a plain
     double extension, and with no candidates at all it needs more than
     one extension step ("deeper").
+
+    Only suffix (coordinate) ideals are candidates.  For the graded
+    members that suffices: the torus t.T_i = t^i T_i acts by
+    automorphisms, so the ideals of one dimension meeting a candidate's
+    closed conditions form a torus-stable closed subvariety of a
+    Grassmannian.  If it is non-empty, the Borel fixed-point theorem
+    gives it a fixed point, and as the degrees 0..n are distinct the
+    fixed points are coordinate subspaces.  Inputs without the grading
+    need that argument anew.
     """
     if MOD3_BALANCED.value(n) != 0:
         raise ValueError("the classification applies when hat(n) = 0")

@@ -570,3 +570,17 @@ def test_porcelain_output_is_deterministic(capsys):
     _, second, _ = _run(capsys, ["classify", "--family", "an", "--n", "6",
                                  "--porcelain"])
     assert first == second
+
+
+def test_large_moduli_are_decided_or_refused_at_once(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    for p, expected in ((10 ** 18 + 3, 0), (2 ** 89 - 1, 3)):
+        path.write_text(json.dumps({"format": FORMAT_TAG, "field": "Fp", "p": p,
+                                    "dim": 2, "brackets": []}))
+        code, _, err = _run(capsys, ["analyze", str(path)])
+        assert code == expected
+    assert "out of range" in err
+    code, _, err = _run(capsys, ["gen", "--family", "an", "--n", "3", "--hat",
+                                 f"zmod:{2 ** 89 - 1}", "--field", "Fp",
+                                 "-o", str(tmp_path / "x.json")])
+    assert code == 2 and "out of range" in err

@@ -488,3 +488,15 @@ def test_witness_scans_pass_large_members():
     alg, form = truncated_algebra(60), canonical_metric(60)
     assert _dense_invariance_witness(form, alg) is None
     assert _dense_check_jacobi(alg) is None
+
+
+def test_repeated_bracket_targets_are_summed(tmp_path):
+    from liealg.io import load_algebra, save_algebra
+    doubled = LieAlgebra(QQ, 3, {(0, 1): [(2, 1), (2, 1)]})
+    assert doubled.sc == {(0, 1): ((2, QQ(2)),)}
+    e = doubled.basis_vector
+    assert doubled.structure_constant(0, 1, 2) == doubled.bracket(e(0), e(1))[2] == 2
+    assert doubled == LieAlgebra(QQ, 3, {(0, 1): [(2, 2)]})
+    save_algebra(tmp_path / "doubled.json", doubled)
+    assert load_algebra(tmp_path / "doubled.json") == (doubled, None)
+    assert LieAlgebra(QQ, 3, {(0, 1): [(2, 1), (2, -1)]}).is_abelian()

@@ -469,3 +469,19 @@ def test_restrict_matches_the_explicit_gram_matrix(field):
                           for i in range(d) for j in range(d)), field.zero)
                      for w in s.basis] for u in s.basis]
             assert form.restrict(s) == Matrix(field, gram)
+
+
+def test_primality_is_exact_and_bounded_below_2_to_the_64():
+    import time
+    from liealg.fields import is_prime
+    sieve = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
+    assert [n for n in range(-2, 3000) if is_prime(n)] == sieve
+    start = time.perf_counter()
+    assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1)
+    assert PrimeField(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert time.perf_counter() - start < 1
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in (561, 3215031751):
+        assert not is_prime(composite)
+    with pytest.raises(ValueError, match="out of range"):
+        PrimeField(2 ** 89 - 1)

@@ -1,0 +1,274 @@
+"""The sparse equation assembly against dense references.
+
+Each reference below builds its system the dense way, one full-width
+row per equation in a ``Matrix`` and a ``Subspace.full`` answer for an
+empty system, and the sparse solvers must return bit-identical results.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from liealg.core import BilinearForm, DerivationSpace, LieAlgebra, direct_sum
+from liealg.family import (DiagonalMetricResult, _all_nonzero_element,
+                           single_diagonal_metric_solve, suffix_subspace, truncated_algebra)
+from liealg.fields import PrimeField, QQ
+from liealg.hats import MOD3_BALANCED
+from liealg.io import scalar_to_string
+from liealg.linalg import Matrix, Subspace, nullspace, solve
+from liealg.selfdual import (_GRID_BUDGET, _sym_index, invariant_form_space, is_self_dual,
+                             orthogonal_complement)
+
+F5 = PrimeField(5)
+
+
+# -- dense references ---------------------------------------------------------
+
+def _dense_invariant_form_space(alg):
+    d = alg.dim
+    index = _sym_index(d)
+    nun = len(index)
+    zero = alg.field.zero
+    equations = set()
+    for k in range(d):
+        for i in range(d):
+            for j in range(i, d):
+                eq = {}
+                for l, c in alg.bracket_basis(k, i):
+                    a = index[(min(l, j), max(l, j))]
+                    eq[a] = eq.get(a, zero) + c
+                for l, c in alg.bracket_basis(k, j):
+                    a = index[(min(i, l), max(i, l))]
+                    eq[a] = eq.get(a, zero) + c
+                equations.add(frozenset((a, c) for a, c in eq.items() if c))
+    equations.discard(frozenset())
+    rows = []
+    for eq in equations:
+        row = [zero] * nun
+        for a, c in eq:
+            row[a] = c
+        rows.append(row)
+    space = (nullspace(Matrix(alg.field, rows)) if rows
+             else Subspace.full(alg.field, nun))
+    forms = []
+    for v in space.basis:
+        grid = [[zero] * d for _ in range(d)]
+        for (i, j), a in index.items():
+            grid[i][j] = v[a]
+            grid[j][i] = v[a]
+        forms.append(BilinearForm(Matrix(alg.field, grid)))
+    return forms
+
+
+def _dense_center(alg):
+    rows = [[alg.structure_constant(i, j, k) for i in range(alg.dim)]
+            for j in range(alg.dim) for k in range(alg.dim)]
+    if not rows:
+        return Subspace.full(alg.field, alg.dim)
+    return nullspace(Matrix(alg.field, rows))
+
+
+def _dense_derivation_space(alg):
+    d = alg.dim
+    zero = alg.field.zero
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            eq = [[zero] * (d * d) for _ in range(d)]
+            for l, c in alg.bracket_basis(i, j):
+                for k in range(d):
+                    eq[k][k * d + l] = eq[k][k * d + l] + c
+            for r in range(d):
+                for k, c in alg.bracket_basis(r, j):
+                    eq[k][r * d + i] = eq[k][r * d + i] - c
+                for k, c in alg.bracket_basis(i, r):
+                    eq[k][r * d + j] = eq[k][r * d + j] - c
+            rows.extend(eq)
+    if not rows:
+        space = Subspace.full(alg.field, d * d)
+    else:
+        space = nullspace(Matrix(alg.field, rows))
+    inner = d - _dense_center(alg).dim
+    return DerivationSpace(space, inner, space.dim - inner)
+
+
+def _dense_single_diagonal(n, hat=MOD3_BALANCED):
+    field = hat.default_field()
+    zero, one = field.zero, field.one
+    rows = set()
+    for i in range(n + 1):
+        if i < n - i:
+            row = [zero] * (n + 1)
+            row[i] = one
+            row[n - i] = -one
+            rows.add(tuple(row))
+        for j in range(n + 1 - i):
+            k = n - i - j
+            a = field(hat.value(k - i))
+            b = field(hat.value(k - j))
+            if a == zero and b == zero:
+                continue
+            row = [zero] * (n + 1)
+            row[j] = row[j] + a
+            row[n - i] = row[n - i] + b
+            if any(x != zero for x in row):
+                rows.add(tuple(row))
+    space = (nullspace(Matrix(field, rows)) if rows
+             else Subspace.full(field, n + 1))
+    weights = _all_nonzero_element(space, field)
+    if weights is None:
+        return DiagonalMetricResult(n, False, None)
+    return DiagonalMetricResult(n, True, tuple(w / weights[0] for w in weights))
+
+
+def _dense_common_radical(alg, forms):
+    return nullspace(Matrix(alg.field, [row for f in forms for row in f.matrix.rows]))
+
+
+def _dense_orthogonal_complement(alg, form, s):
+    if s.is_zero():
+        return Subspace.full(alg.field, alg.dim)
+    return nullspace(Matrix(alg.field, [tuple(form.matrix * v) for v in s.basis]))
+
+
+def _dense_bracket(alg, x, y):
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    out = [alg.field.zero] * alg.dim
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in ys:
+                for k, c in alg.bracket_basis(i, j):
+                    out[k] = out[k] + xi * yj * c
+    return tuple(out)
+
+
+def _dense_bracket_span(alg, s, t):
+    return Subspace(alg.field, alg.dim,
+                    [_dense_bracket(alg, u, v) for u in s.basis for v in t.basis])
+
+
+def _dense_series(alg, lower):
+    full = Subspace.full(alg.field, alg.dim)
+    series = [full]
+    while True:
+        nxt = _dense_bracket_span(alg, full if lower else series[-1], series[-1])
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+def _dense_intersect(u, v):
+    if u.is_zero() or v.is_zero():
+        return Subspace.zero(u.field, u.ambient_dim)
+    k, l = u.dim, v.dim
+    stacked = Matrix(u.field, [[u.basis[a][i] for a in range(k)]
+                               + [-v.basis[b][i] for b in range(l)]
+                               for i in range(u.ambient_dim)])
+    combine = u.basis_matrix().transpose()
+    return Subspace(u.field, u.ambient_dim, [combine * s[:k] for s in nullspace(stacked).basis])
+
+
+# -- the corpus ---------------------------------------------------------------
+
+def _rotated(alg, seed):
+    """alg in the basis of the columns of P = L U, unit triangular with
+    entries in {-1, 0, 1}, so the table stays integral."""
+    rng, d, field = random.Random(seed), alg.dim, alg.field
+    low = Matrix(field, [[1 if i == j else rng.choice((-1, 0, 1)) if i > j else 0
+                          for j in range(d)] for i in range(d)])
+    up = Matrix(field, [[1 if i == j else rng.choice((-1, 0, 1)) if i < j else 0
+                         for j in range(d)] for i in range(d)])
+    p = low * up
+    cols = [p.col(a) for a in range(d)]
+    brackets = {(a, b): list(enumerate(solve(p, alg.bracket(cols[a], cols[b]))))
+                for a in range(d) for b in range(a + 1, d)}
+    return LieAlgebra(field, d, brackets)
+
+
+def _corpus():
+    for field in (QQ, F5):
+        for n in range(16):
+            yield f"A{n}/{field}", truncated_algebra(n, field=field)
+    for d in range(5):
+        yield f"abelian{d}", LieAlgebra(QQ, d, {})
+    a3, a6 = truncated_algebra(3), truncated_algebra(6)
+    yield "A3+A3", direct_sum(a3, a3)
+    for m in range(8):
+        yield f"A6/suffix{m}", a6.quotient(suffix_subspace(6, m))
+    for seed in range(2):
+        yield f"A6 rotated {seed}", _rotated(a6, seed)
+
+
+CORPUS = list(_corpus())
+IDS = [name for name, _ in CORPUS]
+ALGEBRAS = [alg for _, alg in CORPUS]
+
+
+def test_rotated_tables_are_dense_and_integral():
+    alg = ALGEBRAS[IDS.index("A6 rotated 0")]
+    assert alg.check_jacobi() is None
+    assert len(alg.sc) > len(truncated_algebra(6).sc)
+    assert all(c.denominator == 1 for terms in alg.sc.values() for _, c in terms)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_structure_solvers_match_the_dense_assembly(alg):
+    forms = invariant_form_space(alg)
+    assert forms == _dense_invariant_form_space(alg)
+    assert alg.center() == _dense_center(alg)
+    assert alg.derivation_space() == _dense_derivation_space(alg)
+    assert alg.derived_series() == _dense_series(alg, lower=False)
+    assert alg.lower_central_series() == _dense_series(alg, lower=True)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_common_radical_matches_the_dense_assembly(alg):
+    forms = _dense_invariant_form_space(alg)
+    q = min(alg.dim + 1, alg.field.characteristic or alg.dim + 1)
+    # steps 1-3 of is_self_dual decide before the radical is read
+    if not forms or any(f.is_nondegenerate() for f in forms) or q ** len(forms) <= _GRID_BUDGET:
+        return
+    radical = _dense_common_radical(alg, forms)
+    verdict = is_self_dual(alg)
+    kind = verdict.certificate and verdict.certificate["kind"]
+    assert (kind == "common-radical") == (not radical.is_zero())
+    if kind == "common-radical":
+        assert verdict.certificate["witness"] == [scalar_to_string(x)
+                                                  for x in radical.basis[0]]
+
+
+def test_the_corpus_reaches_the_common_radical():
+    kinds = [is_self_dual(alg).certificate for alg in ALGEBRAS]
+    assert sum(1 for c in kinds if c and c["kind"] == "common-radical") >= 5
+
+
+def _subspaces(alg, rng):
+    d, field = alg.dim, alg.field
+    yield Subspace.zero(field, d)
+    yield Subspace.full(field, d)
+    for m in range(d + 1):
+        yield Subspace.coordinate(field, d, range(m, d))
+    for k in sorted({1, 2, d // 2} & set(range(1, d))):
+        yield Subspace(field, d, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)])
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_spans_and_complements_match_the_dense_assembly(alg):
+    rng = random.Random(alg.dim)
+    spaces = list(_subspaces(alg, rng))
+    form = BilinearForm(Matrix(alg.field, [[int(i + j == alg.dim - 1) for j in range(alg.dim)]
+                                           for i in range(alg.dim)]))
+    for s in spaces:
+        assert orthogonal_complement(alg, form, s) == _dense_orthogonal_complement(alg, form, s)
+    for s, t in zip(spaces, spaces[1:] + spaces[:1]):
+        for u in (s, t):
+            assert alg._bracket_span(u, t) == _dense_bracket_span(alg, u, t)
+        assert s.intersect(t) == _dense_intersect(s, t)
+    for u, v in itertools.product(spaces[-1].basis if alg.dim > 1 else [], repeat=2):
+        assert alg.bracket(u, v) == _dense_bracket(alg, u, v)
+
+
+def test_single_diagonal_solve_matches_the_dense_assembly():
+    for n in range(31):
+        assert single_diagonal_metric_solve(n) == _dense_single_diagonal(n)
