@@ -8,6 +8,14 @@ is studying tables for which it fails.
 
 All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``.
+Their hot loops read one integer copy of the table (``_isc``): the
+structure constants times L, the lcm of their denominators, over Q, and
+their residues (L = 1) over F_p.  The Jacobi and Killing sums are
+quadratic in the constants, so their values are divided by L^2; the
+invariance sums are bilinear in the table and in a form cleared by its
+own lcm M, so they carry L * M, and only their zero test is used.
+Homogeneous systems (invariant forms, center, derivations) and spans do
+not depend on the scale and take the integers as they are.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
-from .linalg import (Matrix, ShapeError, Subspace, _dense, _dot, _equations, _sparse,
-                     det, nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
+                     _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -55,7 +63,7 @@ class DerivationSpace:
 class LieAlgebra:
     """An algebra on basis x_0..x_{dim-1} with sparse bracket table."""
 
-    __slots__ = ("field", "dim", "sc", "labels", "grading")
+    __slots__ = ("field", "dim", "sc", "labels", "grading", "_scale", "_isc")
 
     def __init__(self, field, dim: int,
                  brackets: Mapping[tuple[int, int], object],
@@ -73,7 +81,8 @@ class LieAlgebra:
             for k, c in terms:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target index {k} out of range")
-                merged[k] = merged.get(k, zero) + field(c)
+                c = field(c)
+                merged[k] = merged[k] + c if k in merged else c
             clean = tuple((k, c) for k, c in sorted(merged.items()) if c != zero)
             if clean:
                 sc[(i, j)] = clean
@@ -90,6 +99,9 @@ class LieAlgebra:
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grading", grading)
+        scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_isc", {key: tuple(r.items()) for key, r in zip(sc, rows)})
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -130,32 +142,40 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """[x, y] for coordinate vectors x, y."""
-        out = self._bracket(_sparse(self._coerce_vector(x)),
-                            _sparse(self._coerce_vector(y)))
-        return _dense(out, self.dim, self.field.zero)
+        sx, (xs,) = _clear(self.field, [_sparse(self._coerce_vector(x))])
+        sy, (ys,) = _clear(self.field, [_sparse(self._coerce_vector(y))])
+        return _dense(self.field, self._bracket(xs, ys), self.dim, self._scale * sx * sy)
 
     def _bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] for sparse {index: coeff} vectors, without zero entries."""
-        sc, zero = self.sc, self.field.zero
+        """L [x, y] for kernel rows x, y ({index: int}), L = ``_scale``,
+        without zero entries (residues over F_p)."""
+        isc = self._isc
         out: dict = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 # (i, i) is never stored; [x_i, x_j] = -[x_j, x_i] for i > j
-                terms = sc.get((i, j) if i < j else (j, i))
+                terms = isc.get((i, j) if i < j else (j, i))
                 if terms:
                     f = xi * yj if i < j else -(xi * yj)
                     for k, c in terms:
-                        out[k] = out.get(k, zero) + f * c
+                        out[k] = out.get(k, 0) + f * c
+        p = self.field.characteristic
+        if p:
+            return {k: c % p for k, c in out.items() if c % p}
         return {k: c for k, c in out.items() if c}
 
     def basis_vector(self, i: int) -> tuple:
         zero, one = self.field.zero, self.field.one
         return tuple(one if j == i else zero for j in range(self.dim))
 
-    def _bracket_table(self) -> list[list[tuple]]:
-        """table[i][j] = bracket_basis(i, j), read once per call."""
-        return [[self.bracket_basis(i, j) for j in range(self.dim)]
-                for i in range(self.dim)]
+    def _int_table(self) -> list[list[tuple]]:
+        """table[i][j] = L [x_i, x_j] as (k, int) pairs, L = ``_scale``,
+        antisymmetry applied; read once per call."""
+        table = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), terms in self._isc.items():
+            table[i][j] = terms
+            table[j][i] = tuple((k, -c) for k, c in terms)
+        return table
 
     def adjoint(self, x: Sequence) -> Matrix:
         """Matrix of y |-> [x, y]; column j is [x, x_j]."""
@@ -169,46 +189,47 @@ class LieAlgebra:
         """First (lexicographic) basis triple violating Jacobi, if any.
 
         Triples i < j < k are scanned in ``itertools.combinations`` order;
-        the defect is the coordinate vector of the cyclic Jacobi sum.
+        the defect is the coordinate vector of the cyclic Jacobi sum.  The
+        sum is taken in integers over the integer table, so it is L^2
+        times the defect.
         """
-        zero = self.field.zero
-        ad = self._bracket_table()
+        p = self.field.characteristic
+        ad = self._int_table()
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc: dict[int, object] = {}
+            acc: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, c1 in ad[a][b]:
                     for m, c2 in ad[l][c]:
-                        acc[m] = acc.get(m, zero) + c1 * c2
-            if any(acc.values()):
-                defect = [zero] * self.dim
-                for m, v in acc.items():
-                    defect[m] = v
-                return JacobiWitness(i, j, k, tuple(defect))
+                        acc[m] = acc.get(m, 0) + c1 * c2
+            if any(v % p for v in acc.values()) if p else any(acc.values()):
+                return JacobiWitness(i, j, k, _dense(self.field, acc, self.dim,
+                                                     self._scale ** 2))
         return None
 
     def is_abelian(self) -> bool:
         return not self.sc
 
     def killing_form(self) -> "BilinearForm":
-        """K(x_i, x_j) = trace(ad x_i . ad x_j)."""
-        zero = self.field.zero
-        ad = self._bracket_table()
-        grid = [[zero] * self.dim for _ in range(self.dim)]
+        """K(x_i, x_j) = trace(ad x_i . ad x_j), summed in integers over
+        the integer table and divided by L^2."""
+        conv = _scalars(self.field, self._scale ** 2)
+        ad = self._int_table()
+        grid = [[None] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                t = zero
+                t = 0
                 for l in range(self.dim):
                     for k, c2 in ad[j][l]:
                         for m, c1 in ad[i][k]:
                             if m == l:
-                                t = t + c1 * c2
-                grid[i][j] = t
-                grid[j][i] = t
+                                t += c1 * c2
+                grid[i][j] = grid[j][i] = conv(t)
         return BilinearForm(Matrix(self.field, grid))
 
     # -- subspaces and series ------------------------------------------------
 
     def _bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
+        """[s, t] from integer brackets of the kernel rows of s and t."""
         return Subspace._span(self.field, self.dim, (
             self._bracket(u, v) for u in s._echelon.values() for v in t._echelon.values()))
 
@@ -240,7 +261,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: sum_i c_{ij}^k x_i = 0 for all j, k."""
         eqs: dict = {}
-        for (i, j), terms in self.sc.items():
+        for (i, j), terms in self._isc.items():
             for k, c in terms:
                 eqs.setdefault((j, k), {})[i] = c
                 eqs.setdefault((i, k), {})[j] = -c
@@ -248,13 +269,13 @@ class LieAlgebra:
 
     def is_ideal(self, s: Subspace) -> bool:
         self._check_subspace(s)
-        return all(s.contains(self.bracket(self.basis_vector(i), v))
-                   for i in range(self.dim) for v in s.basis)
+        return all(s._contains_row(self._bracket({i: 1}, v))
+                   for i in range(self.dim) for v in s._echelon.values())
 
     def is_subalgebra(self, s: Subspace) -> bool:
         self._check_subspace(s)
-        return all(s.contains(self.bracket(u, v))
-                   for u in s.basis for v in s.basis)
+        rows = s._echelon.values()
+        return all(s._contains_row(self._bracket(u, v)) for u in rows for v in rows)
 
     def _check_subspace(self, s: Subspace):
         if s.ambient_dim != self.dim:
@@ -312,20 +333,19 @@ class LieAlgebra:
         fixes the layout of the returned basis.
         """
         d = self.dim
-        zero = self.field.zero
-        ad = self._bracket_table()
+        ad = self._int_table()
         rows = []
         for i in range(d):
             for j in range(i + 1, d):
                 eq: list[dict] = [{} for _ in range(d)]
                 for l, c in ad[i][j]:
                     for k in range(d):
-                        eq[k][k * d + l] = eq[k].get(k * d + l, zero) + c
+                        eq[k][k * d + l] = eq[k].get(k * d + l, 0) + c
                 for r in range(d):
                     for k, c in ad[r][j]:
-                        eq[k][r * d + i] = eq[k].get(r * d + i, zero) - c
+                        eq[k][r * d + i] = eq[k].get(r * d + i, 0) - c
                     for k, c in ad[i][r]:
-                        eq[k][r * d + j] = eq[k].get(r * d + j, zero) - c
+                        eq[k][r * d + j] = eq[k].get(r * d + j, 0) - c
                 rows.extend(eq)
         space = nullspace(_equations(self.field, d * d, rows))
         inner = d - self.center().dim
@@ -349,12 +369,13 @@ class LieAlgebra:
 class BilinearForm:
     """A symmetric bilinear form on basis coordinates."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_ints")
 
     def __init__(self, matrix: Matrix):
         if not matrix.is_symmetric():
             raise ValueError("bilinear form matrix must be symmetric")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearForm is immutable")
@@ -397,34 +418,69 @@ class BilinearForm:
     def add(self, other: "BilinearForm") -> "BilinearForm":
         return BilinearForm(self.matrix + other.matrix)
 
+    def _cleared(self) -> tuple[int, list[dict]]:
+        """(M, rows): M times the form as sparse integer rows, M the lcm
+        of its denominators (residues and M = 1 over F_p); built once."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _clear(
+                self.field, [_sparse(r) for r in self.matrix.rows]))
+        return self._ints
+
     def restrict(self, s: Subspace) -> Matrix:
-        """Gram matrix of the form on the subspace basis."""
-        u = s.basis_matrix()
-        return u * self.matrix * u.transpose()
+        """Gram matrix of the form on the subspace basis.
+
+        G[a][b] = u_a . (M u_b) over the sparse kernel rows u of the
+        subspace, in integers, divided once by the scales; for a
+        coordinate subspace it reads a principal submatrix.
+        """
+        if s.ambient_dim != self.dim:
+            raise ShapeError("form/subspace dimension mismatch")
+        _require_same_field(s.field, self.field)
+        pivots = sorted(s._echelon)
+        rows = [s._echelon[q] for q in pivots]
+        leads = [s._echelon[q][q] for q in pivots]
+        scale, images = self._cleared()[0], self._images(rows)
+        return Matrix(self.field, [
+            [_scalars(self.field, scale * la * lb)(_dot(u, mw, 0))
+             for mw, lb in zip(images, leads)] for u, la in zip(rows, leads)])
+
+    def _images(self, rows: Iterable[dict]) -> list[dict]:
+        """M u for integer rows u, with M the cleared form."""
+        g = self._cleared()[1]
+        images = []
+        for u in rows:
+            mu: dict = {}
+            for c, x in u.items():  # M is symmetric: M u sums x times row c
+                for j, y in g[c].items():
+                    mu[j] = mu.get(j, 0) + x * y
+            images.append(mu)
+        return images
 
     def invariance_witness(self, alg: LieAlgebra) -> tuple[int, int, int] | None:
         """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0.
 
-        Triples are scanned lexicographically over k, then i, then j >= i.
+        Triples are scanned lexicographically over k, then i, then j >= i,
+        in integers over the integer table and the cleared form.
         """
         if alg.dim != self.dim:
             raise ShapeError("form/algebra dimension mismatch")
-        zero = self.field.zero
-        ad = alg._bracket_table()
-        g = [_sparse(r) for r in self.matrix.rows]
+        _require_same_field(alg.field, self.field)
+        p = self.field.characteristic
+        ad = alg._int_table()
+        _, g = self._cleared()
         for k in range(alg.dim):
             adk = ad[k]
             for i in range(alg.dim):
                 gi = g[i]
                 for j in range(i, alg.dim):
-                    t = zero
+                    t = 0
                     for l, c in adk[i]:
                         if j in g[l]:
-                            t = t + c * g[l][j]
+                            t += c * g[l][j]
                     for l, c in adk[j]:
                         if l in gi:
-                            t = t + c * gi[l]
-                    if t:
+                            t += c * gi[l]
+                    if t and (not p or t % p):
                         return (k, i, j)
         return None
 

@@ -128,16 +128,15 @@ def single_diagonal_metric_solve(n: int, hat=MOD3_BALANCED) -> DiagonalMetricRes
     the diagonal).  Returned weights are normalized to w_0 = 1.
     """
     field = hat.default_field()
-    zero, one = field.zero, field.one
     rows = []
     for i in range(n + 1):
         # symmetry of the ansatz
         if i < n - i:
-            rows.append({i: one, n - i: -one})
+            rows.append({i: 1, n - i: -1})
         for j in range(n + 1 - i):
             k = n - i - j
-            row = {j: field(hat.value(k - i))}
-            row[n - i] = row.get(n - i, zero) + field(hat.value(k - j))
+            row = {j: hat.value(k - i)}
+            row[n - i] = row.get(n - i, 0) + hat.value(k - j)
             rows.append(row)
     space = nullspace(_equations(field, n + 1, rows))
     weights = _all_nonzero_element(space, field)

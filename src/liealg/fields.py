@@ -3,9 +3,17 @@
 Field objects are lightweight descriptors that coerce raw values into
 scalars.  Rational scalars are plain ``fractions.Fraction`` (already in
 lowest terms with positive denominator); prime-field scalars are
-``FpElement`` residues.  Everything downstream (matrices, brackets,
-solvers) only relies on the scalars supporting ``+ - * /`` and comparison
-with each other, so the two kinds can share all the linear algebra code.
+``FpElement`` residues.  They are the scalars of the public API:
+matrices, forms, brackets, subspace bases and every result are made of
+them, and ``Matrix`` arithmetic uses their ``+ - * /``.
+
+The hot loops do not: the elimination kernel in ``liealg.linalg`` and
+the structure-constant scans in ``liealg.core`` run on plain ``int``
+rows.  They dispatch on ``characteristic`` (0 for Q, p for F_p), read
+scalars in through ``Fraction.numerator``/``denominator`` (rows cleared
+of their common denominator) or ``FpElement.r`` (residues), and hand
+results back once, at their boundary, as ``Fraction(x, den)`` or
+``FpElement(p, x)``.
 """
 
 from __future__ import annotations

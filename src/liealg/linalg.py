@@ -2,25 +2,43 @@
 
 Matrices are immutable row-major grids of exact scalars.  Every
 elimination runs through one sparse Gauss-Jordan kernel (``_insert``,
-``_reduce``) on ``{col: value}`` rows.  Its rows keep a 1 at their pivot
-and no entry in any other pivot column, i.e. they are always the
-reduced row-echelon form of what was inserted, which is unique for the
-span: row order and duplicates cannot change it, so two spans of the
-same subspace give bit-identical ``Subspace`` objects.  Solvers hand
-their equations to ``nullspace`` as sparse rows of ``(col, coeff)``
-pairs with an explicit column count (``_equations``), and spans built
-from sparse vectors go straight into the kernel (``Subspace._span``), so
-no system is padded to dense width on the way in.  Products read both
-operands as the same ``{col: value}`` rows and sum only the products of
-nonzero entries (``_dot``).  No floating point appears anywhere in this
-module.
+``_reduce``) on ``{col: int}`` rows, so its loops do plain integer
+arithmetic.  Over Q a kernel row is a primitive integer row (content 1,
+positive pivot entry) that stands for itself divided by its pivot
+entry; a row is reduced fraction-free, r <- m r - f e, and its content
+is removed (Bareiss, Math. Comp. 22, 1968).  Over F_p a kernel row
+holds residues with a 1 at its pivot.  Either way the stored rows have
+no entry in any other pivot column, i.e. they are the reduced
+row-echelon form of what was inserted, which is unique for the span:
+row order and duplicates cannot change it, so two spans of the same
+subspace give bit-identical ``Subspace`` objects.
+
+Scalars cross the kernel boundary twice.  On the way in, sparse rows of
+``Fraction``/``FpElement`` values are cleared to integers (``_clear``:
+times the lcm of their denominators, or residues); solvers that already
+hold integer coefficients (``LieAlgebra``'s integer bracket table) hand
+them over directly, since an equation's scale does not matter.  On the
+way out, a ``Subspace`` basis (on first use), ``rref`` rows, ``det``,
+``solve`` and ``Subspace.reduce`` are converted once into canonical
+``Fraction`` or ``FpElement`` values (``_scalars``, ``_dense``); a
+``Subspace`` keeps its kernel rows for equality and further
+elimination.  Solvers hand their equations
+to ``nullspace`` as sparse rows of ``(col, coeff)`` pairs with an
+explicit column count (``_equations``), and spans built from sparse
+vectors go straight into the kernel (``Subspace._span``), so no system
+is padded to dense width on the way in.  Products read both operands as
+``{col: value}`` rows of scalars and sum only the products of nonzero
+entries (``_dot``).  No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .fields import FieldMismatchError, FpElement, PrimeField, QQ, RationalField
+from .fields import FieldMismatchError, FpElement
 
 __all__ = [
     "FieldMismatchError",
@@ -160,75 +178,158 @@ def _dot(u: dict, v: dict, zero):
     return sum((a * v[c] for c, a in u.items() if c in v), zero)
 
 
-def _reduce(echelon: dict, row: dict) -> None:
-    """Clear every pivot column of the ``{pivot: row}`` echelon from ``row``.
-
-    Stored rows have no entry in other pivot columns, so one subtraction
-    per pivot that ``row`` touches suffices, in any order.
-    """
-    for p in [c for c in row if c in echelon]:
-        f = row[p]
-        for c, y in echelon[p].items():
-            x = row.get(c)
-            x = -f * y if x is None else x - f * y
-            if x:
-                row[c] = x
-            else:
-                del row[c]
-
-
-def _insert(echelon: dict, row: dict):
-    """Reduce ``row`` and store it, clearing its pivot from the other rows.
-
-    Returns ``(pivot, lead)`` with the pivot entry before normalisation,
-    or None (storing nothing) if the row was dependent.
-    """
-    _reduce(echelon, row)
-    if not row:
-        return None
-    pivot = min(row)
-    lead = row[pivot]
-    row = {c: x / lead for c, x in row.items()}
-    single = {pivot: row}
-    for other in echelon.values():
-        if pivot in other:
-            _reduce(single, other)
-    echelon[pivot] = row
-    return pivot, lead
-
-
 def _sparse(row) -> dict:
     return {c: x for c, x in enumerate(row) if x}
 
 
-def _echelon(rows: Iterable[dict]) -> dict:
+# -- the kernel: integer rows --------------------------------------------------
+
+def _clear(field, rows: Iterable[dict]) -> tuple[int, list[dict]]:
+    """Kernel rows of sparse rows of field scalars, and their common scale.
+
+    Over Q every integer row is s times its scalar row, s the lcm of all
+    the denominators; over F_p the rows hold the residues and s is 1.
+    """
+    if field.characteristic:
+        return 1, [{c: x.r for c, x in r.items()} for r in rows]
+    rows = list(rows)
+    s = lcm(*(x.denominator for r in rows for x in r.values()))
+    if s == 1:
+        return 1, [{c: x.numerator for c, x in r.items()} for r in rows]
+    return s, [{c: x.numerator * (s // x.denominator) for c, x in r.items()}
+               for r in rows]
+
+
+def _ints(field, rows: Iterable[Sequence]) -> list[dict]:
+    """Kernel rows of dense rows of field scalars, each cleared on its own
+    (a span does not depend on the scale of its rows)."""
+    return [_clear(field, [_sparse(r)])[1][0] for r in rows]
+
+
+def _scalars(field, den: int):
+    """The map x -> x / den from kernel integers to canonical scalars."""
+    p = field.characteristic
+    if p:
+        inv = pow(den, -1, p)
+        return lambda x: FpElement(p, x * inv)
+    return lambda x: Fraction(x, den)
+
+
+def _dense(field, row: dict, ncols: int, den: int) -> tuple:
+    """The kernel row ``row / den`` as a dense tuple of canonical scalars."""
+    out = [field.zero] * ncols
+    conv = _scalars(field, den)
+    for c, x in row.items():
+        out[c] = conv(x)
+    return tuple(out)
+
+
+def _normalise(row: dict, pivot: int, p: int) -> None:
+    """Scale ``row`` in place to its canonical multiple: over Q primitive
+    (content 1) with a positive pivot entry, over F_p with a 1 there."""
+    if p:
+        inv = pow(row[pivot], -1, p)
+        if inv != 1:
+            for c, x in row.items():
+                row[c] = x * inv % p
+        return
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c, x in row.items():
+            row[c] = x // g
+
+
+def _reduce(echelon: dict, row: dict, p: int) -> int:
+    """Clear every pivot column of the ``{pivot: row}`` echelon from ``row``.
+
+    Returns the m with row = m * (the exact reduction); m is 1 over F_p.
+    Stored rows have no entry in other pivot columns, so one subtraction
+    per pivot that ``row`` touches suffices, in any order.  Over Q the
+    row is first multiplied by the least m that makes every quotient
+    m row[q] / lead_q integral, then r <- m r - sum_q (m r[q] / lead_q) e_q.
+    """
+    hits = [q for q in row if q in echelon]
+    if not hits:
+        return 1
+    if p:
+        for q in hits:
+            f = row[q]
+            for c, y in echelon[q].items():
+                x = (row.get(c, 0) - f * y) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        return 1
+    m = 1
+    for q in hits:
+        lead = echelon[q][q]
+        m = lcm(m, lead // gcd(lead, row[q]))
+    if m != 1:
+        for c, x in row.items():
+            row[c] = m * x
+    for q in hits:
+        e = echelon[q]
+        f = row[q] // e[q]
+        for c, y in e.items():
+            x = row.get(c, 0) - f * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+    return m
+
+
+def _insert(echelon: dict, row: dict, p: int):
+    """Reduce ``row``, store its canonical multiple and clear its pivot
+    from the other rows.
+
+    Returns ``(pivot, lead, m)``: after reduction the row is m times the
+    exact reduction and holds ``lead`` at its pivot, so the exact pivot
+    entry is lead / m.  Returns None (storing nothing) if the row was
+    dependent.
+    """
+    m = _reduce(echelon, row, p)
+    if not row:
+        return None
+    pivot = min(row)
+    lead = row[pivot]
+    _normalise(row, pivot, p)
+    single = {pivot: row}
+    for q, other in echelon.items():
+        if pivot in other:
+            _reduce(single, other, p)
+            _normalise(other, q, p)
+    echelon[pivot] = row
+    return pivot, lead, m
+
+
+def _echelon(rows: Iterable[dict], p: int) -> dict:
     echelon: dict = {}
     for r in rows:
-        _insert(echelon, r)
+        _insert(echelon, r, p)
     return echelon
-
-
-def _dense(row: dict, ncols: int, zero) -> tuple:
-    return tuple(row.get(c, zero) for c in range(ncols))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form of ``m`` and its pivot column indices."""
-    echelon = _echelon(map(_sparse, m.rows))
+    echelon = _echelon(_ints(m.field, m.rows), m.field.characteristic)
     pivots = sorted(echelon)
     zero = m.field.zero
-    rows = [_dense(echelon[p], m.ncols, zero) for p in pivots]
+    rows = [_dense(m.field, echelon[q], m.ncols, echelon[q][q]) for q in pivots]
     rows += [(zero,) * m.ncols] * (m.nrows - len(pivots))
     return Matrix(m.field, rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(map(_sparse, m.rows)))
+    return len(_echelon(_ints(m.field, m.rows), m.field.characteristic))
 
 
 class _Rows(NamedTuple):
     """A linear system: ``ncols`` unknowns, one tuple of ``(col, coeff)``
-    pairs per equation, one pair per nonzero coefficient."""
+    pairs per equation, one pair per nonzero integer coefficient."""
     field: object
     ncols: int
     rows: tuple
@@ -239,8 +340,13 @@ class _Rows(NamedTuple):
 
 
 def _equations(field, ncols: int, rows: Iterable[dict]) -> _Rows:
-    """The system of the ``{col: coeff}`` rows, dropping zero
-    coefficients, empty rows and repeated rows."""
+    """The system of the ``{col: coeff}`` rows of integers (taken mod p
+    over F_p), dropping zero coefficients, empty rows and repeated rows.
+    An equation's scale does not matter, so integer tables and cleared
+    rows can be handed over as they are."""
+    p = field.characteristic
+    if p:
+        rows = ({c: x % p for c, x in r.items()} for r in rows)
     eqs = {frozenset((c, x) for c, x in r.items() if x) for r in rows} - {frozenset()}
     return _Rows(field, ncols, tuple(map(tuple, eqs)))
 
@@ -249,42 +355,59 @@ def nullspace(m: Matrix | _Rows) -> "Subspace":
     """Canonical basis of {v : m v = 0} as a subspace of the column space.
 
     ``m`` is a ``Matrix`` or a sparse system built by ``_equations``; a
-    system with no rows has the whole column space as its kernel.  The
-    free-variable vectors are re-reduced into the canonical RREF basis
-    like any other span.
+    system with no rows has the whole column space as its kernel.  Each
+    free column f gives the vector with x_f = 1 and x_q = -row_q[f] /
+    lead_q at the pivots q, cleared to integers; these vectors are
+    re-reduced into the canonical RREF basis like any other span.
     """
     if isinstance(m, Matrix):
-        m = _equations(m.field, m.ncols, map(_sparse, m.rows))
-    echelon = _echelon(dict(r) for r in m.rows)
-    one = m.field.one
-    free = {f: {f: one} for f in range(m.ncols) if f not in echelon}
-    for p, row in echelon.items():
+        m = _equations(m.field, m.ncols, _ints(m.field, m.rows))
+    p = m.field.characteristic
+    echelon = _echelon((dict(r) for r in m.rows), p)
+    free = {f: {} for f in range(m.ncols) if f not in echelon}
+    for q, row in echelon.items():
         for f, x in row.items():
-            if f != p:
-                free[f][p] = -x
-    return Subspace._span(m.field, m.ncols, free.values())
+            if f != q:
+                free[f][q] = x
+    vectors = []
+    for f, col in free.items():
+        s = lcm(*(echelon[q][q] for q in col))
+        v = {q: -x * (s // echelon[q][q]) for q, x in col.items()}
+        if p:
+            v = {q: x % p for q, x in v.items()}
+        v[f] = s
+        vectors.append(v)
+    return Subspace._span(m.field, m.ncols, vectors)
 
 
 def det(m: Matrix):
     """Exact determinant: the signed product of the elimination leads.
 
-    Inserting the rows in order, each pivot lead divides out of the row
-    and the reduced rows end as a permutation of the identity whose sign
-    is the parity of the inversions among the pivot columns.
+    Inserting the rows in order, each exact pivot lead divides out of
+    its row and the reduced rows end as a permutation of the identity
+    whose sign is the parity of the inversions among the pivot columns.
+    A row enters the kernel as s times itself and leaves reduction as m
+    times the exact reduction, so its exact lead is lead / (s m); the
+    numerators and denominators are multiplied as integers and divided
+    once.
     """
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
+    p = m.field.characteristic
     echelon: dict = {}
-    result = m.field.one
+    num = den = 1
     for r in m.rows:
-        found = _insert(echelon, _sparse(r))
+        s, (row,) = _clear(m.field, [_sparse(r)])
+        found = _insert(echelon, row, p)
         if found is None:
             return m.field.zero
-        pivot, lead = found
-        if sum(1 for p in echelon if p > pivot) % 2:
+        pivot, lead, mult = found
+        if sum(1 for q in echelon if q > pivot) % 2:
             lead = -lead
-        result = result * lead
-    return result
+        num, den = num * lead, den * s * mult
+        if p:
+            num %= p
+    return _scalars(m.field, den)(num)
 
 
 def solve(m: Matrix, b: Sequence):
@@ -293,45 +416,48 @@ def solve(m: Matrix, b: Sequence):
     if len(bvec) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     n = m.ncols
-    echelon = _echelon(_sparse(list(r) + [bv]) for r, bv in zip(m.rows, bvec))
+    echelon = _echelon(_ints(m.field, (list(r) + [bv] for r, bv in zip(m.rows, bvec))),
+                       m.field.characteristic)
     if n in echelon:
         return None  # a pivot in the augmented column means inconsistency
     zero = m.field.zero
-    return tuple(echelon[c].get(n, zero) if c in echelon else zero
-                 for c in range(n))
+    return tuple(_scalars(m.field, echelon[c][c])(echelon[c][n])
+                 if c in echelon and n in echelon[c] else zero for c in range(n))
 
 
 class Subspace:
     """A linear subspace with a canonical RREF basis.
 
-    Equality of subspaces is literal equality of the stored basis, which
-    the RREF normal form makes sound: equal spaces have identical bases.
+    Equality of subspaces is literal equality of the canonical kernel
+    rows (``_echelon``, ``{pivot: row}``), which the RREF normal form
+    makes sound: equal spaces have identical rows and identical bases.
+    The basis, as dense tuples of field scalars, is converted from the
+    kernel rows on first use.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
+    __slots__ = ("field", "ambient_dim", "_echelon", "_basis")
 
     def __init__(self, field, ambient_dim: int, vectors: Iterable[Sequence]):
         rows = [[field(x) for x in v] for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("spanning vector of wrong length")
-        self._hold(field, ambient_dim, _echelon(map(_sparse, rows)))
+        self._hold(field, ambient_dim,
+                   _echelon(_ints(field, rows), field.characteristic))
 
     @classmethod
     def _span(cls, field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
-        """Span of sparse ``{col: value}`` rows of exact scalars; the
-        kernel consumes the rows."""
+        """Span of kernel rows ``{col: int}`` of any scale (residues over
+        F_p); the kernel consumes the rows."""
         s = object.__new__(cls)
-        s._hold(field, ambient_dim, _echelon(rows))
+        s._hold(field, ambient_dim, _echelon(rows, field.characteristic))
         return s
 
     def _hold(self, field, ambient_dim: int, echelon: dict):
-        zero = field.zero
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(
-            _dense(echelon[p], ambient_dim, zero) for p in sorted(echelon)))
         object.__setattr__(self, "_echelon", echelon)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -346,26 +472,38 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim,
-                   Matrix.identity(field, ambient_dim).rows)
+        return cls.coordinate(field, ambient_dim, range(ambient_dim))
 
     @classmethod
     def coordinate(cls, field, ambient_dim: int, indices: Iterable[int]) -> "Subspace":
-        """Span of the given basis coordinates."""
-        zero, one = field.zero, field.one
-        vecs = []
-        for i in indices:
-            v = [zero] * ambient_dim
-            v[i] = one
-            vecs.append(v)
-        return cls(field, ambient_dim, vecs)
+        """Span of the given basis coordinates, each in 0..ambient_dim-1
+        (repeats are merged).  The unit rows are their own canonical
+        echelon, so nothing is eliminated."""
+        echelon = {}
+        for i in map(operator.index, indices):
+            if not 0 <= i < ambient_dim:
+                raise ShapeError(f"coordinate {i} out of range 0..{ambient_dim - 1}")
+            echelon[i] = {i: 1}
+        s = object.__new__(cls)
+        s._hold(field, ambient_dim, echelon)
+        return s
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical RREF basis, one dense tuple of scalars per pivot."""
+        if self._basis is None:
+            echelon = self._echelon
+            object.__setattr__(self, "_basis", tuple(
+                _dense(self.field, echelon[q], self.ambient_dim, echelon[q][q])
+                for q in sorted(echelon)))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._echelon)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._echelon
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis)
@@ -373,27 +511,39 @@ class Subspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self._echelon))
 
-    def reduce(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo this subspace."""
+    def _cleared(self, v: Sequence) -> tuple[int, dict]:
         vec = [self.field(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector of wrong length")
-        row = _sparse(vec)
-        _reduce(self._echelon, row)
-        return _dense(row, self.ambient_dim, self.field.zero)
+        s, (row,) = _clear(self.field, [_sparse(vec)])
+        return s, row
+
+    def reduce(self, v: Sequence) -> tuple:
+        """Canonical representative of v modulo this subspace."""
+        s, row = self._cleared(v)
+        m = _reduce(self._echelon, row, self.field.characteristic)
+        return _dense(self.field, row, self.ambient_dim, s * m)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return self._contains_row(self._cleared(v)[1])
+
+    def _contains_row(self, row: dict) -> bool:
+        """Whether the kernel row lies in this subspace; consumes the row."""
+        _reduce(self._echelon, row, self.field.characteristic)
+        return not row
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        _check_same_field(self, other)
+        if self.ambient_dim != other.ambient_dim:
+            raise ShapeError("ambient dimension mismatch")
+        return all(self._contains_row(dict(r)) for r in other._echelon.values())
 
     def add(self, other: "Subspace") -> "Subspace":
         _check_same_field(self, other)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return Subspace(self.field, self.ambient_dim,
-                        list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient_dim, [
+            dict(r) for r in (*self._echelon.values(), *other._echelon.values())])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection by Zassenhaus: the RREF of the rows (u, u) for u
@@ -405,17 +555,18 @@ class Subspace:
         n = self.ambient_dim
         echelon = _echelon(
             [{**u, **{c + n: x for c, x in u.items()}} for u in self._echelon.values()]
-            + [dict(v) for v in other._echelon.values()])
+            + [dict(v) for v in other._echelon.values()], self.field.characteristic)
         return Subspace._span(self.field, n, ({c - n: x for c, x in row.items()}
-                                              for p, row in echelon.items() if p >= n))
+                                              for q, row in echelon.items() if q >= n))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._echelon == other._echelon)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, frozenset(
+            (q, frozenset(row.items())) for q, row in self._echelon.items())))
 
     def __repr__(self):
         vecs = ", ".join("(" + ", ".join(str(x) for x in v) + ")"

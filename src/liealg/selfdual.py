@@ -27,7 +27,7 @@ from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import Matrix, ShapeError, Subspace, _equations, _sparse, det, nullspace, solve
+from .linalg import Matrix, ShapeError, Subspace, _equations, det, nullspace, solve
 
 __all__ = [
     "ConstructionError",
@@ -73,14 +73,16 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """Basis of the space of symmetric ad-invariant bilinear forms.
 
     Solves c_{ki}^l B_{lj} + c_{kj}^l B_{il} = 0 over the unknowns
-    B_{ij} = B_{ji}; the returned basis is the canonical nullspace
-    basis unfolded into symmetric matrices.
+    B_{ij} = B_{ji}, with the integer table's constants (the system is
+    homogeneous, so their common scale does not matter); the returned
+    basis is the canonical nullspace basis unfolded into symmetric
+    matrices.
     """
     d = alg.dim
     index = _sym_index(d)
     zero = alg.field.zero
     equations = []
-    for adk in alg._bracket_table():
+    for adk in alg._int_table():
         for i in range(d):
             for j in range(i, d):
                 eq = {index[(min(l, j), max(l, j))]: c for l, c in adk[i]}
@@ -181,7 +183,7 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
             "grid_points": points,
         })
     radical = nullspace(_equations(alg.field, d, (
-        _sparse(row) for f in forms for row in f.matrix.rows)))
+        row for f in forms for row in f._cleared()[1])))
     if not radical.is_zero():
         return SelfDuality("no", certificate={
             "kind": "common-radical",
@@ -220,8 +222,7 @@ def orthogonal_complement(alg: LieAlgebra, form: BilinearForm,
         raise ShapeError("dimension mismatch")
     if not form.is_nondegenerate():
         raise ValueError("orthogonal complement requires a non-degenerate form")
-    return nullspace(_equations(alg.field, alg.dim, (
-        _sparse(form.matrix * v) for v in s.basis)))
+    return nullspace(_equations(alg.field, alg.dim, form._images(s._echelon.values())))
 
 
 @dataclass(frozen=True)

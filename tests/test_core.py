@@ -500,3 +500,69 @@ def test_repeated_bracket_targets_are_summed(tmp_path):
     save_algebra(tmp_path / "doubled.json", doubled)
     assert load_algebra(tmp_path / "doubled.json") == (doubled, None)
     assert LieAlgebra(QQ, 3, {(0, 1): [(2, 1), (2, -1)]}).is_abelian()
+
+
+# -- integer scans on non-integral tables -------------------------------------
+
+def _dense_killing_form(alg):
+    """K_ij = sum over k, l of c_ik^l c_jl^k, every constant read as a scalar."""
+    d, zero = alg.dim, alg.field.zero
+    sc = [[[alg.structure_constant(i, k, l) for l in range(d)] for k in range(d)]
+          for i in range(d)]
+    return Matrix(alg.field, [[sum((sc[i][k][l] * sc[j][l][k] for k in range(d)
+                                    for l in range(d)), zero)
+                               for j in range(d)] for i in range(d)])
+
+
+def _scaled(alg, c):
+    return LieAlgebra(alg.field, alg.dim, {key: [(k, x * c) for k, x in terms]
+                                           for key, terms in alg.sc.items()})
+
+
+def _fractional_perturbation(rng, alg, c):
+    table = {key: dict(terms) for key, terms in alg.sc.items()}
+    i, j = sorted(rng.sample(range(alg.dim), 2))
+    k = rng.randrange(alg.dim)
+    terms = table.setdefault((i, j), {})
+    terms[k] = terms.get(k, alg.field.zero) + c
+    return LieAlgebra(alg.field, alg.dim, table)
+
+
+def _mixed_denominator_form(rng, form):
+    """The form scaled by 5/3, plus a symmetric entry over 7 and one over 4."""
+    field = form.field
+    grid = [[x * field(5) / field(3) for x in r] for r in form.matrix.rows]
+    for den in (7, 4):
+        i, j = rng.randrange(form.dim), rng.randrange(form.dim)
+        grid[i][j] = grid[j][i] = grid[i][j] + field(rng.choice([-2, -1, 1, 2])) / field(den)
+    return BilinearForm(Matrix(field, grid))
+
+
+def _non_integral_cases(rng):
+    third, seven_tenths = Fraction(1, 3), Fraction(7, 10)
+    for n in (3, 6, 9, 12):
+        yield _scaled(truncated_algebra(n), seven_tenths), canonical_metric(n, n % 2)
+    rotated, form = _rotated_member(6, 5)
+    yield rotated, form
+    for _ in range(3):
+        yield _fractional_perturbation(rng, rotated, third), form
+    f5 = PrimeField(5)
+    a6 = truncated_algebra(6, field=f5)
+    yield a6, canonical_metric(6, field=f5)
+    yield _fractional_perturbation(rng, a6, f5(1) / f5(3)), canonical_metric(6, 1, f5)
+
+
+def test_integer_scans_match_the_scalar_references_on_non_integral_tables():
+    rng = random.Random(73)
+    found_form = found_jacobi = 0
+    for alg, form in _non_integral_cases(rng):
+        assert alg.killing_form().matrix == _dense_killing_form(alg)
+        jacobi = alg.check_jacobi()
+        assert jacobi == _dense_check_jacobi(alg)
+        found_jacobi += jacobi is not None
+        for f in [form] + [_mixed_denominator_form(rng, form) for _ in range(4)]:
+            witness = f.invariance_witness(alg)
+            assert witness == _dense_invariance_witness(f, alg)
+            found_form += witness is not None
+    # the perturbations break both identities, so first witnesses are compared
+    assert found_form > 20 and found_jacobi >= 3
