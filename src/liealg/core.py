@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
-                     _scalars, _sparse, det, nullspace)
+                     _Rows, _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -367,15 +367,34 @@ class LieAlgebra:
 
 
 class BilinearForm:
-    """A symmetric bilinear form on basis coordinates."""
+    """A symmetric bilinear form on basis coordinates.
 
-    __slots__ = ("matrix", "_ints")
+    A form keeps its cleared integer rows (``_cleared``) for the integer
+    scans and the non-degeneracy test; a form built from those rows
+    (``_of_cleared``) converts them into its ``matrix`` on first use.
+    """
+
+    __slots__ = ("field", "dim", "_matrix", "_ints")
 
     def __init__(self, matrix: Matrix):
         if not matrix.is_symmetric():
             raise ValueError("bilinear form matrix must be symmetric")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_ints", None)
+        self._hold(matrix.field, matrix.nrows, matrix, None)
+
+    @classmethod
+    def _of_cleared(cls, field, scale: int, rows: list[dict]) -> "BilinearForm":
+        """The form rows / scale from one symmetric integer row per basis
+        vector (residues and scale 1 over F_p), scale > 0; nothing is
+        coerced or re-checked."""
+        form = object.__new__(cls)
+        form._hold(field, len(rows), None, (scale, rows))
+        return form
+
+    def _hold(self, field, dim: int, matrix, ints):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearForm is immutable")
@@ -389,12 +408,12 @@ class BilinearForm:
         return cls(Matrix.zeros(field, dim, dim))
 
     @property
-    def field(self):
-        return self.matrix.field
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            scale, rows = self._ints
+            object.__setattr__(self, "_matrix", Matrix(self.field, [
+                _dense(self.field, r, self.dim, scale) for r in rows]))
+        return self._matrix
 
     def entry(self, i: int, j: int):
         return self.matrix.entry(i, j)
@@ -410,7 +429,10 @@ class BilinearForm:
         return det(self.matrix)
 
     def is_nondegenerate(self) -> bool:
-        return self.det() != self.field.zero
+        """Whether the determinant of the integer rows is nonzero; the
+        elimination stops at the first row that depends on the rows
+        before it, and no scalar matrix is built."""
+        return det(_Rows(self.field, self.dim, self._cleared()[1])) != self.field.zero
 
     def scale(self, c) -> "BilinearForm":
         return BilinearForm(self.matrix.scale(c))
@@ -419,8 +441,9 @@ class BilinearForm:
         return BilinearForm(self.matrix + other.matrix)
 
     def _cleared(self) -> tuple[int, list[dict]]:
-        """(M, rows): M times the form as sparse integer rows, M the lcm
-        of its denominators (residues and M = 1 over F_p); built once."""
+        """(M, rows): M times the form as sparse integer rows, one per
+        basis vector (residues and M = 1 over F_p); built once, with M
+        the lcm of the denominators, unless given to ``_of_cleared``."""
         if self._ints is None:
             object.__setattr__(self, "_ints", _clear(
                 self.field, [_sparse(r) for r in self.matrix.rows]))

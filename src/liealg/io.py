@@ -71,6 +71,19 @@ def string_to_scalar(field, s: str):
     return field(value)
 
 
+def _scalar_parser(field):
+    """``string_to_scalar`` for one document: the first occurrence of
+    each string is checked and parsed, later ones reuse its value."""
+    memo: dict = {}
+
+    def parse(s):
+        if isinstance(s, str) and s in memo:
+            return memo[s]
+        value = memo[s] = string_to_scalar(field, s)
+        return value
+    return parse
+
+
 def _is_int(x) -> bool:
     """A JSON integer; ``bool`` is an ``int`` subclass but not one."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -138,7 +151,8 @@ def parse_grid(field, raw, what: str,
     if shape is not None:
         _expect((len(raw), width) == shape,
                 f"{what} must be a {shape[0]} x {shape[1]} array")
-    return Matrix(field, [[string_to_scalar(field, x) for x in r] for r in raw])
+    parse = _scalar_parser(field)
+    return Matrix(field, [[parse(x) for x in r] for r in raw])
 
 
 def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
@@ -152,6 +166,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
             "dim must be a non-negative integer")
     raw = doc.get("brackets", [])
     _expect(isinstance(raw, list), "brackets must be a list")
+    parse = _scalar_parser(field)
     brackets = {}
     for rec in raw:
         _expect(isinstance(rec, dict), "bracket record must be an object")
@@ -172,7 +187,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
                     f"term index {k!r} out of range")
             _expect(k not in seen, f"duplicate term index {k} in ({i},{j})")
             seen.add(k)
-            parsed.append((k, string_to_scalar(field, t.get("c"))))
+            parsed.append((k, parse(t.get("c"))))
         brackets[(i, j)] = parsed
     labels = doc.get("labels")
     if labels is not None:

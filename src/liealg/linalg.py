@@ -329,7 +329,8 @@ def rank(m: Matrix) -> int:
 
 class _Rows(NamedTuple):
     """A linear system: ``ncols`` unknowns, one tuple of ``(col, coeff)``
-    pairs per equation, one pair per nonzero integer coefficient."""
+    pairs (or one ``{col: coeff}`` dict) per equation, one entry per
+    nonzero integer coefficient."""
     field: object
     ncols: int
     rows: tuple
@@ -380,24 +381,29 @@ def nullspace(m: Matrix | _Rows) -> "Subspace":
     return Subspace._span(m.field, m.ncols, vectors)
 
 
-def det(m: Matrix):
+def det(m: Matrix | _Rows):
     """Exact determinant: the signed product of the elimination leads.
 
-    Inserting the rows in order, each exact pivot lead divides out of
-    its row and the reduced rows end as a permutation of the identity
-    whose sign is the parity of the inversions among the pivot columns.
-    A row enters the kernel as s times itself and leaves reduction as m
-    times the exact reduction, so its exact lead is lead / (s m); the
-    numerators and denominators are multiplied as integers and divided
-    once.
+    ``m`` is a ``Matrix`` or a square system of integer rows (``_Rows``,
+    residues over F_p), whose determinant is that of the integers as
+    given.  Inserting the rows in order, each exact pivot lead divides
+    out of its row and the reduced rows end as a permutation of the
+    identity whose sign is the parity of the inversions among the pivot
+    columns.  A row enters the kernel as s times itself and leaves
+    reduction as m times the exact reduction, so its exact lead is
+    lead / (s m); the numerators and denominators are multiplied as
+    integers and divided once.  The answer is zero at the first row
+    that reduces to zero: the rows after it are never cleared or
+    reduced.
     """
-    if not m.is_square():
+    if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
     p = m.field.characteristic
+    matrix = isinstance(m, Matrix)
     echelon: dict = {}
     num = den = 1
     for r in m.rows:
-        s, (row,) = _clear(m.field, [_sparse(r)])
+        s, (row,) = _clear(m.field, [_sparse(r)]) if matrix else (1, [dict(r)])
         found = _insert(echelon, row, p)
         if found is None:
             return m.field.zero

@@ -22,6 +22,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
@@ -76,11 +77,14 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     B_{ij} = B_{ji}, with the integer table's constants (the system is
     homogeneous, so their common scale does not matter); the returned
     basis is the canonical nullspace basis unfolded into symmetric
-    matrices.
+    matrices.  Each kernel row is unfolded straight into its form's
+    integer rows: over Q a primitive row with pivot entry l stands for
+    the form with denominator lcm l, over F_p its residues with a 1 at
+    the pivot are the form itself, so no scalar is built until a form's
+    ``matrix`` is read.
     """
     d = alg.dim
     index = _sym_index(d)
-    zero = alg.field.zero
     equations = []
     for adk in alg._int_table():
         for i in range(d):
@@ -91,13 +95,15 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                     eq[a] = eq[a] + c if a in eq else c
                 equations.append(eq)
     space = nullspace(_equations(alg.field, len(index), equations))
+    pairs = list(index)
     forms = []
-    for v in space.basis:
-        grid = [[zero] * d for _ in range(d)]
-        for (i, j), a in index.items():
-            grid[i][j] = v[a]
-            grid[j][i] = v[a]
-        forms.append(BilinearForm(Matrix(alg.field, grid)))
+    for q in sorted(space._echelon):
+        v = space._echelon[q]
+        rows = [{} for _ in range(d)]
+        for a, x in v.items():
+            i, j = pairs[a]
+            rows[i][j] = rows[j][i] = x
+        forms.append(BilinearForm._of_cleared(alg.field, v[q], rows))
     return forms
 
 
@@ -107,15 +113,37 @@ _GRID_BUDGET = 64
 _SEARCH_BUDGET = 16
 
 
+def _combined_row(terms, i: int, p: int) -> dict:
+    """Row i of sum t G over the (t, G) pairs, as a kernel row."""
+    row: dict = {}
+    for t, g in terms:
+        for c, x in g[i].items():
+            row[c] = row.get(c, 0) + t * x
+    if p:
+        return {c: x % p for c, x in row.items() if x % p}
+    return {c: x for c, x in row.items() if x}
+
+
 def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
-    """The first non-degenerate sum c_a F_a over the coefficient tuples."""
-    field = forms[0].field
+    """The first non-degenerate sum t_a F_a over the coefficient tuples.
+
+    The forms' integer rows are scaled once to a common denominator L,
+    G_a = L F_a, and each point's sum is the form (sum t_a G_a) / L,
+    held as integer rows (residues over F_p) and tested by
+    ``is_nondegenerate``; only the winner's matrix of scalars is ever
+    built.
+    """
+    field, d = forms[0].field, forms[0].dim
+    p = field.characteristic
+    scale = lcm(*(f._cleared()[0] for f in forms))
+    scaled = [[{c: x * (scale // m) for c, x in r.items()} for r in rows]
+              for m, rows in (f._cleared() for f in forms)]
     for coeffs in points:
-        acc = forms[0].scale(field(coeffs[0]))
-        for f, c in zip(forms[1:], coeffs[1:]):
-            acc = acc.add(f.scale(field(c)))
-        if acc.is_nondegenerate():
-            return acc
+        terms = [(t, g) for t, g in zip(coeffs, scaled) if t]
+        form = BilinearForm._of_cleared(
+            field, scale, [_combined_row(terms, i, p) for i in range(d)])
+        if form.is_nondegenerate():
+            return form
     return None
 
 
@@ -142,6 +170,11 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
 
     One procedure over the basis F_1..F_s of ``invariant_form_space``,
     d = alg.dim; each step proves its answer or stops inside a bound.
+    Every non-degeneracy test runs on the forms' integer rows and stops
+    at the first row that depends on the ones before it; the sums of
+    steps 3 and 5 are built in integers and only the winner becomes a
+    matrix of scalars (``_first_metric``).
+    0. d = 0: 'yes', with the empty metric (its determinant is 1).
     1. s = 0: 'no', certificate kind ``empty-invariant-form-space``.
     2. The first non-degenerate F_a is the metric ('yes').
     3. Let q = d + 1, or min(d + 1, p) over F_p.  If the grid
@@ -161,6 +194,8 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
        d / (2d + 1) (Schwartz, JACM 1980).  Otherwise 'unknown', with
        the limits in ``reason``.
     """
+    if alg.dim == 0:
+        return SelfDuality("yes", metric=BilinearForm.zero(alg.field, 0))
     forms = invariant_form_space(alg)
     if not forms:
         return SelfDuality("no", certificate={

@@ -125,6 +125,24 @@ def test_document_validation():
         document_to_algebra(dup_term)
 
 
+def test_repeated_scalar_strings_are_still_checked():
+    """Each scalar string of a document is parsed once; a string that
+    fails is reported where it first occurs, and a non-string scalar
+    after memoised strings is still a file error."""
+    doc = {"format": FORMAT_TAG, "field": "Q", "dim": 4, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1/2"}, {"k": 3, "c": "1/2"}]},
+        {"i": 0, "j": 2, "terms": [{"k": 3, "c": "1/2"}]}]}
+    alg, _ = document_to_algebra(doc)
+    assert alg.bracket_basis(0, 1) == ((2, QQ(1, 2)), (3, QQ(1, 2)))
+    for bad, message in (("2/4", "lowest terms: '2/4'"), (["1/2"], "must be a string")):
+        doc["brackets"][1]["terms"] = [{"k": 3, "c": bad}, {"k": 1, "c": "3/6"}]
+        with pytest.raises(AlgebraFileError, match=message):
+            document_to_algebra(doc)
+    with pytest.raises(AlgebraFileError, match="residue 7 out of range"):
+        document_to_algebra({**doc, "field": "Fp", "p": 5, "brackets": [
+            {"i": 0, "j": 1, "terms": [{"k": 2, "c": "3"}, {"k": 3, "c": "7"}]}]})
+
+
 def test_gen_writes_loadable_file(tmp_path, capsys):
     out = tmp_path / "a6.json"
     code, report = _porcelain(capsys, ["gen", "--family", "an", "--n", "6",
@@ -300,6 +318,18 @@ def test_analyze_certificate(tmp_path, capsys):
     assert report["certificate"] == {
         "kind": "common-radical", "space_dim": 3, "matrix_dim": 8,
         "witness": ["0", "0", "0", "0", "0", "0", "0", "1"]}
+
+
+def test_analyze_zero_dimensional_algebra_is_self_dual(tmp_path, capsys):
+    """The empty metric of the 0-dim algebra is non-degenerate (det 1)."""
+    path = tmp_path / "zero.json"
+    save_algebra(path, LieAlgebra(QQ, 0, {}))
+    code, report = _porcelain(capsys, ["analyze", str(path)])
+    assert code == 0 and report["dim"] == 0
+    assert report["self_dual"] == "yes" and report["invariant_metric"] == []
+    assert "certificate" not in report and "reason" not in report
+    code, out, _ = _run(capsys, ["analyze", str(path)])
+    assert code == 0 and "self-dual: yes" in out
 
 
 def test_analyze_unknown_carries_reason(tmp_path, capsys, monkeypatch):

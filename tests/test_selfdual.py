@@ -280,6 +280,38 @@ def test_is_self_dual_abelian_by_seeded_points():
     assert time.monotonic() - start < 1.0
 
 
+_SEEDED_METRICS = {
+    (QQ, 6): ["0 6 0 -6 -2 2", "6 1 0 6 -2 1", "0 0 -1 3 -3 2",
+              "-6 6 3 -4 -2 -4", "-2 -2 -3 -2 6 -5", "2 1 2 -4 -5 3"],
+    (QQ, 7): ["6 -1 5 7 -1 -7 -3", "-1 1 0 -1 7 5 6", "5 0 -3 0 -2 2 7",
+              "7 -1 0 7 -4 1 -5", "-1 7 -2 -4 -3 -5 5", "-7 5 2 1 -5 -6 2",
+              "-3 6 7 -5 5 2 5"],
+    (PrimeField(3), 5): ["1 1 1 2 0", "1 2 1 2 2", "1 1 0 1 1", "2 2 1 0 0",
+                         "0 2 1 0 2"],
+}
+
+
+@pytest.mark.parametrize("field,d", list(_SEEDED_METRICS), ids=str)
+def test_is_self_dual_seeded_points_pin_the_metric(field, d):
+    """Step 5 on Abelian algebras: the exact metric of the first
+    non-degenerate seeded point is fixed by the seed."""
+    answer = is_self_dual(LieAlgebra(field, d, {}))
+    assert answer.verdict == "yes"
+    assert answer.metric == BilinearForm(Matrix(field, [
+        [string_to_scalar(field, x) for x in row.split()]
+        for row in _SEEDED_METRICS[(field, d)]]))
+
+
+def test_is_self_dual_zero_dimensional_algebra():
+    """d = 0: the empty form is an invariant metric (its determinant is 1)."""
+    for field in (QQ, PrimeField(3)):
+        answer = is_self_dual(LieAlgebra(field, 0, {}))
+        assert answer.verdict == "yes"
+        assert answer.metric == BilinearForm.zero(field, 0)
+        assert answer.metric.is_nondegenerate()
+        assert answer.certificate is None and answer.reason is None
+
+
 def test_is_self_dual_grid_counts_distinct_points_over_fp():
     """Over F_2 the grid {0, 1}^2 is all of F_2^2: four points."""
     answer = is_self_dual(truncated_algebra(4, field=PrimeField(2)))
