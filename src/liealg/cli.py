@@ -23,6 +23,7 @@ cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -451,7 +452,9 @@ def _cmd_wigner(args):
 # driver
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="liealg",
         description="Exact computations with structure-constant Lie algebras.")
@@ -473,32 +476,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default=None, metavar="b=RATIONAL",
                    help="include the canonical metric with the given b")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("check", parents=[common],
                        help="verify a property of a file, with witnesses")
     p.add_argument("property", choices=["jacobi", "invariance", "grading"])
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("ideals", parents=[common],
                        help="enumerate coordinate ideals")
     p.add_argument("file")
     p.add_argument("--classify-an", action="store_true",
                    help="cross-check against the family closed form")
-    p.set_defaults(handler=_cmd_ideals)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="series, center, Killing form, self-duality")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("classify", parents=[common],
                        help="decomposability and construction verdicts")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--family", default="an")
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("dext", parents=[common],
                        help="double extension of an Abelian metric file")
@@ -510,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", dest="pairing", default=None,
                    help="optional pairing form on the acting algebra")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_dext)
 
     p = sub.add_parser("wigner", parents=[common],
                        help="contraction along a coordinate subalgebra")
@@ -519,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subalgebra", required=True,
                    help="comma-separated basis indices")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_wigner)
     return parser
 
 
@@ -538,11 +534,13 @@ def _emit(args, code: int, report: dict, human: list[str]):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         try:
-            code, report, human = args.handler(args)
+            # looked up on each call, so rebinding a _cmd_* function (as
+            # perfbench's tracer does) works with the parser built once
+            handler = globals()["_cmd_" + args.command]
+            code, report, human = handler(args)
         except _Failure as exc:
             code, report, human = (1, {"error": str(exc), **exc.details},
                                    [f"FAIL: {exc}"])

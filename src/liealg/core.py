@@ -15,18 +15,21 @@ quadratic in the constants, so their values are divided by L^2; the
 invariance sums are bilinear in the table and in a form cleared by its
 own lcm M, so they carry L * M, and only their zero test is used.
 Homogeneous systems (invariant forms, center, derivations) and spans do
-not depend on the scale and take the integers as they are.
+not depend on the scale and take the integers as they are.  A
+``BilinearForm`` is its integer rows, cleared once where it enters;
+the Killing form, block sums and restrictions are built as rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
-                     _Rows, _scalars, _sparse, det, nullspace)
+                     _Rows, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -211,10 +214,9 @@ class LieAlgebra:
 
     def killing_form(self) -> "BilinearForm":
         """K(x_i, x_j) = trace(ad x_i . ad x_j), summed in integers over
-        the integer table and divided by L^2."""
-        conv = _scalars(self.field, self._scale ** 2)
+        the integer table; the form is those rows over L^2."""
         ad = self._int_table()
-        grid = [[None] * self.dim for _ in range(self.dim)]
+        rows: list[dict] = [{} for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
                 t = 0
@@ -223,8 +225,8 @@ class LieAlgebra:
                         for m, c1 in ad[i][k]:
                             if m == l:
                                 t += c1 * c2
-                grid[i][j] = grid[j][i] = conv(t)
-        return BilinearForm(Matrix(self.field, grid))
+                rows[i][j] = rows[j][i] = t
+        return BilinearForm._of_cleared(self.field, self._scale ** 2, rows)
 
     # -- subspaces and series ------------------------------------------------
 
@@ -369,25 +371,30 @@ class LieAlgebra:
 class BilinearForm:
     """A symmetric bilinear form on basis coordinates.
 
-    A form keeps its cleared integer rows (``_cleared``) for the integer
-    scans and the non-degeneracy test; a form built from those rows
-    (``_of_cleared``) converts them into its ``matrix`` on first use.
+    A form is its cleared integer rows (``_cleared``); its ``matrix`` is
+    a view, kept from ``__init__`` or converted on first use from rows
+    given to ``_of_cleared``.
     """
 
     __slots__ = ("field", "dim", "_matrix", "_ints")
 
     def __init__(self, matrix: Matrix):
-        if not matrix.is_symmetric():
+        scale, rows = matrix._cleared()
+        if not matrix.is_square() or any(
+                rows[j].get(i) != x for i, r in enumerate(rows) for j, x in r.items()):
             raise ValueError("bilinear form matrix must be symmetric")
-        self._hold(matrix.field, matrix.nrows, matrix, None)
+        self._hold(matrix.field, matrix.nrows, matrix, (scale, rows))
 
     @classmethod
     def _of_cleared(cls, field, scale: int, rows: list[dict]) -> "BilinearForm":
         """The form rows / scale from one symmetric integer row per basis
-        vector (residues and scale 1 over F_p), scale > 0; nothing is
-        coerced or re-checked."""
+        vector (taken mod p, scale 1, over F_p), scale > 0; zeros are
+        dropped, nothing is coerced or re-checked."""
+        p = field.characteristic
         form = object.__new__(cls)
-        form._hold(field, len(rows), None, (scale, rows))
+        form._hold(field, len(rows), None, (scale, [
+            {c: x % p for c, x in r.items() if x % p} if p else
+            {c: x for c, x in r.items() if x} for r in rows]))
         return form
 
     def _hold(self, field, dim: int, matrix, ints):
@@ -442,30 +449,27 @@ class BilinearForm:
 
     def _cleared(self) -> tuple[int, list[dict]]:
         """(M, rows): M times the form as sparse integer rows, one per
-        basis vector (residues and M = 1 over F_p); built once, with M
-        the lcm of the denominators, unless given to ``_of_cleared``."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", _clear(
-                self.field, [_sparse(r) for r in self.matrix.rows]))
+        basis vector (residues and M = 1 over F_p)."""
         return self._ints
 
     def restrict(self, s: Subspace) -> Matrix:
-        """Gram matrix of the form on the subspace basis.
+        """Gram matrix of the form on the subspace basis."""
+        return self._restricted(s).matrix
 
-        G[a][b] = u_a . (M u_b) over the sparse kernel rows u of the
-        subspace, in integers, divided once by the scales; for a
-        coordinate subspace it reads a principal submatrix.
-        """
+    def _restricted(self, s: Subspace) -> "BilinearForm":
+        """The form on the canonical basis of s, as integer rows: with l
+        the lcm of the leads of the kernel rows u_a of s, w_a = (l /
+        lead_a) u_a and G[a][b] = w_a . (M w_b) / (M l^2)."""
         if s.ambient_dim != self.dim:
             raise ShapeError("form/subspace dimension mismatch")
         _require_same_field(s.field, self.field)
-        pivots = sorted(s._echelon)
-        rows = [s._echelon[q] for q in pivots]
-        leads = [s._echelon[q][q] for q in pivots]
-        scale, images = self._cleared()[0], self._images(rows)
-        return Matrix(self.field, [
-            [_scalars(self.field, scale * la * lb)(_dot(u, mw, 0))
-             for mw, lb in zip(images, leads)] for u, la in zip(rows, leads)])
+        echelon = s._echelon
+        pivots = sorted(echelon)
+        l = lcm(*(echelon[q][q] for q in pivots))
+        rows = [{c: x * (l // echelon[q][q]) for c, x in echelon[q].items()}
+                for q in pivots]
+        return BilinearForm._of_cleared(self.field, self._cleared()[0] * l * l, [
+            {b: _dot(w, mw, 0) for b, w in enumerate(rows)} for mw in self._images(rows)])
 
     def _images(self, rows: Iterable[dict]) -> list[dict]:
         """M u for integer rows u, with M the cleared form."""
@@ -521,18 +525,14 @@ class BilinearForm:
 
 
 def form_block_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
-    """Orthogonal (block-diagonal) sum of two forms."""
+    """Orthogonal (block-diagonal) sum of two forms, as the integer rows
+    of both over the lcm of their scales."""
     _require_same_field(b1.field, b2.field)
-    n1, n2 = b1.dim, b2.dim
-    zero = b1.field.zero
-    grid = [[zero] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            grid[i][j] = b1.entry(i, j)
-    for i in range(n2):
-        for j in range(n2):
-            grid[n1 + i][n1 + j] = b2.entry(i, j)
-    return BilinearForm(Matrix(b1.field, grid))
+    (s1, rows1), (s2, rows2) = b1._cleared(), b2._cleared()
+    s, n1 = lcm(s1, s2), b1.dim
+    return BilinearForm._of_cleared(b1.field, s, [
+        {c: x * (s // s1) for c, x in r.items()} for r in rows1] + [
+        {c + n1: x * (s // s2) for c, x in r.items()} for r in rows2])
 
 
 def _require_same_field(f1, f2):

@@ -184,7 +184,9 @@ def enumerate_coordinate_ideals(alg: LieAlgebra,
     """All coordinate subspaces that are ideals, by brute force.
 
     Subsets are encoded as bitmasks and a subset C is an ideal iff the
-    support of [T_i, T_j] lands inside C for every j in C and every i.
+    support of [T_i, T_j] lands inside C for every j in C and every i,
+    i.e. iff need[j] & ~C = 0 for every j in C, with need[j] the union of
+    the supports of the stored brackets that touch j.
     Results are sorted by dimension, then lexicographically on the
     index tuple.
     """
@@ -192,28 +194,20 @@ def enumerate_coordinate_ideals(alg: LieAlgebra,
     if 1 << d > max_subsets:
         raise ValueError(
             f"2^{d} subsets exceed the enumeration cap {max_subsets}")
-    incident: list[list[int]] = [[] for _ in range(d)]
+    need = [0] * d
     for (i, j), terms in alg.sc.items():
-        mask = 0
         for k, _ in terms:
-            mask |= 1 << k
-        incident[i].append(mask)
-        incident[j].append(mask)
+            need[i] |= 1 << k
+            need[j] |= 1 << k
     found = []
     for c in range(1 << d):
-        ok = True
         rest = c
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            for mask in incident[j]:
-                if mask & ~c:
-                    ok = False
-                    break
-            if not ok:
+            if need[low.bit_length() - 1] & ~c:
                 break
-        if ok:
+            rest ^= low
+        else:
             found.append(c)
     subsets = [tuple(i for i in range(d) if c >> i & 1) for c in found]
     subsets.sort(key=lambda s: (len(s), s))

@@ -42,13 +42,9 @@ __all__ = [
 ]
 
 
-class BalancedMod3:
-    """i mod 3 with representatives {-1, 0, 1}."""
-
-    name = "mod3"
-
-    def value(self, i: int) -> int:
-        return (i + 1) % 3 - 1
+class _IntegerHat:
+    """A hat map whose codomain is Z itself: hat values are compared and
+    summed as honest integers, and the scalars are Q."""
 
     def same(self, a: int, b: int) -> bool:
         return a == b
@@ -58,6 +54,15 @@ class BalancedMod3:
 
     def default_field(self):
         return QQ
+
+
+class BalancedMod3(_IntegerHat):
+    """i mod 3 with representatives {-1, 0, 1}."""
+
+    name = "mod3"
+
+    def value(self, i: int) -> int:
+        return (i + 1) % 3 - 1
 
     def __eq__(self, other):
         return isinstance(other, BalancedMod3)
@@ -69,22 +74,13 @@ class BalancedMod3:
         return "BalancedMod3()"
 
 
-class IdentityHat:
+class IdentityHat(_IntegerHat):
     """The identity map on Z; reduces nothing."""
 
     name = "identity"
 
     def value(self, i: int) -> int:
         return i
-
-    def same(self, a: int, b: int) -> bool:
-        return a == b
-
-    def sum_is_zero(self, values: Iterable[int]) -> bool:
-        return sum(values) == 0
-
-    def default_field(self):
-        return QQ
 
     def __eq__(self, other):
         return isinstance(other, IdentityHat)
@@ -138,7 +134,7 @@ class ZModHat:
         return f"ZModHat({self.p})"
 
 
-class RangeHat:
+class RangeHat(_IntegerHat):
     """Reduction mod p onto a chosen complete residue system in Z.
 
     Unlike ``ZModHat`` the codomain is Z itself, so sums and products of
@@ -163,15 +159,6 @@ class RangeHat:
 
     def value(self, i: int) -> int:
         return self._by_residue[i % self.p]
-
-    def same(self, a: int, b: int) -> bool:
-        return a == b
-
-    def sum_is_zero(self, values: Iterable[int]) -> bool:
-        return sum(values) == 0
-
-    def default_field(self):
-        return QQ
 
     def __eq__(self, other):
         return (isinstance(other, RangeHat) and other.p == self.p

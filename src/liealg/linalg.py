@@ -13,22 +13,24 @@ row-echelon form of what was inserted, which is unique for the span:
 row order and duplicates cannot change it, so two spans of the same
 subspace give bit-identical ``Subspace`` objects.
 
-Scalars cross the kernel boundary twice.  On the way in, sparse rows of
-``Fraction``/``FpElement`` values are cleared to integers (``_clear``:
-times the lcm of their denominators, or residues); solvers that already
-hold integer coefficients (``LieAlgebra``'s integer bracket table) hand
-them over directly, since an equation's scale does not matter.  On the
-way out, a ``Subspace`` basis (on first use), ``rref`` rows, ``det``,
-``solve`` and ``Subspace.reduce`` are converted once into canonical
-``Fraction`` or ``FpElement`` values (``_scalars``, ``_dense``); a
-``Subspace`` keeps its kernel rows for equality and further
-elimination.  Solvers hand their equations
-to ``nullspace`` as sparse rows of ``(col, coeff)`` pairs with an
-explicit column count (``_equations``), and spans built from sparse
-vectors go straight into the kernel (``Subspace._span``), so no system
-is padded to dense width on the way in.  Products read both operands as
-``{col: value}`` rows of scalars and sum only the products of nonzero
-entries (``_dot``).  No floating point appears anywhere in this module.
+Scalars cross the kernel boundary twice.  On the way in, each value is
+cleared to integers once, where it enters: every ``Matrix`` or vector
+entry point (``rref``, ``rank``, ``nullspace``, ``solve``, ``det``,
+``Subspace(...)``) and every form built from a ``Matrix`` go through
+``_clear`` (times the lcm of all the denominators, or residues); code
+that already holds integers (``LieAlgebra``'s bracket table, a form's
+rows) hands them over directly, since an equation's scale does not
+matter.  On the way out, a ``Subspace`` basis (on first use), ``rref``
+rows, ``det``, ``solve`` and ``Subspace.reduce`` are converted once into
+canonical ``Fraction`` or ``FpElement`` values (``_scalars``,
+``_dense``); a ``Subspace`` keeps its kernel rows for equality and
+further elimination.  Solvers hand their equations to ``nullspace`` as
+sparse rows of ``(col, coeff)`` pairs with an explicit column count
+(``_equations``), and spans of sparse vectors go straight into the
+kernel (``Subspace._span``), so no system is padded to dense width.
+Products read both operands as ``{col: value}`` rows of scalars and sum
+only the products of nonzero entries (``_dot``).  No floating point
+appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -158,6 +160,10 @@ class Matrix:
         zero = self.field.zero
         return tuple(_dot(_sparse(r), vec, zero) for r in self.rows)
 
+    def _cleared(self) -> tuple[int, list[dict]]:
+        """(s, rows): the matrix times s as sparse kernel rows (``_clear``)."""
+        return _clear(self.field, map(_sparse, self.rows))
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows
@@ -198,12 +204,6 @@ def _clear(field, rows: Iterable[dict]) -> tuple[int, list[dict]]:
         return 1, [{c: x.numerator for c, x in r.items()} for r in rows]
     return s, [{c: x.numerator * (s // x.denominator) for c, x in r.items()}
                for r in rows]
-
-
-def _ints(field, rows: Iterable[Sequence]) -> list[dict]:
-    """Kernel rows of dense rows of field scalars, each cleared on its own
-    (a span does not depend on the scale of its rows)."""
-    return [_clear(field, [_sparse(r)])[1][0] for r in rows]
 
 
 def _scalars(field, den: int):
@@ -315,7 +315,7 @@ def _echelon(rows: Iterable[dict], p: int) -> dict:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form of ``m`` and its pivot column indices."""
-    echelon = _echelon(_ints(m.field, m.rows), m.field.characteristic)
+    echelon = _echelon(m._cleared()[1], m.field.characteristic)
     pivots = sorted(echelon)
     zero = m.field.zero
     rows = [_dense(m.field, echelon[q], m.ncols, echelon[q][q]) for q in pivots]
@@ -324,7 +324,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_ints(m.field, m.rows), m.field.characteristic))
+    return len(_echelon(m._cleared()[1], m.field.characteristic))
 
 
 class _Rows(NamedTuple):
@@ -362,7 +362,7 @@ def nullspace(m: Matrix | _Rows) -> "Subspace":
     re-reduced into the canonical RREF basis like any other span.
     """
     if isinstance(m, Matrix):
-        m = _equations(m.field, m.ncols, _ints(m.field, m.rows))
+        m = _equations(m.field, m.ncols, m._cleared()[1])
     p = m.field.characteristic
     echelon = _echelon((dict(r) for r in m.rows), p)
     free = {f: {} for f in range(m.ncols) if f not in echelon}
@@ -386,31 +386,31 @@ def det(m: Matrix | _Rows):
 
     ``m`` is a ``Matrix`` or a square system of integer rows (``_Rows``,
     residues over F_p), whose determinant is that of the integers as
-    given.  Inserting the rows in order, each exact pivot lead divides
-    out of its row and the reduced rows end as a permutation of the
-    identity whose sign is the parity of the inversions among the pivot
-    columns.  A row enters the kernel as s times itself and leaves
-    reduction as m times the exact reduction, so its exact lead is
-    lead / (s m); the numerators and denominators are multiplied as
-    integers and divided once.  The answer is zero at the first row
-    that reduces to zero: the rows after it are never cleared or
-    reduced.
+    given.  A ``Matrix`` is cleared once, with one scale s, so its
+    integer rows have s^n times its determinant (s = 1 over F_p).
+    Inserting the rows in order, each exact pivot lead divides out of
+    its row and the reduced rows end as a permutation of the identity
+    whose sign is the parity of the inversions among the pivot columns.
+    A row leaves reduction as m times the exact reduction, so its exact
+    lead is lead / m; the numerators and denominators are multiplied as
+    integers and divided once, by s^n times the product of the m.  The
+    answer is zero at the first row that reduces to zero: the rows after
+    it are never reduced.
     """
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
     p = m.field.characteristic
-    matrix = isinstance(m, Matrix)
+    s, rows = m._cleared() if isinstance(m, Matrix) else (1, m.rows)
     echelon: dict = {}
-    num = den = 1
-    for r in m.rows:
-        s, (row,) = _clear(m.field, [_sparse(r)]) if matrix else (1, [dict(r)])
-        found = _insert(echelon, row, p)
+    num, den = 1, s ** m.nrows
+    for r in rows:
+        found = _insert(echelon, dict(r), p)
         if found is None:
             return m.field.zero
         pivot, lead, mult = found
         if sum(1 for q in echelon if q > pivot) % 2:
             lead = -lead
-        num, den = num * lead, den * s * mult
+        num, den = num * lead, den * mult
         if p:
             num %= p
     return _scalars(m.field, den)(num)
@@ -422,8 +422,8 @@ def solve(m: Matrix, b: Sequence):
     if len(bvec) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     n = m.ncols
-    echelon = _echelon(_ints(m.field, (list(r) + [bv] for r, bv in zip(m.rows, bvec))),
-                       m.field.characteristic)
+    _, rows = _clear(m.field, (_sparse(r + (bv,)) for r, bv in zip(m.rows, bvec)))
+    echelon = _echelon(rows, m.field.characteristic)
     if n in echelon:
         return None  # a pivot in the augmented column means inconsistency
     zero = m.field.zero
@@ -448,8 +448,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("spanning vector of wrong length")
-        self._hold(field, ambient_dim,
-                   _echelon(_ints(field, rows), field.characteristic))
+        self._hold(field, ambient_dim, _echelon(
+            _clear(field, map(_sparse, rows))[1], field.characteristic))
 
     @classmethod
     def _span(cls, field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":

@@ -28,7 +28,7 @@ from .core import BilinearForm, LieAlgebra
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import Matrix, ShapeError, Subspace, _equations, det, nullspace, solve
+from .linalg import Matrix, ShapeError, Subspace, _equations, nullspace, solve
 
 __all__ = [
     "ConstructionError",
@@ -89,6 +89,8 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     for adk in alg._int_table():
         for i in range(d):
             for j in range(i, d):
+                if not adk[i] and not adk[j]:
+                    continue
                 eq = {index[(min(l, j), max(l, j))]: c for l, c in adk[i]}
                 for l, c in adk[j]:
                     a = index[(min(i, l), max(i, l))]
@@ -113,15 +115,13 @@ _GRID_BUDGET = 64
 _SEARCH_BUDGET = 16
 
 
-def _combined_row(terms, i: int, p: int) -> dict:
-    """Row i of sum t G over the (t, G) pairs, as a kernel row."""
+def _combined_row(terms, i: int) -> dict:
+    """Row i of sum t G over the (t, G) pairs, as a row of integers."""
     row: dict = {}
     for t, g in terms:
         for c, x in g[i].items():
             row[c] = row.get(c, 0) + t * x
-    if p:
-        return {c: x % p for c, x in row.items() if x % p}
-    return {c: x for c, x in row.items() if x}
+    return row
 
 
 def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
@@ -134,14 +134,13 @@ def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
     built.
     """
     field, d = forms[0].field, forms[0].dim
-    p = field.characteristic
     scale = lcm(*(f._cleared()[0] for f in forms))
     scaled = [[{c: x * (scale // m) for c, x in r.items()} for r in rows]
               for m, rows in (f._cleared() for f in forms)]
     for coeffs in points:
         terms = [(t, g) for t, g in zip(coeffs, scaled) if t]
         form = BilinearForm._of_cleared(
-            field, scale, [_combined_row(terms, i, p) for i in range(d)])
+            field, scale, [_combined_row(terms, i) for i in range(d)])
         if form.is_nondegenerate():
             return form
     return None
@@ -286,9 +285,8 @@ def decomposability_check(alg: LieAlgebra, form: BilinearForm,
         raise ValueError(f"form is not invariant (witness triple {witness})")
     if ideals is None:
         ideals = enumerate_coordinate_ideals(alg)
-    zero = alg.field.zero
     for j in ideals:
-        if (0 < j.dim < alg.dim and det(form.restrict(j)) != zero
+        if (0 < j.dim < alg.dim and form._restricted(j).is_nondegenerate()
                 and alg.is_ideal(j)):
             # B|_J non-degenerate => L = J + J-perp; J ideal => J-perp ideal
             return Decomposition(j, orthogonal_complement(alg, form, j))
@@ -462,7 +460,8 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     if not alg.is_subalgebra(b0):
         raise ValueError("the contraction locus must be a subalgebra")
     zero = field.zero
-    if det(omega.restrict(b0)) == zero:
+    on_b0 = omega._restricted(b0)
+    if not on_b0.is_nondegenerate():
         raise ValueError(
             "the restriction of the metric to the subalgebra must be "
             "non-degenerate")
@@ -506,7 +505,7 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
         tuple(f"b{i}~" for i in range(r))
     out = LieAlgebra(field, dim, brackets, labels=labels)
 
-    gram_b = omega.restrict(b0)
+    gram_b = on_b0.matrix
     gram_p = omega.restrict(p)
     grid = [[zero] * dim for _ in range(dim)]
     for i in range(r):

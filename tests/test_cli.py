@@ -614,3 +614,38 @@ def test_large_moduli_are_decided_or_refused_at_once(tmp_path, capsys):
                                  f"zmod:{2 ** 89 - 1}", "--field", "Fp",
                                  "-o", str(tmp_path / "x.json")])
     assert code == 2 and "out of range" in err
+
+
+def test_usage_errors_leave_the_reused_parser_intact(tmp_path, capsys):
+    """The parser is built once per process; an argparse usage error in
+    between does not change what a valid call prints."""
+    path = str(_so21_file(tmp_path / "so21.json"))
+    calls = [["classify", "--family", "an", "--n", "6", "--porcelain"],
+             ["classify", path, "--porcelain"],
+             ["check", "invariance", path]]
+    first = [_run(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    for bad in (["nope"], ["analyze"], ["classify", "--n", "x"],
+                ["check", "jacobi", path, "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert [_run(capsys, argv) for argv in calls] == first
+
+
+def test_rebound_command_functions_are_called_with_the_reused_parser(capsys, monkeypatch):
+    """A _cmd_* function rebound after the parser was built (a tracing
+    wrapper, say) is the one ``main`` calls."""
+    from liealg import cli
+    argv = ["classify", "--family", "an", "--n", "6"]
+    expected = _run(capsys, argv)
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return original(args)
+
+    original = cli._cmd_classify
+    monkeypatch.setattr(cli, "_cmd_classify", wrapper)
+    assert _run(capsys, argv) == expected and calls == ["classify"]

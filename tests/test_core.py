@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from liealg.core import BilinearForm, JacobiWitness, LieAlgebra, NotAnIdealError, direct_sum
+from liealg.core import (BilinearForm, JacobiWitness, LieAlgebra, NotAnIdealError, direct_sum,
+                         form_block_sum)
 from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
 from liealg.fields import PrimeField, QQ
-from liealg.linalg import Matrix, ShapeError, Subspace, solve
+from liealg.linalg import Matrix, ShapeError, Subspace, _scalars, det, solve
 
 
 def heisenberg():
@@ -566,3 +567,100 @@ def test_integer_scans_match_the_scalar_references_on_non_integral_tables():
             found_form += witness is not None
     # the perturbations break both identities, so first witnesses are compared
     assert found_form > 20 and found_jacobi >= 3
+
+
+# -- forms held as integer rows -----------------------------------------------
+
+def _scalar(rng, field):
+    if field is QQ:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+    return field(rng.randrange(field.characteristic))
+
+
+def _symmetry_cases(rng):
+    for field in (QQ, PrimeField(2), PrimeField(5)):
+        yield Matrix(field, [])
+        yield Matrix(field, [[], []])
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            upper = [[_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+            grid = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            yield Matrix(field, grid)
+            i, j = rng.randrange(n), rng.randrange(n)
+            grid[i][j] = grid[i][j] + _nonzero(rng, field)
+            yield Matrix(field, grid)
+            yield Matrix(field, [row[:-1] for row in grid])
+            yield Matrix(field, grid[:-1])
+
+
+def test_forms_accept_exactly_the_symmetric_matrices():
+    """The symmetry check runs on the cleared integer rows: it agrees with
+    Matrix.is_symmetric on mixed denominators, F_2, F_5, one-entry
+    perturbations, non-square shapes and the 0x0 matrix."""
+    accepted = rejected = 0
+    for m in _symmetry_cases(random.Random(79)):
+        if m.is_symmetric():
+            form = BilinearForm(m)
+            assert form.matrix == m and form.dim == m.nrows
+            assert form == BilinearForm._of_cleared(m.field, *form._cleared())
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as exc:
+                BilinearForm(m)
+            assert str(exc.value) == "bilinear form matrix must be symmetric"
+            rejected += 1
+    assert accepted > 60 and rejected > 150
+
+
+def _grid_killing_form(alg):
+    """The scalar-grid Killing form: integer sums, each divided by L^2 into
+    a grid of scalars, then a form built from that matrix."""
+    conv = _scalars(alg.field, alg._scale ** 2)
+    ad = alg._int_table()
+    grid = [[None] * alg.dim for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            t = 0
+            for l in range(alg.dim):
+                for k, c2 in ad[j][l]:
+                    for m, c1 in ad[i][k]:
+                        if m == l:
+                            t += c1 * c2
+            grid[i][j] = grid[j][i] = conv(t)
+    return BilinearForm(Matrix(alg.field, grid))
+
+
+def _grid_form_block_sum(b1, b2):
+    n1, n2 = b1.dim, b2.dim
+    grid = [[b1.field.zero] * (n1 + n2) for _ in range(n1 + n2)]
+    for i in range(n1):
+        for j in range(n1):
+            grid[i][j] = b1.entry(i, j)
+    for i in range(n2):
+        for j in range(n2):
+            grid[n1 + i][n1 + j] = b2.entry(i, j)
+    return BilinearForm(Matrix(b1.field, grid))
+
+
+def _same_form(form, reference):
+    assert form == reference and form.matrix == reference.matrix
+    assert form.is_nondegenerate() == (det(reference.matrix) != form.field.zero)
+
+
+def test_integer_row_forms_match_the_scalar_grid_references():
+    rng = random.Random(89)
+    cases = [(truncated_algebra(n), canonical_metric(n, b)) for n in range(13) for b in (0, 1)]
+    cases.append(_rotated_member(6, 3))
+    f5 = PrimeField(5)
+    cases.append((truncated_algebra(6, field=f5), canonical_metric(6, 1, f5)))
+    degenerate = 0
+    for (alg, form), (_, other) in zip(cases, cases[1:] + cases[:1]):
+        _same_form(alg.killing_form(), _grid_killing_form(alg))
+        degenerate += not alg.killing_form().is_nondegenerate()
+        if other.field != form.field:
+            other = form
+        for b1, b2 in ((form, other), (_mixed_denominator_form(rng, form), other),
+                       (other, BilinearForm.zero(form.field, 2)),
+                       (BilinearForm.zero(form.field, 0), form)):
+            _same_form(form_block_sum(b1, b2), _grid_form_block_sum(b1, b2))
+    assert degenerate > 20

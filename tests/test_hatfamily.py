@@ -1,7 +1,11 @@
 """Hat maps, family members, the diagonal-metric solver, ideal classification."""
 
+import itertools
+import random
+
 import pytest
 
+from liealg.core import LieAlgebra
 from liealg.family import (
     ClassificationMismatchError,
     canonical_metric,
@@ -291,3 +295,33 @@ def test_hat_shift_maps_skip_to_suffix():
             skip = skip_subspace(n, m)
             image = Subspace(QQ, n + 1, [phi * v for v in skip.basis])
             assert image == suffix_subspace(n, m - 1)
+
+
+def _random_table(rng, field, dim, repeats):
+    """A seeded bracket table (Jacobi not required); with ``repeats`` every
+    bracket lists its targets twice, so some of them cancel."""
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rng.random() < 0.3:
+                terms = [(rng.randrange(dim), rng.randint(-2, 2))
+                         for _ in range(rng.randint(1, 2))]
+                if repeats:
+                    terms += [(k, rng.choice((c, -c))) for k, c in terms]
+                brackets[(i, j)] = terms
+    return LieAlgebra(field, dim, brackets)
+
+
+def test_coordinate_ideal_scan_matches_is_ideal_on_every_subset():
+    rng = random.Random(83)
+    for field in (QQ, PrimeField(3)):
+        tables = [LieAlgebra(field, 5, {}), truncated_algebra(6, field=field)]
+        tables += [_random_table(rng, field, rng.randint(1, 8), repeats)
+                   for repeats in (False, True) for _ in range(6)]
+        for alg in tables:
+            expected = [Subspace.coordinate(field, alg.dim, c)
+                        for size in range(alg.dim + 1)
+                        for c in itertools.combinations(range(alg.dim), size)
+                        if alg.is_ideal(Subspace.coordinate(field, alg.dim, c))]
+            assert enumerate_coordinate_ideals(alg) == expected
+    assert len(enumerate_coordinate_ideals(LieAlgebra(QQ, 5, {}))) == 32

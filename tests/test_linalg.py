@@ -469,6 +469,8 @@ def test_restrict_matches_the_explicit_gram_matrix(field):
                           for i in range(d) for j in range(d)), field.zero)
                      for w in s.basis] for u in s.basis]
             assert form.restrict(s) == Matrix(field, gram)
+            assert form._restricted(s).is_nondegenerate() == (
+                det(Matrix(field, gram)) != field.zero)
 
 
 def test_primality_is_exact_and_bounded_below_2_to_the_64():
