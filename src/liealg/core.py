@@ -10,7 +10,8 @@ All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``.
 Their hot loops read one integer copy of the table (``_isc``): the
 structure constants times L, the lcm of their denominators, over Q, and
-their residues (L = 1) over F_p.  The Jacobi and Killing sums are
+their residues (L = 1) over F_p; scans read it as sparse rows of the
+nonzero brackets (``_int_table``).  The Jacobi and Killing sums are
 quadratic in the constants, so their values are divided by L^2; the
 invariance sums are bilinear in the table and in a form cleared by its
 own lcm M, so they carry L * M, and only their zero test is used.
@@ -18,11 +19,16 @@ Homogeneous systems (invariant forms, center, derivations) and spans do
 not depend on the scale and take the integers as they are.  A
 ``BilinearForm`` is its integer rows, cleared once where it enters;
 the Killing form, block sums and restrictions are built as rows.
+
+The two identity checks, ``check_jacobi`` and ``invariance_witness``,
+return the lexicographically first failing basis triple.  They visit
+only nonzero bracket paths, so their cost follows the number of those
+paths rather than the number of index triples: a bracket-free algebra
+is checked in time linear in its dimension.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -171,11 +177,14 @@ class LieAlgebra:
         zero, one = self.field.zero, self.field.one
         return tuple(one if j == i else zero for j in range(self.dim))
 
-    def _int_table(self) -> list[list[tuple]]:
-        """table[i][j] = L [x_i, x_j] as (k, int) pairs, L = ``_scale``,
-        antisymmetry applied; read once per call."""
-        table = [[()] * self.dim for _ in range(self.dim)]
-        for (i, j), terms in self._isc.items():
+    def _int_table(self) -> list[dict]:
+        """table[i] = {j: L [x_i, x_j] as (k, int) pairs} over the nonzero
+        brackets only, L = ``_scale``, antisymmetry applied; read once per
+        call.  Columns come in descending order, so a scan can stop at the
+        first column at or below a bound."""
+        table: list[dict] = [{} for _ in range(self.dim)]
+        # keys in descending order put every (b, c), b < c, before (a, b)
+        for (i, j), terms in sorted(self._isc.items(), reverse=True):
             table[i][j] = terms
             table[j][i] = tuple((k, -c) for k, c in terms)
         return table
@@ -191,22 +200,62 @@ class LieAlgebra:
     def check_jacobi(self) -> JacobiWitness | None:
         """First (lexicographic) basis triple violating Jacobi, if any.
 
-        Triples i < j < k are scanned in ``itertools.combinations`` order;
-        the defect is the coordinate vector of the cyclic Jacobi sum.  The
-        sum is taken in integers over the integer table, so it is L^2
-        times the defect.
+        The witness is the least i < j < k, in ``itertools.combinations``
+        order, whose cyclic sum [[x_i,x_j],x_k] + [[x_j,x_k],x_i] +
+        [[x_k,x_i],x_j] is nonzero; the defect is that sum's coordinate
+        vector.  Only nonzero bracket paths are visited: each stored
+        [x_a, x_b] with a term c1 x_l and each nonzero [x_l, x_c], c not a
+        or b, add c1 [x_l, x_c] to the sorted triple of a, b, c, with a
+        minus sign when a < c < b.  So the cost follows the number of such
+        paths, not C(dim, 3).  The paths are taken one leading index at a
+        time, and the scan stops after the first index with a failing
+        triple.  The sums are taken in integers over the integer table,
+        so they are L^2 times the defect.
         """
-        p = self.field.characteristic
-        ad = self._int_table()
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc: dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, c1 in ad[a][b]:
-                    for m, c2 in ad[l][c]:
-                        acc[m] = acc.get(m, 0) + c1 * c2
-            if any(v % p for v in acc.values()) if p else any(acc.values()):
-                return JacobiWitness(i, j, k, _dense(self.field, acc, self.dim,
-                                                     self._scale ** 2))
+        p, d = self.field.characteristic, self.dim
+        table = self._int_table()
+        # producers[l]: (key of (a, b), a, -c) for each stored [x_a, x_b] with
+        # a term c x_l, a descending, so the pairs with a > i come first
+        producers: list[list] = [[] for _ in range(d)]
+        for (a, b), terms in sorted(self._isc.items(), reverse=True):
+            for l, c in terms:
+                producers[l].append((a * d + b, a, -c))
+        for i, row in enumerate(table):
+            # acc[j * d + k]: the cyclic sum of the triple (i, j, k), {m: int}
+            acc: dict = {}
+            for j, terms in row.items():
+                if j < i:
+                    break
+                # [[x_i, x_j], x_k] is a term of (i, j, k) for k > j; for
+                # i < k < j its negative [[x_j, x_i], x_k] is a term of (i, k, j)
+                for l, c1 in terms:
+                    for k, terms2 in table[l].items():
+                        if k <= i:
+                            break
+                        if k == j:
+                            continue
+                        f, key = (c1, j * d + k) if k > j else (-c1, k * d + j)
+                        v = acc.get(key)
+                        if v is None:
+                            v = acc[key] = {}
+                        for m, c2 in terms2:
+                            v[m] = v.get(m, 0) + f * c2
+            # [[x_a, x_b], x_i] = -sum c [x_i, x_l] is a term of (i, a, b), i < a
+            for l, terms2 in row.items():
+                for key, a, f in producers[l]:
+                    if a <= i:
+                        break
+                    v = acc.get(key)
+                    if v is None:
+                        v = acc[key] = {}
+                    for m, c2 in terms2:
+                        v[m] = v.get(m, 0) + f * c2
+            failing = [key for key, v in acc.items()
+                       if (any(x % p for x in v.values()) if p else any(v.values()))]
+            if failing:
+                j, k = divmod(min(failing), d)
+                return JacobiWitness(i, j, k, _dense(
+                    self.field, acc[j * d + k], d, self._scale ** 2))
         return None
 
     def is_abelian(self) -> bool:
@@ -215,16 +264,20 @@ class LieAlgebra:
     def killing_form(self) -> "BilinearForm":
         """K(x_i, x_j) = trace(ad x_i . ad x_j), summed in integers over
         the integer table; the form is those rows over L^2."""
-        ad = self._int_table()
+        table = self._int_table()
+        # ad[i][(k, l)]: the x_l coefficient of [x_i, x_k]
+        ad = [{(k, l): c for k, terms in row.items() for l, c in terms} for row in table]
         rows: list[dict] = [{} for _ in range(self.dim)]
-        for i in range(self.dim):
+        for i, adi in enumerate(ad):
+            if not adi:
+                continue
             for j in range(i, self.dim):
                 t = 0
-                for l in range(self.dim):
-                    for k, c2 in ad[j][l]:
-                        for m, c1 in ad[i][k]:
-                            if m == l:
-                                t += c1 * c2
+                for l, terms in table[j].items():
+                    for k, c2 in terms:
+                        c1 = adi.get((k, l))
+                        if c1:
+                            t += c1 * c2
                 rows[i][j] = rows[j][i] = t
         return BilinearForm._of_cleared(self.field, self._scale ** 2, rows)
 
@@ -335,20 +388,28 @@ class LieAlgebra:
         fixes the layout of the returned basis.
         """
         d = self.dim
-        ad = self._int_table()
+        table = self._int_table()
         rows = []
         for i in range(d):
+            ri = table[i]
             for j in range(i + 1, d):
-                eq: list[dict] = [{} for _ in range(d)]
-                for l, c in ad[i][j]:
+                rj = table[j]
+                if not ri and not rj:
+                    continue
+                eq: dict[int, dict] = {}
+                for l, c in ri.get(j, ()):
                     for k in range(d):
-                        eq[k][k * d + l] = eq[k].get(k * d + l, 0) + c
-                for r in range(d):
-                    for k, c in ad[r][j]:
-                        eq[k][r * d + i] = eq[k].get(r * d + i, 0) - c
-                    for k, c in ad[i][r]:
-                        eq[k][r * d + j] = eq[k].get(r * d + j, 0) - c
-                rows.extend(eq)
+                        e = eq.setdefault(k, {})
+                        e[k * d + l] = e.get(k * d + l, 0) + c
+                for r, terms in rj.items():  # [x_r, x_j] = -[x_j, x_r]
+                    for k, c in terms:
+                        e = eq.setdefault(k, {})
+                        e[r * d + i] = e.get(r * d + i, 0) + c
+                for r, terms in ri.items():
+                    for k, c in terms:
+                        e = eq.setdefault(k, {})
+                        e[r * d + j] = e.get(r * d + j, 0) - c
+                rows.extend(eq.values())
         space = nullspace(_equations(self.field, d * d, rows))
         inner = d - self.center().dim
         return DerivationSpace(space, inner, space.dim - inner)
@@ -486,29 +547,37 @@ class BilinearForm:
     def invariance_witness(self, alg: LieAlgebra) -> tuple[int, int, int] | None:
         """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0.
 
-        Triples are scanned lexicographically over k, then i, then j >= i,
-        in integers over the integer table and the cleared form.
+        The witness is the least (k, i, j), j >= i, in lexicographic order.
+        For each k in turn, T = (rows of ad x_k) G is formed from the
+        cleared form G's sparse rows, T[i][j] = B([x_k,x_i],x_j), and the
+        identity T[i][j] + T[j][i] = 0 is tested only on the rows of T,
+        the i with [x_k, x_i] nonzero; on the diagonal it reads 2 T[i][i],
+        which vanishes over F_2.  So the cost follows the number of nonzero
+        bracket paths times the form's row lengths, in integers over the
+        integer table and the form.
         """
         if alg.dim != self.dim:
             raise ShapeError("form/algebra dimension mismatch")
         _require_same_field(alg.field, self.field)
         p = self.field.characteristic
-        ad = alg._int_table()
         _, g = self._cleared()
-        for k in range(alg.dim):
-            adk = ad[k]
-            for i in range(alg.dim):
-                gi = g[i]
-                for j in range(i, alg.dim):
-                    t = 0
-                    for l, c in adk[i]:
-                        if j in g[l]:
-                            t += c * g[l][j]
-                    for l, c in adk[j]:
-                        if l in gi:
-                            t += c * gi[l]
-                    if t and (not p or t % p):
-                        return (k, i, j)
+        for k, adk in enumerate(alg._int_table()):
+            t: dict = {}  # i -> row i of T, {j: int}
+            for i, terms in adk.items():
+                ti = t[i] = {}
+                for l, c in terms:
+                    for j, y in g[l].items():
+                        ti[j] = ti.get(j, 0) + c * y
+            failing = []
+            for i, ti in t.items():
+                for j, x in ti.items():
+                    tj = t.get(j)
+                    if tj is not None:
+                        x += tj.get(i, 0)
+                    if x % p if p else x:
+                        failing.append((i, j) if i <= j else (j, i))
+            if failing:
+                return (k, *min(failing))
         return None
 
     def is_invariant(self, alg: LieAlgebra) -> bool:

@@ -86,7 +86,8 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     d = alg.dim
     index = _sym_index(d)
     equations = []
-    for adk in alg._int_table():
+    for row in alg._int_table():
+        adk = [row.get(j, ()) for j in range(d)]
         for i in range(d):
             for j in range(i, d):
                 if not adk[i] and not adk[j]:

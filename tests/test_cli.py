@@ -224,6 +224,14 @@ def test_check_invariance(tmp_path, capsys):
     code, report = _porcelain(capsys, ["check", "invariance", str(path)])
     assert code == 1 and report["holds"] is False
 
+    # over F_2, B([x_k,x_i],x_i) enters the identity twice at (k, i, i) and
+    # vanishes, so the first failure of [x0, x1] = x0 is at k = 1, not (0, 1, 1)
+    f2 = PrimeField(2)
+    save_algebra(path, LieAlgebra(f2, 2, {(0, 1): [(0, 1)]}),
+                 BilinearForm.from_entries(f2, [[0, 1], [1, 0]]))
+    code, report = _porcelain(capsys, ["check", "invariance", str(path)])
+    assert code == 1 and report["witness"] == {"k": 1, "i": 0, "j": 1}
+
     bare = tmp_path / "bare.json"
     save_algebra(bare, truncated_algebra(6))
     code, _, _ = _run(capsys, ["check", "invariance", str(bare)])
