@@ -118,8 +118,7 @@ def _hat_field(hat, field_flag: str):
 
 
 def _matrix_json(m: Matrix) -> list:
-    return [[scalar_to_string(m.entry(i, j)) for j in range(m.ncols)]
-            for i in range(m.nrows)]
+    return [[scalar_to_string(x) for x in r] for r in m.rows]
 
 
 def _witness_json(witness) -> dict:

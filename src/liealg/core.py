@@ -29,9 +29,9 @@ is checked in time linear in its dimension.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
@@ -80,7 +80,6 @@ class LieAlgebra:
                  grading: Sequence[int] | None = None):
         """brackets maps (i, j) with i < j to {k: coeff} or [(k, coeff)]."""
         sc: dict[tuple[int, int], tuple] = {}
-        zero = field.zero
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -92,7 +91,7 @@ class LieAlgebra:
                     raise ValueError(f"bracket target index {k} out of range")
                 c = field(c)
                 merged[k] = merged[k] + c if k in merged else c
-            clean = tuple((k, c) for k, c in sorted(merged.items()) if c != zero)
+            clean = tuple((k, c) for k, c in sorted(merged.items()) if c)
             if clean:
                 sc[(i, j)] = clean
         if labels is not None:
@@ -441,8 +440,7 @@ class BilinearForm:
 
     def __init__(self, matrix: Matrix):
         scale, rows = matrix._cleared()
-        if not matrix.is_square() or any(
-                rows[j].get(i) != x for i, r in enumerate(rows) for j, x in r.items()):
+        if not matrix.is_square() or not _is_symmetric(rows):
             raise ValueError("bilinear form matrix must be symmetric")
         self._hold(matrix.field, matrix.nrows, matrix, (scale, rows))
 
@@ -479,8 +477,8 @@ class BilinearForm:
     def matrix(self) -> Matrix:
         if self._matrix is None:
             scale, rows = self._ints
-            object.__setattr__(self, "_matrix", Matrix(self.field, [
-                _dense(self.field, r, self.dim, scale) for r in rows]))
+            object.__setattr__(self, "_matrix", Matrix._of_scalars(self.field, tuple(
+                _dense(self.field, r, self.dim, scale) for r in rows)))
         return self._matrix
 
     def entry(self, i: int, j: int):
@@ -591,6 +589,11 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm({self.matrix!r})"
+
+
+def _is_symmetric(rows: list[dict]) -> bool:
+    """Whether square sparse rows are symmetric, rows[i][j] == rows[j][i]."""
+    return all(rows[j].get(i) == x for i, r in enumerate(rows) for j, x in r.items())
 
 
 def form_block_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:

@@ -3,11 +3,22 @@
 A document carries the format tag ``liealg-v1``, a field marker ("Q",
 or "Fp" with a prime ``p``), the dimension, the bracket table with
 i < j only, and optionally labels, an integer grading, and a metric
-(dim x dim array).  Scalars are canonical strings: optional minus,
-digits, optional '/' and positive digits, in lowest terms, with "0"
-for zero; prime-field residues are plain decimal digits below p.  The
-canonical encoding makes serialization deterministic, so parsing a
-serialized algebra reproduces it bit-exactly.
+(dim x dim array).  Scalars are canonical strings: digits with a minus
+sign only before a nonzero numerator, optional '/' and positive digits,
+in lowest terms, with "0" for zero; prime-field residues are plain
+decimal digits below p.  The canonical encoding makes serialization
+deterministic, so parsing a serialized algebra reproduces it
+bit-exactly.
+
+``document_to_algebra`` reads a document in one pass.  Each distinct
+scalar string is checked and parsed once per document.  The bracket
+terms go straight to ``LieAlgebra``, which clears them to its integer
+table.  The metric goes straight to the cleared integer rows of its
+form: "0" cells, canonical zero in every field, are skipped, symmetry
+is checked on the integer rows, and the form's scalar ``matrix`` is
+built only when it is read.  Error messages are formatted only when a
+check fails.  On the way out each scalar is formatted once
+(``scalar_to_string``).
 """
 
 from __future__ import annotations
@@ -16,9 +27,9 @@ import json
 import re
 from fractions import Fraction
 
-from .core import BilinearForm, LieAlgebra
+from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import FpElement, PrimeField, QQ
-from .linalg import Matrix
+from .linalg import Matrix, _clear
 
 __all__ = [
     "FORMAT_TAG",
@@ -36,7 +47,7 @@ __all__ = [
 
 FORMAT_TAG = "liealg-v1"
 
-_RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 _RESIDUE_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
@@ -46,6 +57,8 @@ class AlgebraFileError(ValueError):
 
 def scalar_to_string(x) -> str:
     """Canonical string of an exact scalar (Fraction or residue)."""
+    if isinstance(x, Fraction):
+        return str(x)
     if isinstance(x, FpElement):
         return str(x.r)
     return str(Fraction(x))
@@ -126,14 +139,24 @@ def algebra_to_document(alg: LieAlgebra,
     if metric is not None:
         if metric.dim != alg.dim or metric.field != alg.field:
             raise AlgebraFileError("metric does not match the algebra")
-        doc["metric"] = [[scalar_to_string(metric.entry(i, j))
-                          for j in range(alg.dim)] for i in range(alg.dim)]
+        doc["metric"] = [[scalar_to_string(x) for x in r] for r in metric.matrix.rows]
     return doc
 
 
 def _expect(cond: bool, message: str):
     if not cond:
         raise AlgebraFileError(message)
+
+
+def _check_grid(raw, what: str, shape: tuple[int, int] | None) -> None:
+    """A rectangular list of rows, of the given (rows, cols) if any."""
+    if not (isinstance(raw, list) and all(isinstance(r, list) for r in raw)):
+        raise AlgebraFileError(f"{what} must be a list of rows")
+    width = len(raw[0]) if raw else 0
+    if not all(len(r) == width for r in raw):
+        raise AlgebraFileError(f"{what} has rows of unequal length")
+    if shape is not None and (len(raw), width) != shape:
+        raise AlgebraFileError(f"{what} must be a {shape[0]} x {shape[1]} array")
 
 
 def parse_grid(field, raw, what: str,
@@ -143,23 +166,26 @@ def parse_grid(field, raw, what: str,
     ``what`` names the array in error messages; ``shape`` (rows, cols),
     when given, must match exactly.
     """
-    _expect(isinstance(raw, list) and all(isinstance(r, list) for r in raw),
-            f"{what} must be a list of rows")
-    width = len(raw[0]) if raw else 0
-    _expect(all(len(r) == width for r in raw),
-            f"{what} has rows of unequal length")
-    if shape is not None:
-        _expect((len(raw), width) == shape,
-                f"{what} must be a {shape[0]} x {shape[1]} array")
+    _check_grid(raw, what, shape)
     parse = _scalar_parser(field)
     return Matrix(field, [[parse(x) for x in r] for r in raw])
+
+
+def _parse_metric(field, raw, dim: int, parse) -> BilinearForm:
+    """The document's metric grid as the integer rows of its form: cells
+    other than "0" are parsed in row-major order and cleared once."""
+    _check_grid(raw, "metric", (dim, dim))
+    scale, rows = _clear(field, [{c: parse(x) for c, x in enumerate(r) if x != "0"}
+                                 for r in raw])
+    _expect(_is_symmetric(rows), "bilinear form matrix must be symmetric")
+    return BilinearForm._of_cleared(field, scale, rows)
 
 
 def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     """Parse a document back into (algebra, metric or None)."""
     _expect(isinstance(doc, dict), "document must be a JSON object")
-    _expect(doc.get("format") == FORMAT_TAG,
-            f"format tag must be {FORMAT_TAG!r}")
+    if doc.get("format") != FORMAT_TAG:
+        raise AlgebraFileError(f"format tag must be {FORMAT_TAG!r}")
     field = _field_of_document(doc)
     dim = doc.get("dim")
     _expect(_is_int(dim) and dim >= 0,
@@ -169,26 +195,29 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     parse = _scalar_parser(field)
     brackets = {}
     for rec in raw:
-        _expect(isinstance(rec, dict), "bracket record must be an object")
+        if not isinstance(rec, dict):
+            raise AlgebraFileError("bracket record must be an object")
         i, j = rec.get("i"), rec.get("j")
-        _expect(_is_int(i) and _is_int(j),
-                "bracket indices must be integers")
-        _expect(0 <= i < j < dim,
+        if not (_is_int(i) and _is_int(j)):
+            raise AlgebraFileError("bracket indices must be integers")
+        if not 0 <= i < j < dim:
+            raise AlgebraFileError(
                 f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-        _expect((i, j) not in brackets, f"duplicate bracket record ({i},{j})")
+        if (i, j) in brackets:
+            raise AlgebraFileError(f"duplicate bracket record ({i},{j})")
         terms = rec.get("terms")
-        _expect(isinstance(terms, list), "bracket terms must be a list")
-        seen = set()
-        parsed = []
+        if not isinstance(terms, list):
+            raise AlgebraFileError("bracket terms must be a list")
+        parsed = brackets[(i, j)] = {}
         for t in terms:
-            _expect(isinstance(t, dict), "bracket term must be an object")
+            if not isinstance(t, dict):
+                raise AlgebraFileError("bracket term must be an object")
             k = t.get("k")
-            _expect(_is_int(k) and 0 <= k < dim,
-                    f"term index {k!r} out of range")
-            _expect(k not in seen, f"duplicate term index {k} in ({i},{j})")
-            seen.add(k)
-            parsed.append((k, parse(t.get("c"))))
-        brackets[(i, j)] = parsed
+            if not (_is_int(k) and 0 <= k < dim):
+                raise AlgebraFileError(f"term index {k!r} out of range")
+            if k in parsed:
+                raise AlgebraFileError(f"duplicate term index {k} in ({i},{j})")
+            parsed[k] = parse(t.get("c"))
     labels = doc.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and len(labels) == dim
@@ -203,15 +232,10 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
         alg = LieAlgebra(field, dim, brackets, labels=labels, grading=grading)
     except ValueError as exc:
         raise AlgebraFileError(str(exc)) from None
-    metric = None
     raw_metric = doc.get("metric")
-    if raw_metric is not None:
-        grid = parse_grid(field, raw_metric, "metric", (dim, dim))
-        try:
-            metric = BilinearForm(grid)
-        except ValueError as exc:
-            raise AlgebraFileError(str(exc)) from None
-    return alg, metric
+    if raw_metric is None:
+        return alg, None
+    return alg, _parse_metric(field, raw_metric, dim, parse)
 
 
 def dump_document(doc) -> str:

@@ -73,10 +73,21 @@ class Matrix:
         coerced = tuple(tuple(field(x) for x in row) for row in rows)
         if coerced and any(len(r) != len(coerced[0]) for r in coerced):
             raise ShapeError("ragged rows")
+        self._hold(field, coerced)
+
+    @classmethod
+    def _of_scalars(cls, field, rows: tuple[tuple, ...]) -> "Matrix":
+        """The matrix of equal-length rows of canonical scalars of ``field``
+        (as ``_dense`` gives them), held as given: nothing is coerced."""
+        m = object.__new__(cls)
+        m._hold(field, rows)
+        return m
+
+    def _hold(self, field, rows: tuple[tuple, ...]):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(coerced))
-        object.__setattr__(self, "ncols", len(coerced[0]) if coerced else 0)
-        object.__setattr__(self, "rows", coerced)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

@@ -62,6 +62,9 @@ def test_scalar_strings_reject_noncanonical():
     for bad in ("5", "-1", "2/3"):
         with pytest.raises(AlgebraFileError):
             string_to_scalar(PrimeField(5), bad)
+    # "-0" is a non-canonical spelling of zero, not a fraction to reduce
+    with pytest.raises(AlgebraFileError, match=r"^not a canonical rational: '-0'$"):
+        string_to_scalar(QQ, "-0")
 
 
 def test_document_shape():

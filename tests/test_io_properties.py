@@ -1,6 +1,6 @@
 """Property test of the liealg-v1 file format: save, load and save again.
 
-Random bracket tables of dim <= 4 over Q and F_5, with or without
+Random bracket tables of dim <= 6 over Q, F_2, F_3 and F_5, with or without
 labels, grading and a symmetric metric, load back equal to what was
 saved, and saving the loaded pair again reproduces the file byte for
 byte.
@@ -24,12 +24,12 @@ from liealg.linalg import Matrix  # noqa: E402
 
 @st.composite
 def _algebras_with_metrics(draw):
-    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
     if field == QQ:
         scalars = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
     else:
-        scalars = st.integers(0, 4).map(field)
-    dim = draw(st.integers(0, 4))
+        scalars = st.integers(0, field.characteristic - 1).map(field)
+    dim = draw(st.integers(0, 6))
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
