@@ -25,17 +25,30 @@ return the lexicographically first failing basis triple.  They visit
 only nonzero bracket paths, so their cost follows the number of those
 paths rather than the number of index triples: a bracket-free algebra
 is checked in time linear in its dimension.
+
+When the table satisfies Jacobi, ad_[x,y] = [ad_x, ad_y], so the x for
+which ad_x meets a linear condition of the solvers often form a
+subalgebra: the x with ad_x skew for a form, the x commuting with a
+given vector, the x on which a map's derivation defect vanishes, the x
+with [x, J] in J for a subspace J, and for an ideal C the x with
+[x, C] in span [S, C].  Invariant forms, the center, derivations, the
+ideal test and the lower central series therefore ask their
+conditions of x in a Lie generating set S of basis vectors only
+(``_generators``, picked greedily; T0, T1, T2 on the family's
+members).  A table that fails Jacobi gets the full basis as S, so the
+answers stay those of the definitions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
-                     _Rows, _sparse, det, nullspace)
+                     _insert, _reduce, _Rows, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -72,7 +85,7 @@ class DerivationSpace:
 class LieAlgebra:
     """An algebra on basis x_0..x_{dim-1} with sparse bracket table."""
 
-    __slots__ = ("field", "dim", "sc", "labels", "grading", "_scale", "_isc")
+    __slots__ = ("field", "dim", "sc", "labels", "grading", "_scale", "_isc", "_gens")
 
     def __init__(self, field, dim: int,
                  brackets: Mapping[tuple[int, int], object],
@@ -110,6 +123,7 @@ class LieAlgebra:
         scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_isc", {key: tuple(r.items()) for key, r in zip(sc, rows)})
+        object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -280,28 +294,94 @@ class LieAlgebra:
                 rows[i][j] = rows[j][i] = t
         return BilinearForm._of_cleared(self.field, self._scale ** 2, rows)
 
+    # -- a generating set ----------------------------------------------------
+
+    def _generators(self) -> tuple[int, ...]:
+        """Basis indices of a Lie generating set S, picked greedily.
+
+        x_k joins S when it is not in the subalgebra that the earlier
+        picks generate.  By Jacobi that subalgebra is the least subspace
+        holding the picks and closed under ad_s for every pick s, so the
+        closure brackets each new vector with the picks only; a pick
+        with ad = 0 (an empty table row) brackets nothing.  A table that
+        fails Jacobi gets the full basis: every reduction to S rests on
+        ad_[x,y] = [ad_x, ad_y].  Computed once per algebra.
+        """
+        if self._gens is None:
+            object.__setattr__(self, "_gens", tuple(range(self.dim))
+                               if self.check_jacobi() is not None else self._greedy_generators())
+        return self._gens
+
+    def _greedy_generators(self) -> tuple[int, ...]:
+        p = self.field.characteristic
+        acting = {i for key in self._isc for i in key}  # the x_i with ad x_i != 0
+        span: dict = {}  # the kernel echelon of the subalgebra generated so far
+        closed: list[dict] = []  # spanning rows, each bracketed with every acting pick
+        gens: list[int] = []
+        active: list[int] = []
+        for k in range(self.dim):
+            probe = {k: 1}
+            _reduce(span, probe, p)
+            if not probe:
+                continue
+            gens.append(k)
+            if k not in acting:
+                _insert(span, {k: 1}, p)
+                continue
+            active.append(k)
+            pending = [{k: 1}] + [self._bracket({k: 1}, v) for v in closed]
+            while pending:
+                v = pending.pop()
+                if _insert(span, v, p) is not None:
+                    v = dict(v)  # the stored row changes as later pivots come in
+                    closed.append(v)
+                    pending.extend(self._bracket({s: 1}, v) for s in active)
+        return tuple(gens)
+
+    def _generator_kernel(self, ncols: int,
+                          rows_of: Callable[[int, list], Iterable[dict]]) -> Subspace:
+        """The solutions in ``ncols`` unknowns of the equations (integer
+        ``{col: coeff}`` rows) that ``rows_of(s, table)`` gives for each s
+        of ``_generators()``, with ``table`` the ``_int_table`` read once.
+
+        A solver whose condition on ad_x holds on a subalgebra of the x
+        needs it for x in S only: the invariance of a form, the
+        vanishing of ad_x on the center, the derivation defect.
+        """
+        table = self._int_table()
+        return nullspace(_equations(self.field, ncols, (
+            row for s in self._generators() for row in rows_of(s, table))))
+
     # -- subspaces and series ------------------------------------------------
 
-    def _bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
-        """[s, t] from integer brackets of the kernel rows of s and t."""
+    def _derived_span(self, s: Subspace) -> Subspace:
+        """[s, s] from integer brackets of the kernel rows of s, each
+        unordered pair once: [u, u] = 0 and [v, u] = -[u, v]."""
         return Subspace._span(self.field, self.dim, (
-            self._bracket(u, v) for u in s._echelon.values() for v in t._echelon.values()))
+            self._bracket(u, v) for u, v in combinations(s._echelon.values(), 2)))
 
     def derived_series(self) -> list[Subspace]:
         """D0 = L, D_{k+1} = [D_k, D_k], listed until stable."""
         series = [Subspace.full(self.field, self.dim)]
         while True:
-            nxt = self._bracket_span(series[-1], series[-1])
+            nxt = self._derived_span(series[-1])
             if nxt == series[-1]:
                 return series
             series.append(nxt)
 
     def lower_central_series(self) -> list[Subspace]:
-        """C0 = L, C_{k+1} = [L, C_k], listed until stable."""
-        full = Subspace.full(self.field, self.dim)
-        series = [full]
+        """C0 = L, C_{k+1} = [L, C_k], listed until stable.
+
+        [L, C] is spanned by [x_s, C] for s in the generating set S: C is
+        an ideal, so by Jacobi the x with [x, C] in span [S, C] form a
+        subalgebra, which holds S.
+        """
+        series = [Subspace.full(self.field, self.dim)]
+        gens = self._generators()
         while True:
-            nxt = self._bracket_span(full, series[-1])
+            rows = series[-1]._echelon.values()
+            nxt = Subspace._span(self.field, self.dim, (
+                self._bracket({s: 1}, v) for s in gens for v in rows))
             if nxt == series[-1]:
                 return series
             series.append(nxt)
@@ -313,18 +393,23 @@ class LieAlgebra:
         return self.lower_central_series()[-1].is_zero()
 
     def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}: sum_i c_{ij}^k x_i = 0 for all j, k."""
-        eqs: dict = {}
-        for (i, j), terms in self._isc.items():
-            for k, c in terms:
-                eqs.setdefault((j, k), {})[i] = c
-                eqs.setdefault((i, k), {})[j] = -c
-        return nullspace(_equations(self.field, self.dim, eqs.values()))
+        """{x : [x_s, x] = 0 for s in the generating set}: sum_j c_{sj}^k
+        x_j = 0 for all k.  The centraliser of x is a subalgebra, so x
+        is central once it commutes with a generating set."""
+        def rows_of(s, table):
+            eqs: dict = {}
+            for j, terms in table[s].items():
+                for k, c in terms:
+                    eqs.setdefault(k, {})[j] = c
+            return eqs.values()
+        return self._generator_kernel(self.dim, rows_of)
 
     def is_ideal(self, s: Subspace) -> bool:
+        """Whether [x_g, s] lies in s for g in the generating set: the
+        normaliser {x : [x, s] in s} is a subalgebra."""
         self._check_subspace(s)
-        return all(s._contains_row(self._bracket({i: 1}, v))
-                   for i in range(self.dim) for v in s._echelon.values())
+        return all(s._contains_row(self._bracket({g: 1}, v))
+                   for g in self._generators() for v in s._echelon.values())
 
     def is_subalgebra(self, s: Subspace) -> bool:
         self._check_subspace(s)
@@ -381,19 +466,22 @@ class LieAlgebra:
                    for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def derivation_space(self) -> DerivationSpace:
-        """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] over all i < j.
+        """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] for x_i in the
+        generating set and every x_j: the x on which the defect
+        D[x, y] - [Dx, y] - [x, Dy] vanishes for all y form a subalgebra.
+        A pair of two generators is taken once.
 
         Unknowns are the dim^2 entries of D flattened row-major, which
         fixes the layout of the returned basis.
         """
         d = self.dim
-        table = self._int_table()
-        rows = []
-        for i in range(d):
+        gens = set(self._generators())
+
+        def rows_of(i, table):
             ri = table[i]
-            for j in range(i + 1, d):
+            for j in range(d):
                 rj = table[j]
-                if not ri and not rj:
+                if j == i or (j < i and j in gens) or (not ri and not rj):
                     continue
                 eq: dict[int, dict] = {}
                 for l, c in ri.get(j, ()):
@@ -408,8 +496,8 @@ class LieAlgebra:
                     for k, c in terms:
                         e = eq.setdefault(k, {})
                         e[r * d + j] = e.get(r * d + j, 0) - c
-                rows.extend(eq.values())
-        space = nullspace(_equations(self.field, d * d, rows))
+                yield from eq.values()
+        space = self._generator_kernel(d * d, rows_of)
         inner = d - self.center().dim
         return DerivationSpace(space, inner, space.dim - inner)
 

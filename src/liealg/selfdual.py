@@ -74,7 +74,10 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """Basis of the space of symmetric ad-invariant bilinear forms.
 
     Solves c_{ki}^l B_{lj} + c_{kj}^l B_{il} = 0 over the unknowns
-    B_{ij} = B_{ji}, with the integer table's constants (the system is
+    B_{ij} = B_{ji}, for x_k in the algebra's generating set
+    (``LieAlgebra._generators``): by Jacobi the x whose ad_x is skew
+    for B form a subalgebra, and a table that fails Jacobi keeps every
+    x_k.  The constants are the integer table's (the system is
     homogeneous, so their common scale does not matter); the returned
     basis is the canonical nullspace basis unfolded into symmetric
     matrices.  Each kernel row is unfolded straight into its form's
@@ -85,8 +88,11 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """
     d = alg.dim
     index = _sym_index(d)
-    equations = []
-    for row in alg._int_table():
+
+    def rows_of(k, table):
+        row = table[k]
+        if not row:
+            return
         adk = [row.get(j, ()) for j in range(d)]
         for i in range(d):
             for j in range(i, d):
@@ -96,8 +102,8 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                 for l, c in adk[j]:
                     a = index[(min(i, l), max(i, l))]
                     eq[a] = eq[a] + c if a in eq else c
-                equations.append(eq)
-    space = nullspace(_equations(alg.field, len(index), equations))
+                yield eq
+    space = alg._generator_kernel(len(index), rows_of)
     pairs = list(index)
     forms = []
     for q in sorted(space._echelon):
@@ -547,7 +553,7 @@ def derived_suffix_check(n: int, m: int) -> bool:
         raise ValueError("m out of range")
     alg = truncated_algebra(n)
     s = suffix_subspace(n, m)
-    return alg._bracket_span(s, s) == suffix_subspace(n, min(2 * m + 1, n + 1))
+    return alg._derived_span(s) == suffix_subspace(n, min(2 * m + 1, n + 1))
 
 
 class Verdict(enum.Enum):

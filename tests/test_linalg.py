@@ -299,6 +299,11 @@ def _oracle_matrices(rng, field):
         rows = list(_sparse_matrix(rng, field, 3, 5, density).rows) * 2
         rng.shuffle(rows)
         yield Matrix(field, rows)
+        # two blocks of rows on interleaved, disjoint column sets
+        zeros = (field.zero,) * 3
+        a, b = (_sparse_matrix(rng, field, 3, 3, density) for _ in range(2))
+        yield Matrix(field, [sum(zip(r, zeros), ()) for r in a.rows]
+                     + [sum(zip(zeros, r), ()) for r in b.rows])
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)

@@ -3,7 +3,9 @@
 On random tables of dimension at most 6 and random symmetric forms over
 Q (mixed denominators), F_2, F_3 and F_5, ``check_jacobi`` and
 ``invariance_witness`` return exactly what the dense references in
-``test_core`` return: the same first witness and the same defect.
+``test_core`` return: the same first witness and the same defect.  On
+the same tables the structure solvers equal the dense full-basis
+references of ``test_sparse_oracle``.
 """
 
 from fractions import Fraction
@@ -17,7 +19,10 @@ from hypothesis import strategies as st  # noqa: E402
 from liealg.core import BilinearForm, LieAlgebra  # noqa: E402
 from liealg.fields import QQ, PrimeField  # noqa: E402
 from liealg.linalg import Matrix  # noqa: E402
+from liealg.selfdual import invariant_form_space  # noqa: E402
 from test_core import _dense_check_jacobi, _dense_invariance_witness  # noqa: E402
+from test_sparse_oracle import (_dense_center, _dense_derivation_space,  # noqa: E402
+                                _dense_invariant_form_space, _dense_series)
 
 _SETTINGS = dict(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -54,3 +59,15 @@ def test_scans_equal_the_dense_references(case):
     alg, form = case
     assert alg.check_jacobi() == _dense_check_jacobi(alg)
     assert form.invariance_witness(alg) == _dense_invariance_witness(form, alg)
+
+
+@settings(**_SETTINGS)
+@given(_table_and_form())
+def test_structure_solvers_equal_the_dense_references(case):
+    # most random tables fail Jacobi and keep the full basis; the rest
+    # are solved over a generating set
+    alg, _ = case
+    assert invariant_form_space(alg) == _dense_invariant_form_space(alg)
+    assert alg.center() == _dense_center(alg)
+    assert alg.derivation_space() == _dense_derivation_space(alg)
+    assert alg.lower_central_series() == _dense_series(alg, lower=True)

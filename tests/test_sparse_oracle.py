@@ -2,7 +2,10 @@
 
 Each reference below builds its system the dense way, one full-width
 row per equation in a ``Matrix`` and a ``Subspace.full`` answer for an
-empty system, and the sparse solvers must return bit-identical results.
+empty system, over every basis element rather than a generating set,
+and the sparse solvers must return bit-identical results.  The corpus
+holds a table that fails Jacobi, on which a generating set would give
+other answers, so the solvers must fall back to the full basis there.
 """
 
 import itertools
@@ -10,17 +13,24 @@ import random
 
 import pytest
 
+from liealg import core, linalg
 from liealg.core import BilinearForm, DerivationSpace, LieAlgebra, direct_sum
 from liealg.family import (DiagonalMetricResult, _all_nonzero_element,
                            single_diagonal_metric_solve, suffix_subspace, truncated_algebra)
 from liealg.fields import PrimeField, QQ
-from liealg.hats import MOD3_BALANCED
+from liealg.hats import IDENTITY_HAT, MOD3_BALANCED
 from liealg.io import scalar_to_string
 from liealg.linalg import Matrix, Subspace, nullspace, solve
 from liealg.selfdual import (_GRID_BUDGET, _sym_index, invariant_form_space, is_self_dual,
                              orthogonal_complement)
 
-F5 = PrimeField(5)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+# Fails Jacobi at (0, 1, 2).  Over the full basis it has one invariant
+# form and lower central dims [4, 3]; over the generating set {x0, x1}
+# it would have three forms and dims [4, 2].
+JACOBI_FAILING = LieAlgebra(QQ, 4, {(0, 1): [(3, 1)], (0, 2): [(2, 1)], (1, 2): [(3, 2)],
+                                    (1, 3): [(2, -1)], (2, 3): [(1, 2)]})
 
 
 # -- dense references ---------------------------------------------------------
@@ -143,6 +153,11 @@ def _dense_bracket(alg, x, y):
     return tuple(out)
 
 
+def _dense_is_ideal(alg, s):
+    return all(s.contains(_dense_bracket(alg, alg.basis_vector(i), v))
+               for i in range(alg.dim) for v in s.basis)
+
+
 def _dense_bracket_span(alg, s, t):
     return Subspace(alg.field, alg.dim,
                     [_dense_bracket(alg, u, v) for u in s.basis for v in t.basis])
@@ -190,6 +205,10 @@ def _corpus():
     for field in (QQ, F5):
         for n in range(16):
             yield f"A{n}/{field}", truncated_algebra(n, field=field)
+    for field in (F2, F3):
+        for n in range(3, 16, 3):
+            yield f"A{n}/{field}", truncated_algebra(n, field=field)
+    yield "W10", truncated_algebra(10, hat=IDENTITY_HAT)
     for d in range(5):
         yield f"abelian{d}", LieAlgebra(QQ, d, {})
     a3, a6 = truncated_algebra(3), truncated_algebra(6)
@@ -198,6 +217,9 @@ def _corpus():
         yield f"A6/suffix{m}", a6.quotient(suffix_subspace(6, m))
     for seed in range(2):
         yield f"A6 rotated {seed}", _rotated(a6, seed)
+    for n in (9, 12):
+        yield f"A{n} rotated 0", _rotated(truncated_algebra(n), 0)
+    yield "jacobi-failing", JACOBI_FAILING
 
 
 CORPUS = list(_corpus())
@@ -261,9 +283,9 @@ def test_spans_and_complements_match_the_dense_assembly(alg):
                                            for i in range(alg.dim)]))
     for s in spaces:
         assert orthogonal_complement(alg, form, s) == _dense_orthogonal_complement(alg, form, s)
+        assert alg.is_ideal(s) == _dense_is_ideal(alg, s)
     for s, t in zip(spaces, spaces[1:] + spaces[:1]):
-        for u in (s, t):
-            assert alg._bracket_span(u, t) == _dense_bracket_span(alg, u, t)
+        assert alg._derived_span(t) == _dense_bracket_span(alg, t, t)
         assert s.intersect(t) == _dense_intersect(s, t)
     for u, v in itertools.product(spaces[-1].basis if alg.dim > 1 else [], repeat=2):
         assert alg.bracket(u, v) == _dense_bracket(alg, u, v)
@@ -272,3 +294,26 @@ def test_spans_and_complements_match_the_dense_assembly(alg):
 def test_single_diagonal_solve_matches_the_dense_assembly():
     for n in range(31):
         assert single_diagonal_metric_solve(n) == _dense_single_diagonal(n)
+
+
+def test_generating_sets_and_work_counts(monkeypatch):
+    for n in (30, 60, 90):
+        assert truncated_algebra(n)._generators() == (0, 1, 2)
+    assert JACOBI_FAILING._generators() == (0, 1, 2, 3)
+    brackets = []
+    real_bracket = LieAlgebra._bracket
+    monkeypatch.setattr(LieAlgebra, "_bracket",
+                        lambda self, x, y: brackets.append(1) or real_bracket(self, x, y))
+    # a bracket-free basis vector joins without a closure bracket
+    assert LieAlgebra(QQ, 40, {})._generators() == tuple(range(40))
+    assert brackets == []
+    systems, blocks = [], []
+    real_nullspace, real_blocks = core.nullspace, linalg._blocks
+    monkeypatch.setattr(core, "nullspace",
+                        lambda m: systems.append((m.nrows, m.ncols)) or real_nullspace(m))
+    monkeypatch.setattr(linalg, "_blocks",
+                        lambda rows: blocks.append(real_blocks(rows)) or blocks[-1])
+    invariant_form_space(truncated_algebra(30))
+    # the equations of x_0, x_1, x_2 for the 496 unknowns B_ij, i <= j
+    assert systems == [(900, 496)]
+    assert len(blocks) == 1 and len(blocks[0]) > 1
