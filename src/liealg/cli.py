@@ -14,10 +14,12 @@ Reports are deterministic; the human summary goes to stdout, the
 machine JSON to --json PATH or to stdout with --porcelain.
 
 The environment variable LIEALG_BRUTE_CAP overrides the default cap
-(65536) on the number of subsets the brute-force ideal enumeration may
-visit.  It bounds ``ideals`` and ``classify FILE`` (exit 2 over the
-cap) and the decomposability verdict of ``dext`` ("unknown" over the
-cap).
+(65536) on 2^dim, the number of coordinate subsets (and so of possible
+ideals) of an algebra whose coordinate ideals are enumerated; the
+enumeration itself visits only the closed sets of the bracket support,
+not every subset.  The cap bounds ``ideals`` and ``classify FILE``
+(exit 2 over the cap) and the decomposability verdict of ``dext``
+("unknown" over the cap).
 """
 
 from __future__ import annotations
