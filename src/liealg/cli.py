@@ -41,6 +41,8 @@ from .family import (
 from .hats import IDENTITY_HAT, MOD3_BALANCED, ZModHat
 from .io import (
     AlgebraFileError,
+    _parse_metric,
+    _scalar_parser,
     load_algebra,
     parse_grid,
     read_json,
@@ -356,15 +358,13 @@ def _load_matrix_file(path, field) -> list[Matrix]:
 
 
 def _load_form_file(path, field) -> BilinearForm:
-    """A symmetric matrix, bare or under a 'metric' key."""
+    """A symmetric matrix, bare or under a 'metric' key, parsed like a
+    document's metric; a wrong size fails the construction's validation."""
     doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("metric")
-    grid = parse_grid(field, doc, f"{path}: the pairing form")
-    try:
-        return BilinearForm(grid)
-    except ValueError as exc:
-        raise AlgebraFileError(f"{path}: {exc}") from None
+    dim = len(doc) if isinstance(doc, list) else 0
+    return _parse_metric(field, doc, dim, _scalar_parser(field), "the pairing form", f"{path}: ")
 
 
 def _cmd_dext(args):

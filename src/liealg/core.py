@@ -16,9 +16,9 @@ quadratic in the constants, so their values are divided by L^2; the
 invariance sums are bilinear in the table and in a form cleared by its
 own lcm M, so they carry L * M, and only their zero test is used.
 Homogeneous systems (invariant forms, center, derivations) and spans do
-not depend on the scale and take the integers as they are.  A
-``BilinearForm`` is its integer rows, cleared once where it enters;
-the Killing form, block sums and restrictions are built as rows.
+not depend on the scale and take the integers as they are, nor do
+quotients.  A ``BilinearForm`` is its integer rows, cleared once where
+it enters; the Killing form, block forms and restrictions are rows.
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -44,11 +44,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
-                     _insert, _reduce, _Rows, _sparse, det, nullspace)
+                     _insert, _reduce, _Rows, _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -413,8 +413,9 @@ class LieAlgebra:
 
     def is_subalgebra(self, s: Subspace) -> bool:
         self._check_subspace(s)
-        rows = s._echelon.values()
-        return all(s._contains_row(self._bracket(u, v)) for u in rows for v in rows)
+        # by how the table is stored, [u, u] = 0 and [v, u] = -[u, v]
+        return all(s._contains_row(self._bracket(u, v))
+                   for u, v in combinations(s._echelon.values(), 2))
 
     def _check_subspace(self, s: Subspace):
         if s.ambient_dim != self.dim:
@@ -423,25 +424,22 @@ class LieAlgebra:
             raise FieldMismatchError("subspace over a different field")
 
     def quotient(self, j: Subspace) -> "LieAlgebra":
-        """Quotient by an ideal, on the non-pivot coordinates of its basis."""
+        """Quotient by an ideal, on the non-pivot coordinates of its basis;
+        stored brackets of kept basis vectors are reduced by its kernel rows."""
         if not self.is_ideal(j):
             raise NotAnIdealError("quotient requires an ideal")
-        pivots = set(j.pivot_columns())
-        kept = [c for c in range(self.dim) if c not in pivots]
+        echelon, p = j._echelon, self.field.characteristic
+        kept = [c for c in range(self.dim) if c not in echelon]
         pos = {c: a for a, c in enumerate(kept)}
-        zero = self.field.zero
         brackets = {}
-        for a, ca in enumerate(kept):
-            for b in range(a + 1, len(kept)):
-                red = j.reduce(self.bracket(self.basis_vector(ca),
-                                            self.basis_vector(kept[b])))
-                terms = [(pos[c], red[c]) for c in kept if red[c] != zero]
-                if terms:
-                    brackets[(a, b)] = terms
+        for (a, b), terms in sorted(self._isc.items()):
+            if a in pos and b in pos:
+                row = dict(terms)
+                conv = _scalars(self.field, self._scale * _reduce(echelon, row, p))
+                brackets[(pos[a], pos[b])] = {pos[c]: conv(x) for c, x in row.items()}
         labels = tuple(self.labels[c] for c in kept) if self.labels else None
         grading = None
-        if self.grading is not None and all(
-                sum(1 for x in row if x != zero) == 1 for row in j.basis):
+        if self.grading is not None and all(len(row) == 1 for row in echelon.values()):
             grading = tuple(self.grading[c] for c in kept)
         return LieAlgebra(self.field, len(kept), brackets,
                           labels=labels, grading=grading)
@@ -684,15 +682,26 @@ def _is_symmetric(rows: list[dict]) -> bool:
     return all(rows[j].get(i) == x for i, r in enumerate(rows) for j, x in r.items())
 
 
+def _form_of_blocks(field, dim: int, blocks) -> BilinearForm:
+    """The form holding each (row0, col0, form) block at that offset, zero
+    elsewhere (an off-diagonal block needs its mirror): the blocks' rows
+    over the lcm of their scales, in lowest terms as ``_clear`` gives."""
+    for _, _, f in blocks:
+        _require_same_field(field, f.field)
+    s = lcm(*(f._cleared()[0] for _, _, f in blocks))
+    rows: list[dict] = [{} for _ in range(dim)]
+    for row0, col0, f in blocks:
+        m, frows = f._cleared()
+        for i, r in enumerate(frows):
+            rows[row0 + i].update({col0 + c: x * (s // m) for c, x in r.items()})
+    g = gcd(s, *(x for r in rows for x in r.values()))
+    return BilinearForm._of_cleared(field, s // g, [{c: x // g for c, x in r.items()}
+                                                    for r in rows])
+
+
 def form_block_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
-    """Orthogonal (block-diagonal) sum of two forms, as the integer rows
-    of both over the lcm of their scales."""
-    _require_same_field(b1.field, b2.field)
-    (s1, rows1), (s2, rows2) = b1._cleared(), b2._cleared()
-    s, n1 = lcm(s1, s2), b1.dim
-    return BilinearForm._of_cleared(b1.field, s, [
-        {c: x * (s // s1) for c, x in r.items()} for r in rows1] + [
-        {c + n1: x * (s // s2) for c, x in r.items()} for r in rows2])
+    """Orthogonal (block-diagonal) sum of two forms."""
+    return _form_of_blocks(b1.field, b1.dim + b2.dim, [(0, 0, b1), (b1.dim, b1.dim, b2)])
 
 
 def _require_same_field(f1, f2):

@@ -171,13 +171,13 @@ def parse_grid(field, raw, what: str,
     return Matrix(field, [[parse(x) for x in r] for r in raw])
 
 
-def _parse_metric(field, raw, dim: int, parse) -> BilinearForm:
-    """The document's metric grid as the integer rows of its form: cells
-    other than "0" are parsed in row-major order and cleared once."""
-    _check_grid(raw, "metric", (dim, dim))
+def _parse_metric(field, raw, dim: int, parse, what: str, where: str) -> BilinearForm:
+    """A dim x dim grid ``what`` as its form's integer rows: cells other than
+    "0" are parsed row-major and cleared once; errors start with ``where``."""
+    _check_grid(raw, where + what, (dim, dim))
     scale, rows = _clear(field, [{c: parse(x) for c, x in enumerate(r) if x != "0"}
                                  for r in raw])
-    _expect(_is_symmetric(rows), "bilinear form matrix must be symmetric")
+    _expect(_is_symmetric(rows), f"{where}bilinear form matrix must be symmetric")
     return BilinearForm._of_cleared(field, scale, rows)
 
 
@@ -235,7 +235,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
     raw_metric = doc.get("metric")
     if raw_metric is None:
         return alg, None
-    return alg, _parse_metric(field, raw_metric, dim, parse)
+    return alg, _parse_metric(field, raw_metric, dim, parse, "metric", "")
 
 
 def dump_document(doc) -> str:

@@ -9,7 +9,8 @@ and the contraction construction (collapsing a metric algebra along a
 subalgebra with non-degenerate restricted metric).  Both constructions
 verify their defining postconditions - Jacobi, invariance of the
 output metric, non-degeneracy - and refuse to return anything that
-fails them.
+fails them.  Both read the integer bracket table and assemble their
+metrics from the blocks' integer rows.
 
 The family-specific classification at the end derives, for members of
 size n + 1 with n divisible by 3, which double-extension shapes are
@@ -24,11 +25,12 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .core import BilinearForm, LieAlgebra
+from .core import BilinearForm, LieAlgebra, _form_of_blocks
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import Matrix, ShapeError, Subspace, _equations, nullspace, solve
+from .linalg import (Matrix, ShapeError, Subspace, _echelon, _equations, _reduce, _scalars,
+                     nullspace)
 
 __all__ = [
     "ConstructionError",
@@ -323,7 +325,8 @@ class DoubleExtensionInput:
     pairing: BilinearForm | None = None
 
 
-def _validate_double_extension_input(inp: DoubleExtensionInput):
+def _validate_double_extension_input(inp: DoubleExtensionInput) -> list[Matrix]:
+    """Check the input; return w_i = rho_i^T omega for each action rho_i."""
     a, r = inp.abelian_dim, inp.acting.dim
     field = inp.acting.field
     if inp.omega.dim != a:
@@ -335,13 +338,16 @@ def _validate_double_extension_input(inp: DoubleExtensionInput):
     if len(inp.action) != r:
         raise ValueError("need exactly one action matrix per acting basis element")
     g = inp.omega.matrix
-    zero = Matrix.zeros(field, a, a)
+    pulled = []
     for idx, rho in enumerate(inp.action):
         if rho.nrows != a or rho.ncols != a or rho.field != field:
             raise ValueError(f"action matrix {idx} has the wrong shape or field")
-        if rho.transpose() * g + g * rho != zero:
+        # omega is symmetric, so rho^T omega + omega rho = w + w^T
+        w = rho.transpose() * g
+        if any(w.entry(x, y) != -w.entry(y, x) for x in range(a) for y in range(x, a)):
             raise ValueError(
                 f"action matrix {idx} is not skew with respect to omega")
+        pulled.append(w)
     for i in range(r):
         for j in range(i + 1, r):
             commutator = inp.action[i] * inp.action[j] - inp.action[j] * inp.action[i]
@@ -354,6 +360,7 @@ def _validate_double_extension_input(inp: DoubleExtensionInput):
     if inp.pairing is not None and (inp.pairing.dim != r
                                     or inp.pairing.field != field):
         raise ValueError("pairing form must be a symmetric form on the acting algebra")
+    return pulled
 
 
 def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
@@ -370,43 +377,35 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
     Postconditions (Jacobi, metric invariance, non-degeneracy) are
     checked and a ConstructionError is raised on failure.
     """
-    _validate_double_extension_input(inp)
-    a, r = inp.abelian_dim, inp.acting.dim
-    field = inp.acting.field
+    pulled = _validate_double_extension_input(inp)
+    acting, a = inp.acting, inp.abelian_dim
+    r, field = acting.dim, acting.field
     dim = r + a + r
-    zero, one = field.zero, field.one
-    g = inp.omega.matrix
-    brackets = dict(inp.acting.sc)
-    for i in range(r):
-        rho = inp.action[i]
+    brackets = dict(acting.sc)
+    for i, rho in enumerate(inp.action):
         for x in range(a):
-            brackets[(i, r + x)] = [(r + y, rho.entry(y, x)) for y in range(a)]
-    pulled = [rho.transpose() * g for rho in inp.action]
+            brackets[(i, r + x)] = list(enumerate(rho.col(x), r))
     for x in range(a):
         for y in range(x + 1, a):
-            brackets[(r + x, r + y)] = [(r + a + i, pulled[i].entry(x, y))
-                                        for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            # coadjoint: [b_i, beta_j] = - sum_k c_{i k}^{j} beta_k
-            brackets[(i, r + a + j)] = [
-                (r + a + k, -inp.acting.structure_constant(i, k, j)) for k in range(r)]
+            brackets[(r + x, r + y)] = [(r + a + i, w.entry(x, y))
+                                        for i, w in enumerate(pulled)]
+    # coadjoint: a stored c_{ik}^j = c gives [b_i, beta_j] -c beta_k, [b_k, beta_j] c beta_i
+    coadjoint: dict = {}
+    for (i, k), terms in acting.sc.items():
+        for j, c in terms:
+            coadjoint.setdefault((i, r + a + j), {})[r + a + k] = -c
+            coadjoint.setdefault((k, r + a + j), {})[r + a + i] = c
+    brackets.update(sorted(coadjoint.items()))
     labels = tuple(f"b{i}" for i in range(r)) + \
         tuple(f"a{x}" for x in range(a)) + \
         tuple(f"b{i}*" for i in range(r))
     out = LieAlgebra(field, dim, brackets, labels=labels)
 
-    grid = [[zero] * dim for _ in range(dim)]
-    for i in range(r):
-        grid[i][r + a + i] = one
-        grid[r + a + i][i] = one
-        if inp.pairing is not None:
-            for j in range(r):
-                grid[i][j] = inp.pairing.entry(i, j)
-    for x in range(a):
-        for y in range(a):
-            grid[r + x][r + y] = g.entry(x, y)
-    metric = BilinearForm(Matrix(field, grid))
+    duality = BilinearForm._of_cleared(field, 1, [{i: 1} for i in range(r)])
+    blocks = [(r, r, inp.omega), (0, r + a, duality), (r + a, 0, duality)]
+    if inp.pairing is not None:
+        blocks.append((0, 0, inp.pairing))
+    metric = _form_of_blocks(field, dim, blocks)
     _enforce_metric_postconditions(out, metric, "double extension")
     return out, metric
 
@@ -451,6 +450,14 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     B0~ x B0~.  The output is always, structurally, a double extension
     of the Abelian space P.
 
+    The new basis is v_a = u_a / lead_a, u_a the kernel rows of B0 and
+    then of P.  The rows (u_a, lead_a e_a), a tag column per v_a, are
+    eliminated once; B0 + P is the whole space, so the echelon writes
+    each e_q in the u_a through its tags.  Reducing L [u_a, u_b] (L the
+    table's scale) against it gives m times the exact reduction (m from
+    ``_reduce``): zero in every original column, and -m L lead_a lead_b
+    times the coordinates of [v_a, v_b] in the tags.
+
     Postconditions (Jacobi, invariance, non-degeneracy) are enforced.
     """
     alg, omega, b0 = inp.algebra, inp.metric, inp.subalgebra
@@ -466,64 +473,47 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
         raise ValueError("the subalgebra must be nonzero and proper")
     if not alg.is_subalgebra(b0):
         raise ValueError("the contraction locus must be a subalgebra")
-    zero = field.zero
     on_b0 = omega._restricted(b0)
     if not on_b0.is_nondegenerate():
         raise ValueError(
             "the restriction of the metric to the subalgebra must be "
             "non-degenerate")
     p = orthogonal_complement(alg, omega, b0)
-    r, pd = b0.dim, p.dim
+    r, pd, d = b0.dim, p.dim, alg.dim
     dim = r + pd + r
-    # coordinates of an ambient vector in the basis (B0 rows, P rows)
-    basis_rows = list(b0.basis) + list(p.basis)
-    change = Matrix(field, basis_rows).transpose()
+    basis = [(u, u[q]) for s in (b0, p) for q, u in sorted(s._echelon.items())]
+    tagged = _echelon(({**u, d + a: lead} for a, (u, lead) in enumerate(basis)),
+                      field.characteristic)
 
-    def coords(v):
-        sol = solve(change, v)
-        if sol is None:
-            raise ConstructionError("basis change became inconsistent")
-        return sol[:r], sol[r:]
+    def coords(a, b):
+        """{c: x_c} with [v_a, v_b] = sum_c x_c v_c."""
+        (u, lead_u), (v, lead_v) = basis[a], basis[b]
+        row = alg._bracket(u, v)
+        m = _reduce(tagged, row, field.characteristic)
+        conv = _scalars(field, -m * alg._scale * lead_u * lead_v)
+        return {c - d: conv(x) for c, x in row.items()}
 
-    brackets: dict[tuple[int, int], list] = {}
-
-    def put(i, j, terms):
-        terms = [(k, c) for k, c in terms if c != zero]
-        if terms:
-            brackets[(i, j)] = terms
-
+    brackets: dict[tuple[int, int], dict] = {}
     for i in range(r):
         for j in range(i + 1, r):
-            alpha, gamma = coords(alg.bracket(b0.basis[i], b0.basis[j]))
-            if any(gamma):
+            alpha = coords(i, j)
+            if any(c >= r for c in alpha):
                 raise ConstructionError("the subalgebra is not closed under the bracket")
-            put(i, j, [(k, c) for k, c in enumerate(alpha)])
-            put(i, r + pd + j, [(r + pd + k, c) for k, c in enumerate(alpha)])
+            brackets[(i, j)] = alpha
+            brackets[(i, r + pd + j)] = {r + pd + k: c for k, c in alpha.items()}
     for i in range(r):
-        for x in range(pd):
-            _, gamma = coords(alg.bracket(b0.basis[i], p.basis[x]))
-            put(i, r + x, [(r + y, c) for y, c in enumerate(gamma)])
-    for x in range(pd):
-        for y in range(x + 1, pd):
-            alpha, _ = coords(alg.bracket(p.basis[x], p.basis[y]))
-            put(r + x, r + y, [(r + pd + k, c) for k, c in enumerate(alpha)])
+        for x in range(r, r + pd):
+            brackets[(i, x)] = {y: c for y, c in coords(i, x).items() if y >= r}
+    for x in range(r, r + pd):
+        for y in range(x + 1, r + pd):
+            brackets[(x, y)] = {r + pd + k: c for k, c in coords(x, y).items() if k < r}
     labels = tuple(f"b{i}" for i in range(r)) + \
         tuple(f"p{x}" for x in range(pd)) + \
         tuple(f"b{i}~" for i in range(r))
     out = LieAlgebra(field, dim, brackets, labels=labels)
 
-    gram_b = on_b0.matrix
-    gram_p = omega.restrict(p)
-    grid = [[zero] * dim for _ in range(dim)]
-    for i in range(r):
-        for j in range(r):
-            grid[i][j] = gram_b.entry(i, j)
-            grid[i][r + pd + j] = gram_b.entry(i, j)
-            grid[r + pd + i][j] = gram_b.entry(i, j)
-    for x in range(pd):
-        for y in range(pd):
-            grid[r + x][r + y] = gram_p.entry(x, y)
-    metric = BilinearForm(Matrix(field, grid))
+    metric = _form_of_blocks(field, dim, [
+        (0, 0, on_b0), (0, r + pd, on_b0), (r + pd, 0, on_b0), (r, r, omega._restricted(p))])
     _enforce_metric_postconditions(out, metric, "contraction")
     return out, metric
 

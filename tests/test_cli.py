@@ -460,6 +460,35 @@ def test_dext_malformed_pairing_form(tmp_path, capsys):
         assert code == 3 and "malformed" in err
 
 
+def test_dext_pairing_form_sizes_and_messages(tmp_path, capsys):
+    """The pairing grid sets its own size: a non-square grid is malformed
+    input, a square grid of the wrong size fails validation, and the
+    messages name the file and the pairing form."""
+    base = tmp_path / "base.json"
+    save_algebra(base, LieAlgebra(QQ, 2, {}),
+                 BilinearForm.from_entries(QQ, [["0", "1"], ["1", "0"]]))
+    by = tmp_path / "line.json"
+    save_algebra(by, LieAlgebra(QQ, 1, {}))
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps([[["-1", "0"], ["0", "1"]]]))
+    pairing = tmp_path / "F.json"
+    argv = ["dext", "--base", str(base), "--by", str(by), "--action",
+            str(action), "--F", str(pairing), "-o", str(tmp_path / "d.json")]
+    for grid, message in (
+            ([["1", "0"]], f"{pairing}: the pairing form must be a 1 x 1 array"),
+            ([["1"], ["1", "0"]], f"{pairing}: the pairing form has rows of unequal length"),
+            ({"metric": 7}, f"{pairing}: the pairing form must be a list of rows"),
+            ([["1", "2"], ["3", "4"]], f"{pairing}: bilinear form matrix must be symmetric")):
+        pairing.write_text(json.dumps(grid))
+        code, _, err = _run(capsys, argv)
+        assert code == 3 and err == f"malformed input: {message}\n"
+    for grid in ([["1", "0"], ["0", "1"]], []):
+        pairing.write_text(json.dumps(grid))
+        code, report = _porcelain(capsys, argv)
+        assert code == 1 and report["error"] == (
+            "pairing form must be a symmetric form on the acting algebra")
+
+
 def test_output_errors_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "a4.json"
     save_algebra(path, truncated_algebra(4))
