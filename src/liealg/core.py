@@ -18,7 +18,11 @@ own lcm M, so they carry L * M, and only their zero test is used.
 Homogeneous systems (invariant forms, center, derivations) and spans do
 not depend on the scale and take the integers as they are, nor do
 quotients.  A ``BilinearForm`` is its integer rows, cleared once where
-it enters; the Killing form, block forms and restrictions are rows.
+it enters; the Killing form, block forms and restrictions are rows,
+and its determinant is that of the rows.  The adjoint matrix and the
+automorphism test take the integer bracket of rows cleared once, and a
+form applied to vectors or a map applied to a bracket is a combination
+of integer rows (``linalg._combine``).
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -30,9 +34,10 @@ When the table satisfies Jacobi, ad_[x,y] = [ad_x, ad_y], so the x for
 which ad_x meets a linear condition of the solvers often form a
 subalgebra: the x with ad_x skew for a form, the x commuting with a
 given vector, the x on which a map's derivation defect vanishes, the x
-with [x, J] in J for a subspace J, and for an ideal C the x with
-[x, C] in span [S, C].  Invariant forms, the center, derivations, the
-ideal test and the lower central series therefore ask their
+with [x, J] in J for a subspace J, for an ideal C the x with [x, C] in
+span [S, C], and for a map phi the x with phi[x, y] = [phi x, phi y]
+for all y.  Invariant forms, the center, derivations, the ideal test,
+the lower central series and the automorphism test therefore ask their
 conditions of x in a Lie generating set S of basis vectors only
 (``_generators``, picked greedily; T0, T1, T2 on the family's
 members).  A table that fails Jacobi gets the full basis as S, so the
@@ -47,8 +52,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .fields import FieldMismatchError
-from .linalg import (Matrix, ShapeError, Subspace, _clear, _dense, _dot, _equations,
-                     _insert, _reduce, _Rows, _scalars, _sparse, det, nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
+                     _equations, _insert, _reduce, _Rows, _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -203,10 +208,12 @@ class LieAlgebra:
         return table
 
     def adjoint(self, x: Sequence) -> Matrix:
-        """Matrix of y |-> [x, y]; column j is [x, x_j]."""
-        x = self._coerce_vector(x)
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.field, zip(*cols)) if cols else Matrix(self.field, [])
+        """Matrix of y |-> [x, y]; column j is [x, x_j], the integer
+        bracket of x (cleared once, scale s) with x_j over L s."""
+        s, (xs,) = _clear(self.field, [_sparse(self._coerce_vector(x))])
+        cols = [_dense(self.field, self._bracket(xs, {j: 1}), self.dim, self._scale * s)
+                for j in range(self.dim)]
+        return Matrix._of_scalars(self.field, tuple(zip(*cols)))
 
     # -- identities --------------------------------------------------------
 
@@ -361,13 +368,14 @@ class LieAlgebra:
             self._bracket(u, v) for u, v in combinations(s._echelon.values(), 2)))
 
     def derived_series(self) -> list[Subspace]:
-        """D0 = L, D_{k+1} = [D_k, D_k], listed until stable."""
+        """D0 = L, D_{k+1} = [D_k, D_k], listed until stable.  D1 = [L, L]
+        is the span of the stored brackets, with or without Jacobi."""
         series = [Subspace.full(self.field, self.dim)]
-        while True:
-            nxt = self._derived_span(series[-1])
-            if nxt == series[-1]:
-                return series
+        nxt = Subspace._span(self.field, self.dim, map(dict, self._isc.values()))
+        while nxt != series[-1]:
             series.append(nxt)
+            nxt = self._derived_span(nxt)
+        return series
 
     def lower_central_series(self) -> list[Subspace]:
         """C0 = L, C_{k+1} = [L, C_k], listed until stable.
@@ -447,21 +455,33 @@ class LieAlgebra:
     # -- maps ---------------------------------------------------------------
 
     def is_automorphism(self, phi: Matrix) -> bool:
-        """phi invertible with phi[x,y] = [phi x, phi y] on basis pairs.
+        """phi invertible with phi[x,y] = [phi x, phi y] for all x, y.
 
-        Columns of phi are the images of the basis vectors.
+        Columns of phi are the images of the basis vectors.  They are
+        cleared to integers once (scale c, residues over F_p), so the
+        integer rows of phi^T decide invertibility, and c L phi[x_s, x_j]
+        is the combination of the columns with the coefficients c times
+        the integer table (``_combine``), to compare with the integer
+        bracket L [c phi x_s, c phi x_j].
+
+        The identity is asked of x_s for s in the generating set S only
+        (``_generators``).  If it holds for x and x' and all y, then
+        Jacobi in the source, the identity, and Jacobi in the target
+        give phi[[x,x'],y] = [phi x,[phi x',phi y]] - [phi x',[phi x,phi
+        y]] = [phi[x,x'], phi y]: the x for which it holds form a
+        subalgebra, which holds S and so is everything.  A table that
+        fails Jacobi gets the full basis as S.
         """
         if phi.field != self.field:
             raise FieldMismatchError("map over a different field")
         if not (phi.is_square() and phi.nrows == self.dim):
             raise ShapeError("map dimension mismatch")
-        if det(phi) == self.field.zero:
-            return False
-        cols = [phi.col(j) for j in range(self.dim)]
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        return all(phi * self.bracket(basis[i], basis[j])
-                   == self.bracket(cols[i], cols[j])
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        c, cols = _clear(self.field, map(_sparse, zip(*phi.rows)))
+        p, table = self.field.characteristic, self._int_table()
+        return det(_Rows(self.field, self.dim, cols)) != self.field.zero and all(
+            _combine(((c * x, cols[k].items()) for k, x in table[s].get(j, ())), p)
+            == self._bracket(cols[s], cols[j])
+            for s in self._generators() for j in range(self.dim))
 
     def derivation_space(self) -> DerivationSpace:
         """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] for x_i in the
@@ -578,12 +598,15 @@ class BilinearForm:
         return _dot(_sparse(x), _sparse(self.matrix * y), self.field.zero)
 
     def det(self):
-        return det(self.matrix)
+        """det B = det(M B) / M^dim from the integer rows M B; no scalar
+        matrix is built."""
+        m, rows = self._cleared()
+        return det(_Rows(self.field, self.dim, rows)) / m ** self.dim
 
     def is_nondegenerate(self) -> bool:
         """Whether the determinant of the integer rows is nonzero; the
         elimination stops at the first row that depends on the rows
-        before it, and no scalar matrix is built."""
+        before it."""
         return det(_Rows(self.field, self.dim, self._cleared()[1])) != self.field.zero
 
     def scale(self, c) -> "BilinearForm":
@@ -617,16 +640,10 @@ class BilinearForm:
             {b: _dot(w, mw, 0) for b, w in enumerate(rows)} for mw in self._images(rows)])
 
     def _images(self, rows: Iterable[dict]) -> list[dict]:
-        """M u for integer rows u, with M the cleared form."""
-        g = self._cleared()[1]
-        images = []
-        for u in rows:
-            mu: dict = {}
-            for c, x in u.items():  # M is symmetric: M u sums x times row c
-                for j, y in g[c].items():
-                    mu[j] = mu.get(j, 0) + x * y
-            images.append(mu)
-        return images
+        """M u for integer rows u, with M the cleared form: M is
+        symmetric, so M u sums x times row c of M over the entries x = u[c]."""
+        g, p = self._cleared()[1], self.field.characteristic
+        return [_combine(((x, g[c].items()) for c, x in u.items()), p) for u in rows]
 
     def invariance_witness(self, alg: LieAlgebra) -> tuple[int, int, int] | None:
         """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0.

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import BilinearForm, LieAlgebra
+from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import QQ
 from .hats import MOD3_BALANCED, BalancedMod3
-from .linalg import Matrix, Subspace, _equations, nullspace
+from .linalg import Matrix, Subspace, _clear, _equations, nullspace
 
 __all__ = [
     "truncated_algebra",
@@ -92,11 +92,9 @@ def canonical_metric(n: int, b=0, field=QQ) -> BilinearForm:
     Always constructible; it is an invariant metric exactly when
     hat(n) = 0, which downstream checks verify rather than assume.
     """
-    zero, one = field.zero, field.one
-    grid = [[one if i + j == n else zero for j in range(n + 1)]
-            for i in range(n + 1)]
-    grid[0][0] = grid[0][0] + field(b)
-    return BilinearForm(Matrix(field, grid))
+    rows = [{n - i: field.one} for i in range(n + 1)]
+    rows[0][0] = rows[0].get(0, field.zero) + field(b)
+    return BilinearForm._of_cleared(field, *_clear(field, rows))
 
 
 @dataclass(frozen=True)
@@ -110,10 +108,10 @@ class DiagonalMetricResult:
         if not self.exists:
             raise ValueError("no single-diagonal invariant metric exists")
         n = self.n
-        zero = field.zero
-        grid = [[self.weights[j] if i + j == n else zero
-                 for j in range(n + 1)] for i in range(n + 1)]
-        return BilinearForm(Matrix(field, grid))
+        scale, rows = _clear(field, [{n - i: field(self.weights[n - i])} for i in range(n + 1)])
+        if not _is_symmetric(rows):
+            raise ValueError("bilinear form matrix must be symmetric")
+        return BilinearForm._of_cleared(field, scale, rows)
 
 
 def single_diagonal_metric_solve(n: int, hat=MOD3_BALANCED) -> DiagonalMetricResult:

@@ -5,11 +5,14 @@ scalars.  Rational scalars are plain ``fractions.Fraction`` (already in
 lowest terms with positive denominator); prime-field scalars are
 ``FpElement`` residues.  They are the scalars of the public API:
 matrices, forms, brackets, subspace bases and every result are made of
-them, and ``Matrix`` arithmetic uses their ``+ - * /``.
+them, and the public ``Matrix`` operations (products, sums, ``scale``)
+use their ``+ - * /``.
 
-The hot loops do not: the elimination kernel in ``liealg.linalg`` and
-the structure-constant scans in ``liealg.core`` run on plain ``int``
-rows.  They dispatch on ``characteristic`` (0 for Q, p for F_p), read
+The library's own computations do not: the elimination kernel and the
+sparse row combinations in ``liealg.linalg``, the structure-constant
+scans and linear-map checks in ``liealg.core`` and the constructions
+in ``liealg.selfdual`` run on plain ``int`` rows and do no ``Matrix``
+arithmetic.  They dispatch on ``characteristic`` (0 for Q, p for F_p), read
 scalars in through ``Fraction.numerator``/``denominator`` (rows cleared
 of their common denominator) or ``FpElement.r`` (residues), and hand
 results back once, at their boundary, as ``Fraction(x, den)`` or

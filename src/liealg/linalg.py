@@ -28,9 +28,16 @@ further elimination.  Solvers hand their equations to ``nullspace`` as
 sparse rows of ``(col, coeff)`` pairs with an explicit column count
 (``_equations``), and spans of sparse vectors go straight into the
 kernel (``Subspace._span``), so no system is padded to dense width.
-Products read both operands as ``{col: value}`` rows of scalars and sum
-only the products of nonzero entries (``_dot``).  No floating point
-appears anywhere in this module.
+
+Beside the kernel there is one primitive for linear combinations of
+integer rows: ``_combine`` sums f * row over ``(f, row)`` pairs and
+drops the zero entries (residues over F_p).  A form applied to vectors,
+a combination of forms, a linear map applied to a bracket and a product
+of actions are all such sums, so the library's own maps never go
+through ``Matrix`` arithmetic.  The public ``Matrix`` products read both
+operands as ``{col: value}`` rows of scalars and sum only the products
+of nonzero entries (``_dot``).  No floating point appears anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -197,6 +204,19 @@ def _dot(u: dict, v: dict, zero):
 
 def _sparse(row) -> dict:
     return {c: x for c, x in enumerate(row) if x}
+
+
+def _combine(terms: Iterable[tuple[int, Iterable]], p: int) -> dict:
+    """Sum of f * row over the ``(f, row)`` pairs, each row a run of
+    ``(col, int)`` pairs, as a ``{col: int}`` row without zero entries
+    (residues over F_p)."""
+    out: dict = {}
+    for f, row in terms:
+        for c, x in row:
+            out[c] = out.get(c, 0) + f * x
+    if p:
+        return {c: x % p for c, x in out.items() if x % p}
+    return {c: x for c, x in out.items() if x}
 
 
 # -- the kernel: integer rows --------------------------------------------------

@@ -10,7 +10,14 @@ subalgebra with non-degenerate restricted metric).  Both constructions
 verify their defining postconditions - Jacobi, invariance of the
 output metric, non-degeneracy - and refuse to return anything that
 fails them.  Both read the integer bracket table and assemble their
-metrics from the blocks' integer rows.
+metrics from the blocks' integer rows.  The double extension checks
+its input on integer rows too: each action is cleared once, its
+skewness is read off omega applied to its columns, and the
+representation identity is compared column by column as combinations
+of the cleared actions (``linalg._combine``); the output's brackets
+are those rows converted to scalars once.  The sums of invariant forms
+tried as metrics are combinations of the forms' integer rows, so no
+``Matrix`` arithmetic runs in this module.
 
 The family-specific classification at the end derives, for members of
 size n + 1 with n divisible by 3, which double-extension shapes are
@@ -29,8 +36,8 @@ from .core import BilinearForm, LieAlgebra, _form_of_blocks
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import (Matrix, ShapeError, Subspace, _echelon, _equations, _reduce, _scalars,
-                     nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _echelon, _equations,
+                     _reduce, _Rows, _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "ConstructionError",
@@ -124,34 +131,24 @@ _GRID_BUDGET = 64
 _SEARCH_BUDGET = 16
 
 
-def _combined_row(terms, i: int) -> dict:
-    """Row i of sum t G over the (t, G) pairs, as a row of integers."""
-    row: dict = {}
-    for t, g in terms:
-        for c, x in g[i].items():
-            row[c] = row.get(c, 0) + t * x
-    return row
-
-
 def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
     """The first non-degenerate sum t_a F_a over the coefficient tuples.
 
     The forms' integer rows are scaled once to a common denominator L,
     G_a = L F_a, and each point's sum is the form (sum t_a G_a) / L,
-    held as integer rows (residues over F_p) and tested by
-    ``is_nondegenerate``; only the winner's matrix of scalars is ever
-    built.
+    held as integer rows (residues over F_p) whose determinant is
+    tested; only the winner becomes a form, and only its matrix of
+    scalars is ever built.
     """
-    field, d = forms[0].field, forms[0].dim
+    field, d, p = forms[0].field, forms[0].dim, forms[0].field.characteristic
     scale = lcm(*(f._cleared()[0] for f in forms))
     scaled = [[{c: x * (scale // m) for c, x in r.items()} for r in rows]
               for m, rows in (f._cleared() for f in forms)]
     for coeffs in points:
         terms = [(t, g) for t, g in zip(coeffs, scaled) if t]
-        form = BilinearForm._of_cleared(
-            field, scale, [_combined_row(terms, i) for i in range(d)])
-        if form.is_nondegenerate():
-            return form
+        rows = [_combine(((t, g[i].items()) for t, g in terms), p) for i in range(d)]
+        if det(_Rows(field, d, rows)) != field.zero:
+            return BilinearForm._of_cleared(field, scale, rows)
     return None
 
 
@@ -325,10 +322,22 @@ class DoubleExtensionInput:
     pairing: BilinearForm | None = None
 
 
-def _validate_double_extension_input(inp: DoubleExtensionInput) -> list[Matrix]:
-    """Check the input; return w_i = rho_i^T omega for each action rho_i."""
+def _validate_double_extension_input(inp: DoubleExtensionInput):
+    """Check the input on integer rows and return them.
+
+    The actions are checked one at a time, in order, each on its
+    columns cleared to integers (scale s_i, residues over F_p).  With M
+    the cleared omega (scale m), w_i = s_i m rho_i^T omega has row x = M
+    (column x), as omega is symmetric, and rho_i is skew for omega
+    exactly when w_i + w_i^T = 0, diagonal included.  Then all the
+    actions are cleared over one scale s, R_i = s rho_i, and with L the
+    scale of the acting table C they form a representation exactly when
+    L (R_i R_j - R_j R_i) - s sum_k C_ij^k R_k, combined column by
+    column (``_combine``), vanishes for every pair i < j.  Returns s, the
+    columns of each R_i, and (s_i m, w_i) for each action.
+    """
     a, r = inp.abelian_dim, inp.acting.dim
-    field = inp.acting.field
+    field, p = inp.acting.field, inp.acting.field.characteristic
     if inp.omega.dim != a:
         raise ValueError("omega dimension does not match the Abelian part")
     if inp.omega.field != field:
@@ -337,30 +346,31 @@ def _validate_double_extension_input(inp: DoubleExtensionInput) -> list[Matrix]:
         raise ValueError("omega must be non-degenerate")
     if len(inp.action) != r:
         raise ValueError("need exactly one action matrix per acting basis element")
-    g = inp.omega.matrix
     pulled = []
     for idx, rho in enumerate(inp.action):
         if rho.nrows != a or rho.ncols != a or rho.field != field:
             raise ValueError(f"action matrix {idx} has the wrong shape or field")
-        # omega is symmetric, so rho^T omega + omega rho = w + w^T
-        w = rho.transpose() * g
-        if any(w.entry(x, y) != -w.entry(y, x) for x in range(a) for y in range(x, a)):
+        si, cols = _clear(field, map(_sparse, zip(*rho.rows)))
+        w = inp.omega._images(cols)
+        if any((x + w[y].get(z, 0)) % p if p else x + w[y].get(z, 0)
+               for z, row in enumerate(w) for y, x in row.items()):
             raise ValueError(
                 f"action matrix {idx} is not skew with respect to omega")
-        pulled.append(w)
-    for i in range(r):
-        for j in range(i + 1, r):
-            commutator = inp.action[i] * inp.action[j] - inp.action[j] * inp.action[i]
-            expected = Matrix.zeros(field, a, a)
-            for k, c in inp.acting.bracket_basis(i, j):
-                expected = expected + inp.action[k].scale(c)
-            if commutator != expected:
-                raise ValueError(
-                    f"action is not a representation on the pair ({i},{j})")
+        pulled.append((si * inp.omega._cleared()[0], w))
+    s, cols = _clear(field, (_sparse(col) for rho in inp.action for col in zip(*rho.rows)))
+    action = [cols[i * a:(i + 1) * a] for i in range(r)]
+    scale, isc = inp.acting._scale, inp.acting._isc
+    for (i, ri), (j, rj) in itertools.combinations(enumerate(action), 2):
+        if any(_combine([*((scale * x, ri[z].items()) for z, x in rj[y].items()),
+                         *((-scale * x, rj[z].items()) for z, x in ri[y].items()),
+                         *((-s * c, action[k][y].items()) for k, c in isc.get((i, j), ()))], p)
+               for y in range(a)):
+            raise ValueError(
+                f"action is not a representation on the pair ({i},{j})")
     if inp.pairing is not None and (inp.pairing.dim != r
                                     or inp.pairing.field != field):
         raise ValueError("pairing form must be a symmetric form on the acting algebra")
-    return pulled
+    return s, action, pulled
 
 
 def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
@@ -372,23 +382,27 @@ def double_extend(inp: DoubleExtensionInput) -> tuple[LieAlgebra, BilinearForm]:
     coadjoint action; the dual block is central among itself and the
     Abelian part.  The metric pairs acting with dual identically,
     restricts to omega on the Abelian block, and to ``pairing`` (zero
-    by default) on the acting block.
+    by default) on the acting block.  The actions and the pairings
+    omega(rho_b a, a') come from the validator's integer rows, each
+    converted to scalars once.
 
     Postconditions (Jacobi, metric invariance, non-degeneracy) are
     checked and a ConstructionError is raised on failure.
     """
-    pulled = _validate_double_extension_input(inp)
+    s, action, pulled = _validate_double_extension_input(inp)
     acting, a = inp.acting, inp.abelian_dim
     r, field = acting.dim, acting.field
     dim = r + a + r
     brackets = dict(acting.sc)
-    for i, rho in enumerate(inp.action):
-        for x in range(a):
-            brackets[(i, r + x)] = list(enumerate(rho.col(x), r))
+    conv = _scalars(field, s)
+    for i, cols in enumerate(action):
+        for x, col in enumerate(cols):
+            brackets[(i, r + x)] = [(r + z, conv(v)) for z, v in col.items()]
+    pairings = [(_scalars(field, den), w) for den, w in pulled]
     for x in range(a):
         for y in range(x + 1, a):
-            brackets[(r + x, r + y)] = [(r + a + i, w.entry(x, y))
-                                        for i, w in enumerate(pulled)]
+            brackets[(r + x, r + y)] = [(r + a + i, conv_w(w[x][y]))
+                                        for i, (conv_w, w) in enumerate(pairings) if y in w[x]]
     # coadjoint: a stored c_{ik}^j = c gives [b_i, beta_j] -c beta_k, [b_k, beta_j] c beta_i
     coadjoint: dict = {}
     for (i, k), terms in acting.sc.items():

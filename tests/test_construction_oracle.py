@@ -463,3 +463,45 @@ def test_is_subalgebra_matches_the_ordered_pair_check():
             verdicts.append(expected)
     assert sum(1 for alg in tables if alg.check_jacobi() is not None) >= 5
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def _adjoint_actions():
+    """A3, A6 and so(2,1) acting on themselves by adjoint, over Q, F_5 and F_7."""
+    for field in (QQ, F5, F7):
+        for n in (3, 6):
+            alg = truncated_algebra(n, field=field)
+            yield _adjoint_input(alg, canonical_metric(n, field=field))
+            yield _adjoint_input(alg, canonical_metric(n, 2, field), canonical_metric(n, 1, field))
+        so21 = LieAlgebra(field, 3, {(0, 1): [(2, 1)], (1, 2): [(0, -1)], (0, 2): [(1, -1)]})
+        yield _adjoint_input(so21, BilinearForm(
+            so21.killing_form().matrix.scale(field.one / field(2))))
+
+
+def _doubled_actions():
+    """The adjoint actions of A3 and A6 with the action of one T_k doubled:
+    still skew, and a representation only where ad T_k vanishes."""
+    for field in (QQ, F5, F7):
+        for n in (3, 6):
+            alg = truncated_algebra(n, field=field)
+            ads = [alg.adjoint(alg.basis_vector(i)) for i in range(alg.dim)]
+            for k in range(alg.dim):
+                action = ads[:k] + [ads[k].scale(2)] + ads[k + 1:]
+                yield DoubleExtensionInput(alg.dim, canonical_metric(n, field=field), alg,
+                                           tuple(action))
+
+
+def test_adjoint_actions_match_the_dense_reference():
+    outcomes = [_agree(double_extend, _dense_double_extend, inp) for inp in _adjoint_actions()]
+    assert outcomes == ["ok"] * len(outcomes)
+
+
+def test_non_representations_match_the_dense_reference():
+    messages = []
+    for inp in _doubled_actions():
+        found = _outcome(double_extend, inp)
+        assert found == _outcome(_dense_double_extend, inp)
+        if found[0] == "error":
+            messages.append(found[2])
+    assert all(m.startswith("action is not a representation on the pair") for m in messages)
+    assert len(messages) >= 20
+    assert sum(1 for m in messages if not m.endswith("(0,1)")) >= 10

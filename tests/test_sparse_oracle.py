@@ -317,3 +317,10 @@ def test_generating_sets_and_work_counts(monkeypatch):
     # the equations of x_0, x_1, x_2 for the 496 unknowns B_ij, i <= j
     assert systems == [(900, 496)]
     assert len(blocks) == 1 and len(blocks[0]) > 1
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_first_derived_step_is_the_span_of_the_stored_brackets(alg):
+    # D1 comes from the stored table; [L, L] brackets every pair of basis rows
+    full = Subspace.full(alg.field, alg.dim)
+    assert alg.derived_series()[:2][-1] == alg._derived_span(full)
