@@ -30,7 +30,7 @@ import json
 import os
 import sys
 
-from .core import BilinearForm, LieAlgebra
+from .core import BilinearForm
 from .family import (
     DEFAULT_BRUTE_CAP,
     canonical_metric,
@@ -42,7 +42,6 @@ from .hats import IDENTITY_HAT, MOD3_BALANCED, ZModHat
 from .io import (
     AlgebraFileError,
     _parse_metric,
-    _scalar_parser,
     load_algebra,
     parse_grid,
     read_json,
@@ -364,7 +363,7 @@ def _load_form_file(path, field) -> BilinearForm:
     if isinstance(doc, dict):
         doc = doc.get("metric")
     dim = len(doc) if isinstance(doc, list) else 0
-    return _parse_metric(field, doc, dim, _scalar_parser(field), "the pairing form", f"{path}: ")
+    return _parse_metric(field, doc, dim, {}, "the pairing form", f"{path}: ")
 
 
 def _cmd_dext(args):

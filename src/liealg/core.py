@@ -6,12 +6,18 @@ The Jacobi identity is *not* assumed at construction: it is a property
 one checks (``check_jacobi``), because part of the point of this library
 is studying tables for which it fails.
 
+A ``LieAlgebra`` has one state, its integer table (``_scale`` L,
+``_isc``): the structure constants times L, the lcm of their reduced
+denominators, over Q, and their residues (L = 1) over F_p.
+``__init__`` coerces and merges the given scalars and clears them;
+the file loader and the family constructor build the integer table
+directly (``_of_cleared``).  ``sc``, the table in field scalars, is a
+view: kept from ``__init__``, converted on first read otherwise.
+
 All derived computations (Killing form, series, center, quotients,
-derivations) reduce to exact linear algebra from ``liealg.linalg``.
-Their hot loops read one integer copy of the table (``_isc``): the
-structure constants times L, the lcm of their denominators, over Q, and
-their residues (L = 1) over F_p; scans read it as sparse rows of the
-nonzero brackets (``_int_table``).  The Jacobi and Killing sums are
+derivations) reduce to exact linear algebra from ``liealg.linalg``,
+and read the integer table, not ``sc``; scans read it as sparse rows of
+the nonzero brackets (``_int_table``).  The Jacobi and Killing sums are
 quadratic in the constants, so their values are divided by L^2; the
 invariance sums are bilinear in the table and in a form cleared by its
 own lcm M, so they carry L * M, and only their zero test is used.
@@ -21,8 +27,8 @@ quotients.  A ``BilinearForm`` is its integer rows, cleared once where
 it enters; the Killing form, block forms and restrictions are rows,
 and its determinant is that of the rows.  The adjoint matrix and the
 automorphism test take the integer bracket of rows cleared once, and a
-form applied to vectors or a map applied to a bracket is a combination
-of integer rows (``linalg._combine``).
+form applied to vectors, a map applied to a bracket or the Gram matrix
+of a subspace is a combination of integer rows (``linalg._combine``).
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -88,9 +94,14 @@ class DerivationSpace:
 
 
 class LieAlgebra:
-    """An algebra on basis x_0..x_{dim-1} with sparse bracket table."""
+    """An algebra on basis x_0..x_{dim-1} with sparse bracket table.
 
-    __slots__ = ("field", "dim", "sc", "labels", "grading", "_scale", "_isc", "_gens")
+    The algebra is its integer table (``_scale``, ``_isc``); ``sc``, the
+    table in field scalars, is a view, kept from ``__init__`` or
+    converted on first read from a table given to ``_of_cleared``.
+    """
+
+    __slots__ = ("field", "dim", "labels", "grading", "_scale", "_isc", "_sc", "_gens")
 
     def __init__(self, field, dim: int,
                  brackets: Mapping[tuple[int, int], object],
@@ -120,30 +131,58 @@ class LieAlgebra:
             grading = tuple(int(g) for g in grading)
             if len(grading) != dim:
                 raise ValueError("grading length mismatch")
+        scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
+        self._hold(field, dim, scale, {key: tuple(r.items()) for key, r in zip(sc, rows)},
+                   labels, grading, sc)
+
+    @classmethod
+    def _of_cleared(cls, field, dim: int, scale: int, isc: dict,
+                    labels: tuple | None, grading: tuple | None) -> "LieAlgebra":
+        """The algebra of the integer table ``isc``, {(i, j): ((k, int), ...)}
+        with 0 <= i < j < dim, each k in range, ascending and with a nonzero
+        entry (a residue in [0, p) over F_p), over the canonical ``scale``:
+        the lcm of the reduced denominators, so that its gcd with the
+        entries is 1 (1 over F_p).  Labels and grading are tuples of dim
+        entries or None.  Nothing is coerced or re-checked."""
+        alg = object.__new__(cls)
+        alg._hold(field, dim, scale, isc, labels, grading, None)
+        return alg
+
+    def _hold(self, field, dim: int, scale: int, isc: dict, labels, grading, sc):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grading", grading)
-        scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_isc", {key: tuple(r.items()) for key, r in zip(sc, rows)})
+        object.__setattr__(self, "_isc", isc)
+        object.__setattr__(self, "_sc", sc)
         object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
+    @property
+    def sc(self) -> dict:
+        """The table {(i, j): ((k, c), ...)}, i < j, in field scalars."""
+        if self._sc is None:
+            conv = _scalars(self.field, self._scale)
+            object.__setattr__(self, "_sc", {key: tuple((k, conv(c)) for k, c in terms)
+                                             for key, terms in self._isc.items()})
+        return self._sc
+
     def __eq__(self, other):
+        # both constructors give the canonical scale, so equal tables have
+        # equal integer tables
         return (isinstance(other, LieAlgebra)
                 and self.field == other.field and self.dim == other.dim
-                and self.sc == other.sc and self.labels == other.labels
-                and self.grading == other.grading)
+                and self._scale == other._scale and self._isc == other._isc
+                and self.labels == other.labels and self.grading == other.grading)
 
     def __hash__(self):
-        return hash((self.field, self.dim, tuple(sorted(self.sc.items()))))
+        return hash((self.field, self.dim, self._scale, tuple(sorted(self._isc.items()))))
 
     def __repr__(self):
-        return f"LieAlgebra(dim {self.dim} over {self.field}, {len(self.sc)} stored brackets)"
+        return f"LieAlgebra(dim {self.dim} over {self.field}, {len(self._isc)} stored brackets)"
 
     # -- brackets ----------------------------------------------------------
 
@@ -279,7 +318,7 @@ class LieAlgebra:
         return None
 
     def is_abelian(self) -> bool:
-        return not self.sc
+        return not self._isc
 
     def killing_form(self) -> "BilinearForm":
         """K(x_i, x_j) = trace(ad x_i . ad x_j), summed in integers over
@@ -527,7 +566,7 @@ class LieAlgebra:
         degrees = list(degrees)
         if len(degrees) != self.dim:
             raise ShapeError("degrees length mismatch")
-        for (i, j), terms in sorted(self.sc.items()):
+        for (i, j), terms in sorted(self._isc.items()):
             for k, _ in terms:
                 if degrees[k] != degrees[i] + degrees[j]:
                     return (i, j, k)
@@ -627,7 +666,10 @@ class BilinearForm:
     def _restricted(self, s: Subspace) -> "BilinearForm":
         """The form on the canonical basis of s, as integer rows: with l
         the lcm of the leads of the kernel rows u_a of s, w_a = (l /
-        lead_a) u_a and G[a][b] = w_a . (M w_b) / (M l^2)."""
+        lead_a) u_a and G[a][b] = (M w_a) . w_b / (M l^2).  The w_b are
+        indexed by column, cols[c] = [(b, w_b[c])], so row a of G is one
+        combination of those columns (``_combine``) over the entries of
+        M w_a: one sparse product, not k^2 dot products."""
         if s.ambient_dim != self.dim:
             raise ShapeError("form/subspace dimension mismatch")
         _require_same_field(s.field, self.field)
@@ -636,8 +678,14 @@ class BilinearForm:
         l = lcm(*(echelon[q][q] for q in pivots))
         rows = [{c: x * (l // echelon[q][q]) for c, x in echelon[q].items()}
                 for q in pivots]
+        cols: dict = {}
+        for b, w in enumerate(rows):
+            for c, x in w.items():
+                cols.setdefault(c, []).append((b, x))
+        p = self.field.characteristic
         return BilinearForm._of_cleared(self.field, self._cleared()[0] * l * l, [
-            {b: _dot(w, mw, 0) for b, w in enumerate(rows)} for mw in self._images(rows)])
+            _combine(((x, cols.get(c, ())) for c, x in mw.items()), p)
+            for mw in self._images(rows)])
 
     def _images(self, rows: Iterable[dict]) -> list[dict]:
         """M u for integer rows u, with M the cleared form: M is

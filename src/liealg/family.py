@@ -19,7 +19,6 @@ Everything here is exact; solvers return canonical objects from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import QQ
@@ -52,20 +51,22 @@ def truncated_algebra(n: int, hat=MOD3_BALANCED, field=None) -> LieAlgebra:
     The bracket table is always constructed; whether it satisfies the
     Jacobi identity is a property of the hat map and is checked
     separately (``LieAlgebra.check_jacobi`` / ``jacobi_hat_scan``).
+    The hat values are integers, so they are the integer table as they
+    are (residues over F_p), on scale 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if field is None:
         field = hat.default_field()
-    brackets = {}
+    p = field.characteristic
+    isc = {}
     for i in range(n + 1):
         for j in range(i + 1, n + 1 - i):
-            c = field(hat.value(i - j))
-            if c != field.zero:
-                brackets[(i, j)] = [(i + j, c)]
-    return LieAlgebra(field, n + 1, brackets,
-                      labels=tuple(f"T{i}" for i in range(n + 1)),
-                      grading=tuple(range(n + 1)))
+            c = hat.value(i - j) % p if p else hat.value(i - j)
+            if c:
+                isc[(i, j)] = ((i + j, c),)
+    return LieAlgebra._of_cleared(field, n + 1, 1, isc,
+                                  tuple(f"T{i}" for i in range(n + 1)), tuple(range(n + 1)))
 
 
 def suffix_subspace(n: int, m: int, field=QQ) -> Subspace:
@@ -204,7 +205,7 @@ def enumerate_coordinate_ideals(alg: LieAlgebra,
         raise ValueError(
             f"2^{d} subsets exceed the enumeration cap {max_subsets}")
     need = [0] * d
-    for (i, j), terms in alg.sc.items():
+    for (i, j), terms in alg._isc.items():
         for k, _ in terms:
             need[i] |= 1 << k
             need[j] |= 1 << k

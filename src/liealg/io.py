@@ -10,14 +10,19 @@ decimal digits below p.  The canonical encoding makes serialization
 deterministic, so parsing a serialized algebra reproduces it
 bit-exactly.
 
-``document_to_algebra`` reads a document in one pass.  Each distinct
-scalar string is checked and parsed once per document.  The bracket
-terms go straight to ``LieAlgebra``, which clears them to its integer
-table.  The metric goes straight to the cleared integer rows of its
-form: "0" cells, canonical zero in every field, are skipped, symmetry
-is checked on the integer rows, and the form's scalar ``matrix`` is
-built only when it is read.  Error messages are formatted only when a
-check fails.  On the way out each scalar is formatted once
+One checker (``_scalar_ints``) reads a scalar string straight into
+kernel integers: (numerator, denominator) over Q, (residue, 1) over
+F_p; ``string_to_scalar`` converts its result to a field scalar.
+``document_to_algebra`` reads a document in one pass and checks each
+distinct scalar string once per document.  The bracket terms are
+cleared over the lcm of their denominators, zero terms are dropped and
+each record is sorted by target index: that is the algebra's integer
+table, handed to ``LieAlgebra._of_cleared`` as it is, so no scalar
+bracket table is built.  The metric goes the same way to the integer
+rows of its form: "0" cells, canonical zero in every field, are
+skipped, symmetry is checked on the integer rows, and the form's scalar
+``matrix`` is built only when it is read.  Error messages are formatted
+only when a check fails.  On the way out each scalar is formatted once
 (``scalar_to_string``).
 """
 
@@ -26,10 +31,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import FpElement, PrimeField, QQ
-from .linalg import Matrix, _clear
+from .linalg import Matrix, _scalars
 
 __all__ = [
     "FORMAT_TAG",
@@ -66,35 +72,41 @@ def scalar_to_string(x) -> str:
 
 def string_to_scalar(field, s: str):
     """Parse a canonical scalar string, rejecting non-canonical spellings."""
+    num, den = _scalar_ints(field, s)
+    return _scalars(field, den)(num)
+
+
+def _scalar_ints(field, s) -> tuple[int, int]:
+    """(numerator, denominator) of a canonical scalar string: in lowest
+    terms over Q (denominator written only when it is not 1), the
+    residue below p and 1 over F_p.  Any other spelling raises
+    AlgebraFileError."""
     if not isinstance(s, str):
         raise AlgebraFileError(f"scalar must be a string, got {s!r}")
-    if field is QQ or field == QQ:
-        if not _RATIONAL_RE.match(s):
+    p = field.characteristic
+    if not p:
+        m = _RATIONAL_RE.match(s)
+        if not m:
             raise AlgebraFileError(f"not a canonical rational: {s!r}")
-        value = Fraction(s)
-        if str(value) != s:
+        num, den = int(m[1]), int(m[2][1:]) if m[2] else 1
+        if m[2] and (den == 1 or gcd(num, den) != 1):
             raise AlgebraFileError(f"rational not in lowest terms: {s!r}")
-        return value
+        return num, den
     if not _RESIDUE_RE.match(s):
         raise AlgebraFileError(f"not a canonical residue: {s!r}")
     value = int(s)
-    if value >= field.characteristic:
-        raise AlgebraFileError(
-            f"residue {s} out of range for characteristic {field.characteristic}")
-    return field(value)
+    if value >= p:
+        raise AlgebraFileError(f"residue {s} out of range for characteristic {p}")
+    return value, 1
 
 
-def _scalar_parser(field):
-    """``string_to_scalar`` for one document: the first occurrence of
-    each string is checked and parsed, later ones reuse its value."""
-    memo: dict = {}
-
-    def parse(s):
-        if isinstance(s, str) and s in memo:
-            return memo[s]
-        value = memo[s] = string_to_scalar(field, s)
-        return value
-    return parse
+def _checked(field, memo: dict, s) -> tuple[int, int]:
+    """``_scalar_ints`` of s, checked once per document: ``memo`` keeps
+    the result for each string seen before."""
+    got = memo.get(s) if isinstance(s, str) else None
+    if got is None:
+        got = memo[s] = _scalar_ints(field, s)  # raises for a non-string s
+    return got
 
 
 def _is_int(x) -> bool:
@@ -167,16 +179,17 @@ def parse_grid(field, raw, what: str,
     when given, must match exactly.
     """
     _check_grid(raw, what, shape)
-    parse = _scalar_parser(field)
-    return Matrix(field, [[parse(x) for x in r] for r in raw])
+    return Matrix(field, [[string_to_scalar(field, x) for x in r] for r in raw])
 
 
-def _parse_metric(field, raw, dim: int, parse, what: str, where: str) -> BilinearForm:
+def _parse_metric(field, raw, dim: int, memo: dict, what: str, where: str) -> BilinearForm:
     """A dim x dim grid ``what`` as its form's integer rows: cells other than
-    "0" are parsed row-major and cleared once; errors start with ``where``."""
+    "0" are checked row-major (once per string in ``memo``) and cleared
+    once; errors start with ``where``."""
     _check_grid(raw, where + what, (dim, dim))
-    scale, rows = _clear(field, [{c: parse(x) for c, x in enumerate(r) if x != "0"}
-                                 for r in raw])
+    cells = [{c: _checked(field, memo, x) for c, x in enumerate(r) if x != "0"} for r in raw]
+    scale = lcm(*(d for r in cells for _, d in r.values()))
+    rows = [{c: n * (scale // d) for c, (n, d) in r.items()} for r in cells]
     _expect(_is_symmetric(rows), f"{where}bilinear form matrix must be symmetric")
     return BilinearForm._of_cleared(field, scale, rows)
 
@@ -192,7 +205,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
             "dim must be a non-negative integer")
     raw = doc.get("brackets", [])
     _expect(isinstance(raw, list), "brackets must be a list")
-    parse = _scalar_parser(field)
+    memo: dict = {}
     brackets = {}
     for rec in raw:
         if not isinstance(rec, dict):
@@ -217,7 +230,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
                 raise AlgebraFileError(f"term index {k!r} out of range")
             if k in parsed:
                 raise AlgebraFileError(f"duplicate term index {k} in ({i},{j})")
-            parsed[k] = parse(t.get("c"))
+            parsed[k] = _checked(field, memo, t.get("c"))
     labels = doc.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and len(labels) == dim
@@ -228,14 +241,20 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, BilinearForm | None]:
         _expect(isinstance(grading, list) and len(grading) == dim
                 and all(_is_int(x) for x in grading),
                 "grading must be a list of dim integers")
-    try:
-        alg = LieAlgebra(field, dim, brackets, labels=labels, grading=grading)
-    except ValueError as exc:
-        raise AlgebraFileError(str(exc)) from None
+    # the memo holds exactly the distinct bracket strings so far
+    scale = lcm(*(d for _, d in memo.values()))
+    isc = {}
+    for key, r in brackets.items():
+        terms = tuple(sorted((k, n * (scale // d)) for k, (n, d) in r.items() if n))
+        if terms:
+            isc[key] = terms
+    alg = LieAlgebra._of_cleared(
+        field, dim, scale, isc,
+        None if labels is None else tuple(labels), None if grading is None else tuple(grading))
     raw_metric = doc.get("metric")
     if raw_metric is None:
         return alg, None
-    return alg, _parse_metric(field, raw_metric, dim, parse, "metric", "")
+    return alg, _parse_metric(field, raw_metric, dim, memo, "metric", "")
 
 
 def dump_document(doc) -> str:

@@ -115,6 +115,35 @@ def test_truncated_algebra_tables():
     assert a0.dim == 1 and a0.is_abelian()
 
 
+def _constructed_member(n, hat, field):
+    """The member through ``LieAlgebra.__init__``: each nonzero hat value
+    coerced into the field, as one term per bracket."""
+    brackets = {}
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1 - i):
+            c = field(hat.value(i - j))
+            if c != field.zero:
+                brackets[(i, j)] = [(i + j, c)]
+    return LieAlgebra(field, n + 1, brackets, labels=tuple(f"T{i}" for i in range(n + 1)),
+                      grading=tuple(range(n + 1)))
+
+
+@pytest.mark.parametrize("hat, field", [
+    (MOD3_BALANCED, QQ), (MOD3_BALANCED, PrimeField(2)), (MOD3_BALANCED, PrimeField(5)),
+    (IDENTITY_HAT, QQ), (IDENTITY_HAT, PrimeField(7)), (ZModHat(5), PrimeField(5)),
+    (ZModHat(2), PrimeField(2)), (RangeHat(2, (0, 1)), QQ), (RangeHat(3, (-3, 1, 5)), QQ)],
+    ids=str)
+def test_family_members_match_the_constructor_path(hat, field):
+    for n in range(20):
+        member, reference = truncated_algebra(n, hat, field), _constructed_member(n, hat, field)
+        assert member._sc is None
+        assert member._scale == reference._scale == 1
+        assert list(member._isc.items()) == list(reference._isc.items())
+        assert list(member.sc.items()) == list(reference.sc.items())
+        assert (member.labels, member.grading) == (reference.labels, reference.grading)
+        assert member == reference and hash(member) == hash(reference)
+
+
 def test_truncated_witt_table():
     witt = truncated_algebra(6, IDENTITY_HAT)
     for i in range(7):

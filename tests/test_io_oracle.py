@@ -8,10 +8,13 @@ through ``parse_grid`` into a ``Matrix`` and from there into
 On derandomized documents over Q, F_2, F_3 and F_5, with and without a
 metric, labels and grading, ``document_to_algebra`` must give the same
 integer state; on a mutated document it must fail with the reference's
-exact message.
+exact message.  The scalar check is compared with the earlier one, which
+went through ``Fraction``, and the loaded integer table, in order, with
+the one ``LieAlgebra.__init__`` clears from the same terms.
 """
 
 import copy
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +111,26 @@ def _ref_document_to_algebra(doc):
         except ValueError as exc:
             raise AlgebraFileError(str(exc)) from None
     return alg, metric
+
+
+def _ref_string_to_scalar(field, s):
+    """The earlier scalar check: a spelling regex, then ``Fraction`` and a
+    round trip through ``str`` over Q."""
+    if not isinstance(s, str):
+        raise AlgebraFileError(f"scalar must be a string, got {s!r}")
+    if field == QQ:
+        if not re.match(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?\Z", s):
+            raise AlgebraFileError(f"not a canonical rational: {s!r}")
+        value = Fraction(s)
+        if str(value) != s:
+            raise AlgebraFileError(f"rational not in lowest terms: {s!r}")
+        return value
+    if not re.match(r"(0|[1-9][0-9]*)\Z", s):
+        raise AlgebraFileError(f"not a canonical residue: {s!r}")
+    if int(s) >= field.characteristic:
+        raise AlgebraFileError(
+            f"residue {s} out of range for characteristic {field.characteristic}")
+    return field(int(s))
 
 
 def _outcome(loader, doc):
@@ -235,6 +258,62 @@ def test_loader_fails_like_the_reference_loader(case):
     assert _outcome(document_to_algebra, doc) == expected
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(field=st.sampled_from([QQ, F2, F5]),
+       s=st.text("-/0123456789", max_size=6) | st.sampled_from(
+           ["0/1", "3/1", "-0/1", "0/5", "-6/4", "-7/12", "1/-2", 7, None]))
+def test_scalar_check_matches_the_reference_check(field, s):
+    def outcome(parse):
+        try:
+            value = parse(field, s)
+        except AlgebraFileError as exc:
+            return "error", str(exc)
+        return "ok", value, type(value)
+    assert outcome(string_to_scalar) == outcome(_ref_string_to_scalar)
+
+
+def _edge_documents():
+    """Zero terms, mixed denominators, F_2 and F_5, and empty tables."""
+    def doc(dim, records, **extra):
+        return {"format": FORMAT_TAG, "dim": dim, **extra, "brackets": [
+            {"i": i, "j": j, "terms": [{"k": k, "c": c} for k, c in terms]}
+            for (i, j), terms in records.items()]}
+    yield doc(0, {})
+    yield doc(3, {})
+    yield doc(3, {(0, 1): [], (1, 2): [(0, "0")]})
+    yield doc(4, {(0, 1): [(2, "1/2"), (3, "0")], (0, 2): [(3, "-2/3")],
+                  (1, 3): [(0, "0")], (2, 3): [(1, "5"), (0, "7/12")]})
+    yield doc(3, {(1, 2): [(0, "3/4")], (0, 1): [(2, "-1/6"), (0, "1/4")]})
+    for p, scalars in ((2, ("1", "0")), (5, ("4", "0", "3"))):
+        yield doc(3, {(0, 1): [(2, scalars[0]), (0, scalars[1])],
+                      (0, 2): [(1, scalars[-1])], (1, 2): [(0, "0")]}, field="Fp", p=p)
+
+
+def _check_loaded_table(doc):
+    alg, _ = document_to_algebra(copy.deepcopy(doc))
+    reference, _ = _ref_document_to_algebra(doc)
+    assert alg._sc is None
+    assert alg._scale == reference._scale
+    assert list(alg._isc.items()) == list(reference._isc.items())
+    assert list(alg.sc.items()) == list(reference.sc.items())
+    assert alg == reference and hash(alg) == hash(reference)
+
+
+def test_loaded_table_is_the_constructed_table_on_edge_documents():
+    for doc in _edge_documents():
+        _check_loaded_table(doc)
+    for doc in _documents_for_counting():
+        _check_loaded_table(doc)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=_documents())
+def test_loaded_table_is_the_constructed_table(case):
+    # the integer table of LieAlgebra(field, dim, brackets), in the same
+    # order, with the scalar table a view that loading does not build
+    _check_loaded_table(case[1])
+
+
 def _documents_for_counting():
     a12 = algebra_to_document(truncated_algebra(12), canonical_metric(12, 1))
     f5 = algebra_to_document(truncated_algebra(6, field=F5), canonical_metric(6, 2, field=F5))
@@ -248,14 +327,15 @@ def _documents_for_counting():
 def test_loading_parses_each_distinct_string_once_and_builds_no_matrix(monkeypatch):
     for doc in _documents_for_counting():
         parsed, built = [], []
-        real_parse, real_init = io.string_to_scalar, Matrix.__init__
-        monkeypatch.setattr(io, "string_to_scalar",
+        real_parse, real_init = io._scalar_ints, Matrix.__init__
+        monkeypatch.setattr(io, "_scalar_ints",
                             lambda field, s: parsed.append(s) or real_parse(field, s))
         monkeypatch.setattr(Matrix, "__init__",
                             lambda self, *a: built.append(a) or real_init(self, *a))
         alg, metric = document_to_algebra(doc)
         assert built == []
         assert metric._matrix is None
+        assert alg._sc is None
         monkeypatch.undo()
         assert sorted(parsed) == sorted(set(parsed))
         assert set(parsed) == ({t["c"] for rec in doc["brackets"] for t in rec["terms"]}

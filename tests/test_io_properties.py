@@ -18,7 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from liealg.core import BilinearForm, LieAlgebra  # noqa: E402
 from liealg.fields import QQ, PrimeField  # noqa: E402
-from liealg.io import load_algebra, save_algebra  # noqa: E402
+from liealg.io import (algebra_to_document, document_to_algebra, load_algebra,  # noqa: E402
+                       save_algebra)
 from liealg.linalg import Matrix  # noqa: E402
 
 
@@ -66,3 +67,14 @@ def test_save_load_save_is_exact(case):
             assert a.read() == b.read()
     assert loaded == alg
     assert loaded_metric == metric
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=_algebras_with_metrics())
+def test_loading_gives_the_constructed_integer_table(case):
+    # the loader builds the table the constructor clears, and no scalar table
+    alg, metric = case
+    loaded, _ = document_to_algebra(algebra_to_document(alg, metric))
+    assert loaded._sc is None
+    assert (loaded._scale, loaded._isc) == (alg._scale, alg._isc)
+    assert loaded.sc == alg.sc

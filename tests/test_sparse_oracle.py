@@ -10,6 +10,7 @@ other answers, so the solvers must fall back to the full basis there.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -289,6 +290,33 @@ def test_spans_and_complements_match_the_dense_assembly(alg):
         assert s.intersect(t) == _dense_intersect(s, t)
     for u, v in itertools.product(spaces[-1].basis if alg.dim > 1 else [], repeat=2):
         assert alg.bracket(u, v) == _dense_bracket(alg, u, v)
+
+
+def _mixed_form(field, d):
+    """A symmetric form with denominators 1 to 4 over Q, small integers
+    over F_p."""
+    p = field.characteristic
+    return BilinearForm(Matrix(field, [[1 + i * j % 5 if p else
+                                        Fraction(1 + i * j % 5, 1 + (i + j) % 4)
+                                        for j in range(d)] for i in range(d)]))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_restricted_gram_matches_the_dense_product(alg):
+    # G = W M W^T from Matrix products, W the canonical basis of s as rows
+    rng = random.Random(alg.dim)
+    field, d = alg.field, alg.dim
+    forms = [BilinearForm(Matrix(field, [[int(i + j == d - 1) for j in range(d)]
+                                         for i in range(d)])), _mixed_form(field, d)]
+    for s in _subspaces(alg, rng):
+        for form in forms:
+            gram = form._restricted(s)
+            if s.is_zero():
+                assert gram.dim == 0 and gram.matrix == Matrix(field, [])
+                continue
+            w = s.basis_matrix()
+            assert gram.matrix == w * form.matrix * w.transpose()
+            assert form.restrict(s) == gram.matrix
 
 
 def test_single_diagonal_solve_matches_the_dense_assembly():
