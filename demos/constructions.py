@@ -2,9 +2,11 @@
 Double extensions, contractions, and what they can reach
 ========================================================
 
-Builds the dim-4 member two independent ways (as a double extension of
-a plane, and as a contraction of the split rank-1 simple algebra), then
-asks which family members the two constructions can produce at all.
+Builds two algebras with the dim-4 member's invariant profile (a double
+extension of a plane, and a contraction of the split rank-1 simple
+algebra), then asks which family members the two constructions can
+produce at all.  Only the profiles are compared: the contraction along
+x0 below is not isomorphic to the member over Q.
 """
 
 from liealg import (

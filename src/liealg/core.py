@@ -59,7 +59,8 @@ from math import gcd, lcm
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
-                     _equations, _insert, _reduce, _Rows, _scalars, _sparse, det, nullspace)
+                     _equations, _Immutable, _insert, _reduce, _Rows, _scalars, _sparse,
+                     det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -93,7 +94,7 @@ class DerivationSpace:
     outer_dim: int
 
 
-class LieAlgebra:
+class LieAlgebra(_Immutable):
     """An algebra on basis x_0..x_{dim-1} with sparse bracket table.
 
     The algebra is its integer table (``_scale``, ``_isc``); ``sc``, the
@@ -158,8 +159,9 @@ class LieAlgebra:
         object.__setattr__(self, "_sc", sc)
         object.__setattr__(self, "_gens", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
+    def __reduce__(self):
+        return self._of_cleared, (self.field, self.dim, self._scale, self._isc,
+                                  self.labels, self.grading)
 
     @property
     def sc(self) -> dict:
@@ -573,7 +575,7 @@ class LieAlgebra:
         return None
 
 
-class BilinearForm:
+class BilinearForm(_Immutable):
     """A symmetric bilinear form on basis coordinates.
 
     A form is its cleared integer rows (``_cleared``); its ``matrix`` is
@@ -607,8 +609,8 @@ class BilinearForm:
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_ints", ints)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+    def __reduce__(self):
+        return self._of_cleared, (self.field, *self._ints)
 
     @classmethod
     def from_entries(cls, field, grid: Iterable[Sequence]) -> "BilinearForm":

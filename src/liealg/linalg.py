@@ -66,12 +66,28 @@ class ShapeError(ValueError):
     """Raised when matrix dimensions do not fit the requested operation."""
 
 
+class _Immutable:
+    """A value that forbids attribute assignment (state is set once
+    through ``object.__setattr__``), so a copy is the value itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 def _check_same_field(a, b):
     if a.field != b.field:
         raise FieldMismatchError(f"field mismatch: {a.field} vs {b.field}")
 
 
-class Matrix:
+class Matrix(_Immutable):
     """An immutable exact matrix over a fixed field."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -96,8 +112,8 @@ class Matrix:
         object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    def __reduce__(self):
+        return self._of_scalars, (self.field, self.rows)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -495,7 +511,7 @@ def solve(m: Matrix, b: Sequence):
                  if c in echelon and n in echelon[c] else zero for c in range(n))
 
 
-class Subspace:
+class Subspace(_Immutable):
     """A linear subspace with a canonical RREF basis.
 
     Equality of subspaces is literal equality of the canonical kernel
@@ -529,8 +545,9 @@ class Subspace:
         object.__setattr__(self, "_echelon", echelon)
         object.__setattr__(self, "_basis", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+    def __reduce__(self):
+        # canonical rows, inserted in their order, are their own echelon
+        return self._span, (self.field, self.ambient_dim, list(self._echelon.values()))
 
     @classmethod
     def span(cls, field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

@@ -152,6 +152,16 @@ def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
     return None
 
 
+def _line_points(s: int, q: int):
+    """The points of {0..q-1}^s whose first nonzero coordinate is 1 and
+    that have another nonzero coordinate, in lexicographic order."""
+    for k in range(s - 2, -1, -1):
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(q), repeat=s - k - 1):
+            if any(tail):
+                yield head + tail
+
+
 def _seeded_points(s: int, d: int):
     """(-1, ..., -1), then points of {-d..d}^s from a fixed seed."""
     yield (-1,) * s
@@ -184,12 +194,25 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     2. The first non-degenerate F_a is the metric ('yes').
     3. Let q = d + 1, or min(d + 1, p) over F_p.  If the grid
        {0..q-1}^s has at most 64 points, its first non-degenerate sum
-       t_a F_a is the metric.  If there is none, det(sum t_a F_a), of
-       degree <= d, is the zero polynomial when q = d + 1 (Schwartz,
-       JACM 1980), and for p <= d the grid is all of F_p^s, so the
-       search was exhaustive: 'no', kind ``generic-determinant-zero``
-       with ``space_dim``, ``matrix_dim`` and ``grid_points`` (the
-       number of distinct points).
+       t_a F_a in lexicographic order is the metric.  Only the line
+       representatives are evaluated (``_line_points``): the
+       (q^s - 1)/(q - 1) - s points whose first nonzero coordinate is 1
+       and that have another nonzero coordinate.  That finds the same
+       first point, because P(t) = det(sum t_a F_a) is homogeneous of
+       degree d.  Were the first point t to have c >= 2 at its first
+       nonzero index k, then for q = p the grid point t / c comes
+       earlier, with P(t / c) = c^-d P(t) != 0; for q = d + 1 the
+       nonzero homogeneous Q(u) = P(0, .., 0, u) stays nonzero at
+       u_k = 1, so with degree <= d in each other variable it is nonzero
+       somewhere on {0..d}^(s-k-1) (Alon, Combin. Probab. Comput. 8,
+       1999), again earlier.  The points with one nonzero coordinate
+       are multiples of the F_a, found degenerate in step 2.  If no
+       representative is non-degenerate, P vanishes on the whole grid:
+       it is the zero polynomial when q = d + 1 (Schwartz, JACM 1980),
+       and for p <= d the grid is all of F_p^s: 'no', kind
+       ``generic-determinant-zero`` with ``space_dim``, ``matrix_dim``
+       and ``grid_points`` (q^s, the whole grid, on which det provably
+       vanishes).
     4. A nonzero x with F_a x = 0 for all a is in the radical of every
        combination: 'no', kind ``common-radical`` with ``space_dim``,
        ``matrix_dim`` and ``witness`` (x as canonical scalar strings).
@@ -213,7 +236,7 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     q = min(d + 1, p) if p else d + 1
     points = q ** s
     if points <= _GRID_BUDGET:
-        metric = _first_metric(forms, itertools.product(range(q), repeat=s))
+        metric = _first_metric(forms, _line_points(s, q))
         if metric is not None:
             return SelfDuality("yes", metric=metric)
         return SelfDuality("no", certificate={

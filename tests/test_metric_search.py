@@ -7,6 +7,16 @@ point and return an equal form, on seeded form lists over Q (large mixed
 denominators) and over F_2, F_3, F_5 (coefficients wrapping mod p), on
 lists whose sums are degenerate or cancel, and on the invariant forms of
 direct sums and rotated family members.
+
+The grid certificate of ``is_self_dual`` evaluates only the line
+representatives ``_line_points``.  Against the full lexicographic scan
+of {0..q-1}^s through ``_first_metric`` it must stop at the same first
+point with an equal form, or find nothing exactly when the full scan
+does, on every list whose single forms are all degenerate (the case step
+3 sees); ``is_self_dual`` must answer exactly as with the full scan, and
+the step-3 determinant counts of the benchmark's algebras are pinned.
+``tests/test_scan_properties.py`` runs the same comparison on
+hypothesis-drawn lists.
 """
 
 import itertools
@@ -15,11 +25,14 @@ from fractions import Fraction
 
 import pytest
 
+from liealg import selfdual
 from liealg.core import BilinearForm, LieAlgebra, direct_sum
 from liealg.family import truncated_algebra
 from liealg.fields import PrimeField, QQ
+from liealg.hats import IDENTITY_HAT
 from liealg.linalg import Matrix, _clear, _sparse, det
-from liealg.selfdual import _first_metric, _seeded_points, invariant_form_space
+from liealg.selfdual import (_first_metric, _line_points, _seeded_points,
+                             invariant_form_space, is_self_dual)
 from test_sparse_oracle import _rotated
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -150,3 +163,134 @@ def test_invariant_forms_carry_their_cleared_rows():
             assert (scale, rows) == _clear(alg.field, map(_sparse, form.matrix.rows))
             assert form == BilinearForm(form.matrix)
             assert form.is_nondegenerate() == (det(form.matrix) != alg.field.zero)
+
+
+# ---------------------------------------------------------------------------
+# the grid certificate on line representatives
+# ---------------------------------------------------------------------------
+
+def _grid_side(forms):
+    field = forms[0].field
+    p, d = field.characteristic, forms[0].dim
+    return min(d + 1, p) if p else d + 1
+
+
+def _check_line_scan(forms):
+    """The line scan's (point, form) equals the full grid scan's; returns
+    whether a metric was found."""
+    assert not any(f.is_nondegenerate() for f in forms)
+    s, q = len(forms), _grid_side(forms)
+    full = _searched(forms, itertools.product(range(q), repeat=s))
+    assert _searched(forms, _line_points(s, q)) == full
+    return full is not None
+
+
+def _low_rank_sum(rng, field, d, rank, radical=False):
+    """A sum of ``rank`` rank-one forms v v^T; with ``radical`` every v
+    has v_0 = 0, so x_0 is in the radical of every sum of them."""
+    form = BilinearForm.zero(field, d)
+    for _ in range(rank):
+        v = [_scalar(rng, field) for _ in range(d)]
+        if radical:
+            v[0] = field.zero
+        form = form.add(BilinearForm(Matrix(field, [[a * b for b in v] for a in v])))
+    return form
+
+
+def _degenerate_lists(field, seed):
+    """Form lists whose single forms are all degenerate: low-rank sums,
+    with and without a common radical, and the seeded corpus's lists
+    that qualify."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        d, s = rng.randint(2, 5), rng.randint(2, 4)
+        radical = rng.random() < 0.3
+        yield [_low_rank_sum(rng, field, d, rng.randint(0, d - 1), radical)
+               for _ in range(s)]
+    for forms in _seeded_lists(field, seed):
+        if (not any(f.is_nondegenerate() for f in forms)
+                and _grid_side(forms) ** len(forms) <= 2401):
+            yield forms
+
+
+def test_line_points_are_the_ordered_line_representatives():
+    for s in range(5):
+        for q in range(2, 8):
+            expected = [t for t in itertools.product(range(q), repeat=s)
+                        if sum(map(bool, t)) >= 2 and next(filter(None, t)) == 1]
+            points = list(_line_points(s, q))
+            assert points == expected
+            assert len(points) == ((q ** s - 1) // (q - 1) - s if s else 0)
+
+
+@pytest.mark.parametrize("field", (QQ, F2, F3, F5), ids=str)
+def test_line_scan_matches_the_grid_scan(field):
+    found = [_check_line_scan(forms)
+             for seed in (3, 17, 29) for forms in _degenerate_lists(field, seed)]
+    assert len(found) >= 18 and any(found) and not all(found)
+
+
+def _nonmetric_algebras():
+    yield "A4", truncated_algebra(4)
+    yield "A5", truncated_algebra(5)
+    yield "h3", LieAlgebra(QQ, 3, {(0, 1): [(2, 1)]})
+    yield "W10", truncated_algebra(10, IDENTITY_HAT)
+    for n in (4, 5):
+        for seed in range(2):
+            yield f"rotated A{n} #{seed}", _rotated(truncated_algebra(n), seed)
+    for field in (F2, F3, F5):
+        for n in (2, 4, 5):
+            yield f"A{n}/{field}", truncated_algebra(n, field=field)
+
+
+def test_line_scan_matches_the_grid_scan_on_invariant_forms():
+    lists = [forms for forms in _algebra_lists() if len(forms) > 1]
+    lists += [invariant_form_space(alg) for _, alg in _nonmetric_algebras()]
+    found = [_check_line_scan(forms) for forms in lists
+             if not any(f.is_nondegenerate() for f in forms)]
+    assert len(found) >= 15 and any(found) and not all(found)
+
+
+def _is_self_dual_by_full_grid(alg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(selfdual, "_line_points",
+                  lambda s, q: itertools.product(range(q), repeat=s))
+        return is_self_dual(alg)
+
+
+def test_is_self_dual_answers_as_with_the_full_grid(monkeypatch):
+    a3 = truncated_algebra(3)
+    corpus = [alg for _, alg in _nonmetric_algebras()]
+    corpus += [direct_sum(a3, a3), LieAlgebra(QQ, 2, {(0, 1): [(1, 1)]}),
+               direct_sum(truncated_algebra(3, field=F5), truncated_algebra(3, field=F5))]
+    corpus += [truncated_algebra(n, field=field) for field in (QQ, F2, F3, F5)
+               for n in range(1, 9)]
+    verdicts = set()
+    for alg in corpus:
+        answer = is_self_dual(alg)
+        assert answer == _is_self_dual_by_full_grid(alg, monkeypatch)
+        verdicts.add(answer.verdict)
+    assert verdicts == {"yes", "no"}
+
+
+def test_step_three_determinant_counts(monkeypatch):
+    """The benchmark's non-metric algebras end in step 3: each line
+    representative costs one determinant, where the full grid cost one
+    per grid point, and the certificate still names the whole grid."""
+    counts = {"A4": (5, 36), "A5": (6, 49), "h3": (18, 64), "W10": (0, 12),
+              "rotated A4 #0": (5, 36), "rotated A4 #1": (5, 36),
+              "rotated A5 #0": (6, 49), "rotated A5 #1": (6, 49)}
+    calls = []
+    monkeypatch.setattr(selfdual, "det", lambda m: calls.append(m) or det(m))
+    for name, alg in _nonmetric_algebras():
+        if name not in counts:
+            continue
+        calls.clear()
+        answer = is_self_dual(alg)
+        lines = len(calls)
+        calls.clear()
+        assert _is_self_dual_by_full_grid(alg, monkeypatch) == answer
+        assert (lines, len(calls)) == counts[name], name
+        assert answer.certificate["kind"] == "generic-determinant-zero"
+        assert answer.certificate["grid_points"] == counts[name][1]
+

@@ -5,9 +5,12 @@ Q (mixed denominators), F_2, F_3 and F_5, ``check_jacobi`` and
 ``invariance_witness`` return exactly what the dense references in
 ``test_core`` return: the same first witness and the same defect.  On
 the same tables the structure solvers equal the dense full-basis
-references of ``test_sparse_oracle``.
+references of ``test_sparse_oracle``.  On seeded lists of low-rank
+symmetric forms the self-duality grid scan over line representatives
+stops where the full grid scan does (``test_metric_search``).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from liealg.fields import QQ, PrimeField  # noqa: E402
 from liealg.linalg import Matrix  # noqa: E402
 from liealg.selfdual import invariant_form_space  # noqa: E402
 from test_core import _dense_check_jacobi, _dense_invariance_witness  # noqa: E402
+from test_metric_search import _check_line_scan, _low_rank_sum  # noqa: E402
 from test_sparse_oracle import (_dense_center, _dense_derivation_space,  # noqa: E402
                                 _dense_invariant_form_space, _dense_series)
 
@@ -71,3 +75,20 @@ def test_structure_solvers_equal_the_dense_references(case):
     assert alg.center() == _dense_center(alg)
     assert alg.derivation_space() == _dense_derivation_space(alg)
     assert alg.lower_central_series() == _dense_series(alg, lower=True)
+
+
+@st.composite
+def _low_rank_lists(draw):
+    """Seeded lists of s <= 4 symmetric forms of rank < d <= 6."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    d, s = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    radical = draw(st.integers(0, 3)) == 3
+    return [_low_rank_sum(rng, field, d, draw(st.integers(max(0, d - 3), d - 1)), radical)
+            for _ in range(s)]
+
+
+@settings(**dict(_SETTINGS, max_examples=100))
+@given(_low_rank_lists())
+def test_line_scan_matches_the_grid_scan_property(forms):
+    _check_line_scan(forms)
