@@ -408,32 +408,31 @@ class LieAlgebra(_Immutable):
         return Subspace._span(self.field, self.dim, (
             self._bracket(u, v) for u, v in combinations(s._echelon.values(), 2)))
 
-    def derived_series(self) -> list[Subspace]:
-        """D0 = L, D_{k+1} = [D_k, D_k], listed until stable.  D1 = [L, L]
-        is the span of the stored brackets, with or without Jacobi."""
+    def _series(self, step: Callable[[Subspace], Subspace]) -> list[Subspace]:
+        """L, [L, L], step([L, L]), ... listed until stable.  [L, L] is
+        the span of the stored brackets, with or without Jacobi."""
         series = [Subspace.full(self.field, self.dim)]
         nxt = Subspace._span(self.field, self.dim, map(dict, self._isc.values()))
         while nxt != series[-1]:
             series.append(nxt)
-            nxt = self._derived_span(nxt)
+            nxt = step(nxt)
         return series
 
-    def lower_central_series(self) -> list[Subspace]:
-        """C0 = L, C_{k+1} = [L, C_k], listed until stable.
+    def derived_series(self) -> list[Subspace]:
+        """D0 = L, D_{k+1} = [D_k, D_k], listed until stable."""
+        return self._series(self._derived_span)
 
-        [L, C] is spanned by [x_s, C] for s in the generating set S: C is
-        an ideal, so by Jacobi the x with [x, C] in span [S, C] form a
-        subalgebra, which holds S.
+    def lower_central_series(self) -> list[Subspace]:
+        """C0 = L, C_{k+1} = [L, C_k], listed until stable; C1 = D1 = [L, L].
+
+        For k >= 1, [L, C] is spanned by [x_s, C] for s in the generating
+        set S: C is an ideal, so by Jacobi the x with [x, C] in span [S, C]
+        form a subalgebra, which holds S.  A table that fails Jacobi has
+        the whole basis as S.
         """
-        series = [Subspace.full(self.field, self.dim)]
         gens = self._generators()
-        while True:
-            rows = series[-1]._echelon.values()
-            nxt = Subspace._span(self.field, self.dim, (
-                self._bracket({s: 1}, v) for s in gens for v in rows))
-            if nxt == series[-1]:
-                return series
-            series.append(nxt)
+        return self._series(lambda c: Subspace._span(self.field, self.dim, (
+            self._bracket({s: 1}, v) for s in gens for v in c._echelon.values())))
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_zero()
@@ -676,10 +675,8 @@ class BilinearForm(_Immutable):
             raise ShapeError("form/subspace dimension mismatch")
         _require_same_field(s.field, self.field)
         echelon = s._echelon
-        pivots = sorted(echelon)
-        l = lcm(*(echelon[q][q] for q in pivots))
-        rows = [{c: x * (l // echelon[q][q]) for c, x in echelon[q].items()}
-                for q in pivots]
+        l = lcm(*(u[q] for q, u in echelon.items()))
+        rows = [{c: x * (l // u[q]) for c, x in u.items()} for q, u in echelon.items()]
         cols: dict = {}
         for b, w in enumerate(rows):
             for c, x in w.items():

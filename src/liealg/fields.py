@@ -61,6 +61,9 @@ class FpElement:
         self.p = p
         self.r = r % p
 
+    def __reduce__(self):
+        return FpElement, (self.p, self.r)
+
     def _coerce(self, other):
         if isinstance(other, FpElement):
             if other.p != self.p:

@@ -11,7 +11,15 @@ holds residues with a 1 at its pivot.  Either way the stored rows have
 no entry in any other pivot column, i.e. they are the reduced
 row-echelon form of what was inserted, which is unique for the span:
 row order and duplicates cannot change it, so two spans of the same
-subspace give bit-identical ``Subspace`` objects.
+subspace give bit-identical ``Subspace`` objects.  Bulk eliminations
+(``_echelon``: spans, kernels, ``rref``, ``rank``, ``solve`` and the
+contraction's change of basis) therefore materialise their rows and
+insert them sparsest first, which keeps the fraction-free multipliers
+and the intermediate entries small on dense systems; only ``det``,
+whose sign follows the row order, and the incremental generating-set
+search insert rows one at a time as given.  An echelon is handed back
+in pivot order, so a ``Subspace`` is walked in basis order unsorted and
+a pickled one comes back with the same state.
 
 Scalars cross the kernel boundary twice.  On the way in, each value is
 cleared to integers once, where it enters: every ``Matrix`` or vector
@@ -354,18 +362,27 @@ def _insert(echelon: dict, row: dict, p: int):
 
 
 def _echelon(rows: Iterable[dict], p: int) -> dict:
+    """The canonical echelon of the rows, which it consumes, inserted
+    sparsest first and returned in pivot order.
+
+    Rows with few nonzeros reduce against few pivots, so the multipliers
+    of the fraction-free steps stay small while the echelon fills (a
+    static Markowitz-style order; Markowitz, Management Sci. 3, 1957).
+    The stored rows are the RREF of the span whatever the order, so the
+    order changes only the intermediate rows; the sort is stable.
+    """
     echelon: dict = {}
-    for r in rows:
+    for r in sorted(rows, key=len):
         _insert(echelon, r, p)
-    return echelon
+    return dict(sorted(echelon.items()))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form of ``m`` and its pivot column indices."""
     echelon = _echelon(m._cleared()[1], m.field.characteristic)
-    pivots = sorted(echelon)
+    pivots = list(echelon)
     zero = m.field.zero
-    rows = [_dense(m.field, echelon[q], m.ncols, echelon[q][q]) for q in pivots]
+    rows = [_dense(m.field, row, m.ncols, row[q]) for q, row in echelon.items()]
     rows += [(zero,) * m.ncols] * (m.nrows - len(pivots))
     return Matrix(m.field, rows), pivots
 
@@ -434,7 +451,9 @@ def nullspace(m: Matrix | _Rows) -> "Subspace":
     rows are eliminated one block at a time (``_blocks``): blocks share
     no column, so the union of their RREFs is the RREF of the system,
     and each new pivot clears its column from the rows of its own block
-    only.  Each free column f gives the vector with x_f = 1 and x_q =
+    only.  Within a block the equations go in sparsest first
+    (``_echelon``); the order of ``_equations`` is a set's and does not
+    matter.  Each free column f gives the vector with x_f = 1 and x_q =
     -row_q[f] / lead_q at the pivots q, cleared to integers; these
     vectors are re-reduced into the canonical RREF basis like any other
     span.
@@ -515,8 +534,9 @@ class Subspace(_Immutable):
     """A linear subspace with a canonical RREF basis.
 
     Equality of subspaces is literal equality of the canonical kernel
-    rows (``_echelon``, ``{pivot: row}``), which the RREF normal form
-    makes sound: equal spaces have identical rows and identical bases.
+    rows (``_echelon``, ``{pivot: row}`` in pivot order), which the RREF
+    normal form makes sound: equal spaces have identical rows and
+    identical bases.
     The basis, as dense tuples of field scalars, is converted from the
     kernel rows on first use.
     """
@@ -534,7 +554,8 @@ class Subspace(_Immutable):
     @classmethod
     def _span(cls, field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
         """Span of kernel rows ``{col: int}`` of any scale (residues over
-        F_p); the kernel consumes the rows."""
+        F_p), in any order: ``_echelon`` takes them all and inserts them
+        sparsest first, and consumes them."""
         s = object.__new__(cls)
         s._hold(field, ambient_dim, _echelon(rows, field.characteristic))
         return s
@@ -546,7 +567,7 @@ class Subspace(_Immutable):
         object.__setattr__(self, "_basis", None)
 
     def __reduce__(self):
-        # canonical rows, inserted in their order, are their own echelon
+        # canonical rows, inserted in any order, are their own echelon
         return self._span, (self.field, self.ambient_dim, list(self._echelon.values()))
 
     @classmethod
@@ -572,17 +593,16 @@ class Subspace(_Immutable):
                 raise ShapeError(f"coordinate {i} out of range 0..{ambient_dim - 1}")
             echelon[i] = {i: 1}
         s = object.__new__(cls)
-        s._hold(field, ambient_dim, echelon)
+        s._hold(field, ambient_dim, dict(sorted(echelon.items())))
         return s
 
     @property
     def basis(self) -> tuple:
         """The canonical RREF basis, one dense tuple of scalars per pivot."""
         if self._basis is None:
-            echelon = self._echelon
             object.__setattr__(self, "_basis", tuple(
-                _dense(self.field, echelon[q], self.ambient_dim, echelon[q][q])
-                for q in sorted(echelon)))
+                _dense(self.field, row, self.ambient_dim, row[q])
+                for q, row in self._echelon.items()))
         return self._basis
 
     @property
@@ -596,7 +616,7 @@ class Subspace(_Immutable):
         return Matrix(self.field, self.basis)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._echelon))
+        return tuple(self._echelon)
 
     def _cleared(self, v: Sequence) -> tuple[int, dict]:
         vec = [self.field(x) for x in v]

@@ -115,8 +115,7 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     space = alg._generator_kernel(len(index), rows_of)
     pairs = list(index)
     forms = []
-    for q in sorted(space._echelon):
-        v = space._echelon[q]
+    for q, v in space._echelon.items():
         rows = [{} for _ in range(d)]
         for a, x in v.items():
             i, j = pairs[a]
@@ -518,7 +517,7 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     p = orthogonal_complement(alg, omega, b0)
     r, pd, d = b0.dim, p.dim, alg.dim
     dim = r + pd + r
-    basis = [(u, u[q]) for s in (b0, p) for q, u in sorted(s._echelon.items())]
+    basis = [(u, u[q]) for s in (b0, p) for q, u in s._echelon.items()]
     tagged = _echelon(({**u, d + a: lead} for a, (u, lead) in enumerate(basis)),
                       field.characteristic)
 

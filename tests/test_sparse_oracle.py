@@ -187,15 +187,21 @@ def _dense_intersect(u, v):
 
 # -- the corpus ---------------------------------------------------------------
 
-def _rotated(alg, seed):
-    """alg in the basis of the columns of P = L U, unit triangular with
-    entries in {-1, 0, 1}, so the table stays integral."""
-    rng, d, field = random.Random(seed), alg.dim, alg.field
+def _rotation(field, d, seed):
+    """P = L U, unit triangular with entries in {-1, 0, 1}: det P = 1."""
+    rng = random.Random(seed)
     low = Matrix(field, [[1 if i == j else rng.choice((-1, 0, 1)) if i > j else 0
                           for j in range(d)] for i in range(d)])
     up = Matrix(field, [[1 if i == j else rng.choice((-1, 0, 1)) if i < j else 0
                          for j in range(d)] for i in range(d)])
-    p = low * up
+    return low * up
+
+
+def _rotated(alg, seed):
+    """alg in the basis of the columns of ``_rotation(seed)``, so the
+    table stays integral."""
+    d, field = alg.dim, alg.field
+    p = _rotation(field, d, seed)
     cols = [p.col(a) for a in range(d)]
     brackets = {(a, b): list(enumerate(solve(p, alg.bracket(cols[a], cols[b]))))
                 for a in range(d) for b in range(a + 1, d)}
@@ -352,3 +358,14 @@ def test_first_derived_step_is_the_span_of_the_stored_brackets(alg):
     # D1 comes from the stored table; [L, L] brackets every pair of basis rows
     full = Subspace.full(alg.field, alg.dim)
     assert alg.derived_series()[:2][-1] == alg._derived_span(full)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_lower_central_series_starts_from_the_stored_brackets(alg):
+    # C1 = D1 = [L, L], and it equals [x_s, L] over the generating set S,
+    # which is the whole basis for the table that fails Jacobi
+    lower = alg.lower_central_series()
+    assert lower[:2] == alg.derived_series()[:2]
+    rows = Subspace.full(alg.field, alg.dim)._echelon.values()
+    assert lower[:2][-1] == Subspace._span(alg.field, alg.dim, (
+        alg._bracket({s: 1}, v) for s in alg._generators() for v in rows))
