@@ -16,25 +16,39 @@ view: kept from ``__init__``, converted on first read otherwise.
 
 All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``,
-and read the integer table, not ``sc``; scans read it as sparse rows of
-the nonzero brackets (``_int_table``).  The Jacobi and Killing sums are
-quadratic in the constants, so their values are divided by L^2; the
-invariance sums are bilinear in the table and in a form cleared by its
-own lcm M, so they carry L * M, and only their zero test is used.
-Homogeneous systems (invariant forms, center, derivations) and spans do
-not depend on the scale and take the integers as they are, nor do
-quotients.  A ``BilinearForm`` is its integer rows, cleared once where
-it enters; the Killing form, block forms and restrictions are rows,
-and its determinant is that of the rows.  The adjoint matrix and the
-automorphism test take the integer bracket of rows cleared once, and a
-form applied to vectors, a map applied to a bracket or the Gram matrix
-of a subspace is a combination of integer rows (``linalg._combine``).
+and read the integer table, not ``sc``; the solvers read it as sparse
+rows of the nonzero brackets (``_int_table``).  The Jacobi and Killing
+sums are quadratic in the constants, so their values are divided by
+L^2; the invariance sums are bilinear in the table and in a form
+cleared by its own lcm M, so they carry L * M, and only their zero test
+is used.  Homogeneous systems (invariant forms, center, derivations)
+and spans do not depend on the scale and take the integers as they
+are, nor do quotients.  A ``BilinearForm`` is its integer rows,
+cleared once where it enters; the Killing form, block forms and
+restrictions are rows, and its determinant is that of the rows.  The
+adjoint matrix and the automorphism test take the integer bracket of
+rows cleared once, and a form applied to vectors, a map applied to a
+bracket or the Gram matrix of a subspace is a combination of integer
+rows (``linalg._combine``).
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
-only nonzero bracket paths, so their cost follows the number of those
-paths rather than the number of index triples: a bracket-free algebra
-is checked in time linear in its dimension.
+only nonzero bracket paths, rather than all index triples: a
+bracket-free algebra is checked in time linear in its dimension.  These
+two scans and the Killing form sum a whole coordinate vector as one
+integer (Kronecker substitution): a vector of integers d_m is packed as
+sum d_m 2^(w m), and one multiply-add of packed integers adds every
+coordinate at once.  The width w is taken from the input, above a bound
+on every digit of the sums (3 dim C^2 for Jacobi, 2 dim C G for
+invariance, dim^2 C^2 for Killing, with C the largest integer constant
+and G the largest entry of the cleared form), so the digits never carry
+into each other: a packed sum is 0 exactly when each of its digits is,
+and its balanced base-2^w digits (``_digits``) are the sums themselves,
+read off only for a witness, a Killing row, or over F_p, where each
+digit is tested mod p.  A packed vector is as long as its highest
+coordinate, up to about dim w bits, so the cost is the number of paths
+times that length: on a high-dimensional table of one-term brackets a
+path costs O(dim w) bits, not one term.
 
 When the table satisfies Jacobi, ad_[x,y] = [ad_x, ad_y], so the x for
 which ad_x meets a linear condition of the solvers often form a
@@ -239,8 +253,7 @@ class LieAlgebra(_Immutable):
     def _int_table(self) -> list[dict]:
         """table[i] = {j: L [x_i, x_j] as (k, int) pairs} over the nonzero
         brackets only, L = ``_scale``, antisymmetry applied; read once per
-        call.  Columns come in descending order, so a scan can stop at the
-        first column at or below a bound."""
+        call.  Columns come in descending order."""
         table: list[dict] = [{} for _ in range(self.dim)]
         # keys in descending order put every (b, c), b < c, before (a, b)
         for (i, j), terms in sorted(self._isc.items(), reverse=True):
@@ -270,77 +283,103 @@ class LieAlgebra(_Immutable):
         minus sign when a < c < b.  So the cost follows the number of such
         paths, not C(dim, 3).  The paths are taken one leading index at a
         time, and the scan stops after the first index with a failing
-        triple.  The sums are taken in integers over the integer table,
-        so they are L^2 times the defect.
+        triple.
+
+        Each stored bracket of the integer table is one packed integer,
+        sum_m L c_m 2^(w m) for its terms c_m x_m, so a path adds a whole
+        vector with one multiply-add.  A digit of a packed cyclic sum is
+        at most 3 dim C^2 in absolute value, C the largest integer
+        constant, and the width w is taken above that bound (``_width``):
+        the packed sum is 0 exactly when the cyclic sum is, and over F_p
+        its digits are read off and tested mod p.  The least failing
+        (j, k) of the first failing i gives the witness; its decoded
+        digits (``_digits``) are L^2 times the defect.  A path costs the
+        length of the packed vector, up to about dim w bits, not one
+        term.
         """
-        p, d = self.field.characteristic, self.dim
-        table = self._int_table()
-        # producers[l]: (key of (a, b), a, -c) for each stored [x_a, x_b] with
-        # a term c x_l, a descending, so the pairs with a > i come first
+        p, d, isc = self.field.characteristic, self.dim, self._isc
+        w = _width(3 * d * self._largest_constant() ** 2)
+        # table[a]: {b: L [x_a, x_b] packed}, b descending; producers[l]:
+        # (key of (a, b), a, -c) for each stored [x_a, x_b] with a term c x_l,
+        # a descending, so the pairs with a > i come first
+        table: list[dict] = [{} for _ in range(d)]
         producers: list[list] = [[] for _ in range(d)]
-        for (a, b), terms in sorted(self._isc.items(), reverse=True):
+        # keys in descending order put every (b, c), b < c, before (a, b)
+        for (a, b), terms in sorted(isc.items(), reverse=True):
+            v, key = 0, a * d + b
             for l, c in terms:
-                producers[l].append((a * d + b, a, -c))
+                v += c << w * l
+                producers[l].append((key, a, -c))
+            table[a][b] = v
+            table[b][a] = -v
         for i, row in enumerate(table):
-            # acc[j * d + k]: the cyclic sum of the triple (i, j, k), {m: int}
-            acc: dict = {}
-            for j, terms in row.items():
+            if not row:
+                continue
+            acc: dict = {}  # acc[j * d + k]: the cyclic sum of (i, j, k), packed
+            for j in row:
                 if j < i:
                     break
                 # [[x_i, x_j], x_k] is a term of (i, j, k) for k > j; for
                 # i < k < j its negative [[x_j, x_i], x_k] is a term of (i, k, j)
-                for l, c1 in terms:
-                    for k, terms2 in table[l].items():
+                for l, c1 in isc[i, j]:
+                    for k, v in table[l].items():
                         if k <= i:
                             break
-                        if k == j:
-                            continue
-                        f, key = (c1, j * d + k) if k > j else (-c1, k * d + j)
-                        v = acc.get(key)
-                        if v is None:
-                            v = acc[key] = {}
-                        for m, c2 in terms2:
-                            v[m] = v.get(m, 0) + f * c2
+                        if k > j:
+                            key = j * d + k
+                            acc[key] = acc.get(key, 0) + c1 * v
+                        elif k < j:
+                            key = k * d + j
+                            acc[key] = acc.get(key, 0) - c1 * v
             # [[x_a, x_b], x_i] = -sum c [x_i, x_l] is a term of (i, a, b), i < a
-            for l, terms2 in row.items():
+            for l, v in row.items():
                 for key, a, f in producers[l]:
                     if a <= i:
                         break
-                    v = acc.get(key)
-                    if v is None:
-                        v = acc[key] = {}
-                    for m, c2 in terms2:
-                        v[m] = v.get(m, 0) + f * c2
+                    acc[key] = acc.get(key, 0) + f * v
             failing = [key for key, v in acc.items()
-                       if (any(x % p for x in v.values()) if p else any(v.values()))]
+                       if v and (not p or any(x % p for x in _digits(v, w).values()))]
             if failing:
                 j, k = divmod(min(failing), d)
                 return JacobiWitness(i, j, k, _dense(
-                    self.field, acc[j * d + k], d, self._scale ** 2))
+                    self.field, _digits(acc[j * d + k], w), d, self._scale ** 2))
         return None
 
     def is_abelian(self) -> bool:
         return not self._isc
 
     def killing_form(self) -> "BilinearForm":
-        """K(x_i, x_j) = trace(ad x_i . ad x_j), summed in integers over
-        the integer table; the form is those rows over L^2."""
-        table = self._int_table()
-        # ad[i][(k, l)]: the x_l coefficient of [x_i, x_k]
-        ad = [{(k, l): c for k, terms in row.items() for l, c in terms} for row in table]
-        rows: list[dict] = [{} for _ in range(self.dim)]
-        for i, adi in enumerate(ad):
-            if not adi:
-                continue
-            for j in range(i, self.dim):
-                t = 0
-                for l, terms in table[j].items():
-                    for k, c2 in terms:
-                        c1 = adi.get((k, l))
-                        if c1:
-                            t += c1 * c2
-                rows[i][j] = rows[j][i] = t
-        return BilinearForm._of_cleared(self.field, self._scale ** 2, rows)
+        """K(x_i, x_j) = trace(ad x_i . ad x_j) = sum over k, l of
+        c_ik^l c_jl^k, summed in integers over the integer table; the form
+        is those rows over L^2.
+
+        Row i of L^2 K is one packed integer, digit j the entry: with
+        Q[l][k] = sum_j L c_jl^k 2^(w j) (``_acting``), it is the sum of
+        L c_ik^l Q[l][k] over the nonzero constants of ad x_i, a join of
+        the table with itself over matching (l, k).  An entry is at most
+        dim^2 C^2 in absolute value, C the largest integer constant, and
+        the width w is taken above that bound (``_width``), so the decoded
+        nonzero digits (``_digits``) are the row's entries exactly.
+        """
+        d, isc = self.dim, self._isc
+        w = _width((d * self._largest_constant()) ** 2)
+        q = _acting(isc, w)
+        packed = [0] * d
+        for (a, b), terms in isc.items():
+            # c_ab^l = c and c_ba^l = -c
+            for l, c in terms:
+                ql = q.get(l)
+                if ql:
+                    if b in ql:
+                        packed[a] += c * ql[b]
+                    if a in ql:
+                        packed[b] -= c * ql[a]
+        return BilinearForm._of_cleared(self.field, self._scale ** 2,
+                                        [_digits(r, w) if r else {} for r in packed])
+
+    def _largest_constant(self) -> int:
+        """C, the largest constant of the integer table in absolute value."""
+        return max((abs(c) for terms in self._isc.values() for _, c in terms), default=0)
 
     # -- a generating set ----------------------------------------------------
 
@@ -696,37 +735,55 @@ class BilinearForm(_Immutable):
         """First basis triple (k, i, j) violating B([x_k,x_i],x_j) + B(x_i,[x_k,x_j]) = 0.
 
         The witness is the least (k, i, j), j >= i, in lexicographic order.
-        For each k in turn, T = (rows of ad x_k) G is formed from the
-        cleared form G's sparse rows, T[i][j] = B([x_k,x_i],x_j), and the
-        identity T[i][j] + T[j][i] = 0 is tested only on the rows of T,
-        the i with [x_k, x_i] nonzero; on the diagonal it reads 2 T[i][i],
-        which vanishes over F_2.  So the cost follows the number of nonzero
-        bracket paths times the form's row lengths, in integers over the
-        integer table and the form.
+        All k are taken at once.  With the integer table packed over the
+        acting index, Q[i][l] = sum_k L c_ki^l 2^(w k) (``_acting``), and
+        the sparse rows of the cleared form G = M B, P = Q G is one
+        combination of rows of G per (i, l), and P[i][j] = sum_k L M
+        B([x_k,x_i],x_j) 2^(w k).  So S = P + P^T holds L M times the
+        defect of (k, i, j) in digit k.  S is tested on P's support only,
+        the (i, j) with some [x_k, x_i] meeting row j of G; on the
+        diagonal S[i][i] = 2 P[i][i], which vanishes over F_2.  A digit of
+        S is at most 2 dim C G in absolute value, C the largest integer
+        constant and G the largest entry of the cleared form, and the
+        width w is taken above that bound (``_width``): S[i][j] is 0
+        exactly when the identity holds at (i, j) for every k.  The least
+        failing k of (i, j) is S's lowest nonzero digit, read off its
+        trailing zero bits over Q and from the decoded digits
+        (``_digits``) mod p over F_p; the witness is the least such k
+        with the least pair (i, j).  So the cost follows the number of
+        nonzero bracket paths times the form's row lengths, each term a
+        packed integer of up to about dim w bits.
         """
         if alg.dim != self.dim:
             raise ShapeError("form/algebra dimension mismatch")
         _require_same_field(alg.field, self.field)
         p = self.field.characteristic
         _, g = self._cleared()
-        for k, adk in enumerate(alg._int_table()):
-            t: dict = {}  # i -> row i of T, {j: int}
-            for i, terms in adk.items():
-                ti = t[i] = {}
-                for l, c in terms:
-                    for j, y in g[l].items():
-                        ti[j] = ti.get(j, 0) + c * y
-            failing = []
-            for i, ti in t.items():
-                for j, x in ti.items():
-                    tj = t.get(j)
-                    if tj is not None:
-                        x += tj.get(i, 0)
-                    if x % p if p else x:
-                        failing.append((i, j) if i <= j else (j, i))
-            if failing:
-                return (k, *min(failing))
-        return None
+        cmax = alg._largest_constant()
+        # the form's entries matter only if the table has brackets
+        gmax = cmax and max((abs(y) for r in g for y in r.values()), default=0)
+        w = _width(2 * self.dim * cmax * gmax)
+        prod: dict = {}  # the rows of P = Q G that Q has, {i: {j: P[i][j]}}
+        for i, qi in _acting(alg._isc, w).items():
+            pi = prod[i] = {}
+            for l, v in qi.items():
+                for j, y in g[l].items():
+                    pi[j] = pi.get(j, 0) + v * y
+        failing = []
+        for i, pi in prod.items():
+            for j, x in pi.items():
+                pj = prod.get(j)
+                s = x + pj.get(i, 0) if pj else x
+                if not s:
+                    continue
+                if p:
+                    k = next((k for k, y in _digits(s, w).items() if y % p), None)
+                    if k is None:
+                        continue
+                else:
+                    k = ((s & -s).bit_length() - 1) // w
+                failing.append((k, i, j) if i <= j else (k, j, i))
+        return min(failing, default=None)
 
     def is_invariant(self, alg: LieAlgebra) -> bool:
         return self.invariance_witness(alg) is None
@@ -739,6 +796,44 @@ class BilinearForm(_Immutable):
 
     def __repr__(self):
         return f"BilinearForm({self.matrix!r})"
+
+
+def _acting(isc: dict, w: int) -> dict:
+    """{i: {l: Q[i][l]}}, Q[i][l] = sum_k c_ki^l 2^(w k) for an integer
+    table {(a, b): ((l, c_ab^l), ...)}: the table packed over the acting
+    index k, for the i of the stored brackets, without zero entries."""
+    q: dict = {}
+    for (a, b), terms in isc.items():
+        qa, qb = q.setdefault(a, {}), q.setdefault(b, {})
+        for l, c in terms:
+            qb[l] = qb.get(l, 0) + (c << w * a)
+            qa[l] = qa.get(l, 0) - (c << w * b)
+    return q
+
+
+def _width(bound: int) -> int:
+    """The digit width w of a packed sum whose digits are at most
+    ``bound`` in absolute value: bound < 2^(w-1)."""
+    return bound.bit_length() + 1
+
+
+def _digits(n: int, w: int) -> dict:
+    """{m: d_m} for the nonzero digits of n = sum d_m 2^(w m), every
+    |d_m| < 2^(w-1): the balanced base-2^w digits, which are unique, so
+    n is 0 exactly when every digit is.  Runs of zero digits are skipped
+    over the trailing zero bits."""
+    out: dict = {}
+    half, mask, m = 1 << (w - 1), (1 << w) - 1, 0
+    while n:
+        skip = ((n & -n).bit_length() - 1) // w
+        n >>= w * skip
+        r = n & mask
+        if r >= half:
+            r -= 1 << w
+        out[m + skip] = r
+        n = (n - r) >> w
+        m += skip + 1
+    return out
 
 
 def _is_symmetric(rows: list[dict]) -> bool:

@@ -453,11 +453,45 @@ def _seeded_form(rng, field, d):
                                        for i in range(d)]))
 
 
+def _wide_table(rng, d):
+    """A dense table over Q on d >= 4 basis vectors whose constants mix
+    1 with integers near +-2^60, and a dense form of the same kind.
+
+    Every bracket reaches every basis vector.  The brackets that meet
+    x_0, x_1 or x_2 have constants near 2^60 with signs chosen so that
+    each digit of the cyclic sum of (0, 1, 2) adds 3 (d - 3) products
+    near 2^120 of one sign, more than half the Jacobi scan's digit bound
+    3 d C^2; the other brackets and the form take 1, -1 or +-2^60-sized
+    entries at random.  A packed digit width too narrow for such sums
+    carries into the next digit.
+    """
+    def big(sign):
+        return sign * (2 ** 60 + rng.randrange(2 ** 20))
+
+    def mixed():
+        return rng.choice([1, -1, big(1), big(-1)])
+
+    signs = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
+    brackets = {}
+    for a in range(d):
+        for b in range(a + 1, d):
+            sign = signs.get((a, b), -1)
+            brackets[(a, b)] = [(k, big(sign) if a < 3 else mixed()) for k in range(d)]
+    upper = {(i, j): mixed() for i in range(d) for j in range(i, d)}
+    grid = [[upper[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
+    return LieAlgebra(QQ, d, brackets), BilinearForm(Matrix(QQ, grid))
+
+
 def _witness_cases():
     for n in range(13):
         for b in (0, 1):
             yield truncated_algebra(n), canonical_metric(n, b)
     yield _rotated_member(6, 3)
+    yield _rotated_member(9, 11)
+    yield _rotated_member(9, 13, PrimeField(2))
+    rng = random.Random(83)
+    for d in (7, 8, 9):
+        yield _wide_table(rng, d)
     f5 = PrimeField(5)
     yield truncated_algebra(6, field=f5), canonical_metric(6, field=f5)
     rng = random.Random(71)
@@ -507,6 +541,44 @@ def test_witness_scans_match_the_dense_references():
             found_jacobi += jacobi is not None
     # the perturbations do break both identities, so first witnesses are compared
     assert found_form > 100 and found_jacobi > 40
+
+
+def _trace_killing(alg):
+    """K(x_i, x_j) = tr(ad_i ad_j) = sum over k, l of (ad_i)_kl (ad_j)_lk,
+    read off the dense adjoint matrices."""
+    d, zero = alg.dim, alg.field.zero
+    ads = [alg.adjoint(alg.basis_vector(i)).rows for i in range(d)]
+    nonzero = [[(k, l, x) for k, row in enumerate(a) for l, x in enumerate(row) if x]
+               for a in ads]
+    return [[sum((x * b[l][k] for k, l, x in terms), zero) for b in ads]
+            for terms in nonzero]
+
+
+def _kernel_int(x):
+    """A residue over F_p, the integer x over Q."""
+    if isinstance(x, Fraction):
+        assert x.denominator == 1
+        return x.numerator
+    return x.r
+
+
+def test_killing_rows_match_the_trace_oracle_on_the_witness_cases():
+    """The integer rows of the Killing form are L^2 times the trace
+    oracle's entries, zeros dropped, over the witness cases and their
+    perturbed tables."""
+    rng, seen = random.Random(79), set()
+    for alg, _ in _witness_cases():
+        if alg in seen:  # the members come once per metric
+            continue
+        seen.add(alg)
+        cases = [alg]
+        if alg.dim > 1:
+            cases += [_perturb_constant(rng, alg) for _ in range(2)]
+        for a in cases:
+            l2 = a._scale ** 2
+            want = [{j: _kernel_int(x * l2) for j, x in enumerate(row) if x}
+                    for row in _trace_killing(a)]
+            assert a.killing_form()._cleared() == (l2, want)
 
 
 def test_witness_scans_pass_large_members():
