@@ -12,7 +12,8 @@ denominators, over Q, and their residues (L = 1) over F_p.
 ``__init__`` coerces and merges the given scalars and clears them;
 the file loader and the family constructor build the integer table
 directly (``_of_cleared``).  ``sc``, the table in field scalars, is a
-view: kept from ``__init__``, converted on first read otherwise.
+read-only view: kept from ``__init__``, converted on first read
+otherwise.
 
 All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``,
@@ -70,6 +71,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
@@ -112,7 +114,7 @@ class LieAlgebra(_Immutable):
     """An algebra on basis x_0..x_{dim-1} with sparse bracket table.
 
     The algebra is its integer table (``_scale``, ``_isc``); ``sc``, the
-    table in field scalars, is a view, kept from ``__init__`` or
+    table in field scalars, is a read-only view, kept from ``__init__`` or
     converted on first read from a table given to ``_of_cleared``.
     """
 
@@ -148,7 +150,7 @@ class LieAlgebra(_Immutable):
                 raise ValueError("grading length mismatch")
         scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
         self._hold(field, dim, scale, {key: tuple(r.items()) for key, r in zip(sc, rows)},
-                   labels, grading, sc)
+                   labels, grading, MappingProxyType(sc))
 
     @classmethod
     def _of_cleared(cls, field, dim: int, scale: int, isc: dict,
@@ -178,12 +180,13 @@ class LieAlgebra(_Immutable):
                                   self.labels, self.grading)
 
     @property
-    def sc(self) -> dict:
-        """The table {(i, j): ((k, c), ...)}, i < j, in field scalars."""
+    def sc(self) -> Mapping:
+        """The table {(i, j): ((k, c), ...)}, i < j, in field scalars, as a
+        read-only mapping."""
         if self._sc is None:
             conv = _scalars(self.field, self._scale)
-            object.__setattr__(self, "_sc", {key: tuple((k, conv(c)) for k, c in terms)
-                                             for key, terms in self._isc.items()})
+            object.__setattr__(self, "_sc", MappingProxyType({
+                key: tuple((k, conv(c)) for k, c in terms) for key, terms in self._isc.items()}))
         return self._sc
 
     def __eq__(self, other):

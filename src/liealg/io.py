@@ -24,10 +24,21 @@ skipped, symmetry is checked on the integer rows, and the form's scalar
 ``matrix`` is built only when it is read.  Error messages are formatted
 only when a check fails.  On the way out each scalar is formatted once
 (``scalar_to_string``).
+
+``load_algebra`` memoises by content: the key is the file's whole text
+(read as ``read_json`` reads it), and the ``_MEMO_SIZE`` (16) texts
+loaded most recently keep their parsed (algebra, metric) pair for the
+life of the process.  A hit hands back the same objects;
+``LieAlgebra`` and ``BilinearForm`` are immutable and their lazy views
+are deterministic, so sharing them changes no answer.  Errors are not
+memoised.  A one-shot CLI process reads each file once anyway; the memo
+pays in a library caller or an in-process loop that loads the same
+content again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -52,6 +63,9 @@ __all__ = [
 ]
 
 FORMAT_TAG = "liealg-v1"
+
+# how many file texts load_algebra keeps parsed
+_MEMO_SIZE = 16
 
 _RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 _RESIDUE_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
@@ -267,15 +281,55 @@ def save_algebra(path, alg: LieAlgebra, metric: BilinearForm | None = None):
         fh.write(dump_document(algebra_to_document(alg, metric)))
 
 
+class _NotJSON(Exception):
+    """``json.loads`` failed on a text; args[0] is its error."""
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _NotJSON(exc) from None
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parse(text: str) -> tuple[LieAlgebra, BilinearForm | None]:
+    """The algebra and metric of a document's text, memoised by text."""
+    return document_to_algebra(_decode(text))
+
+
+def _from_file(path, parse):
+    """parse(text of the file at path, read as UTF-8 with newlines
+    translated); a file that is not UTF-8 JSON is an AlgebraFileError
+    naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as exc:  # not UTF-8 (or a NUL in the path)
+        error = exc
+    else:
+        try:
+            return parse(text)
+        except _NotJSON as exc:
+            error = exc.args[0]
+    raise AlgebraFileError(f"invalid JSON in {path}: {error}")
+
+
 def read_json(path):
     """The JSON value stored at path; a file that is not UTF-8 JSON is
     an AlgebraFileError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise AlgebraFileError(f"invalid JSON in {path}: {exc}") from None
+    return _from_file(path, _decode)
 
 
 def load_algebra(path) -> tuple[LieAlgebra, BilinearForm | None]:
-    return document_to_algebra(read_json(path))
+    """The algebra and metric (or None) stored at path.
+
+    The file's text is looked up in a process-local memo of the
+    ``_MEMO_SIZE`` (16) texts loaded most recently.  The key is the
+    whole text, so a file rewritten with other content is parsed again,
+    and the same content under another path is not.  A hit returns the
+    same shared, immutable objects as the first load.  Errors are not
+    memoised: a malformed text fails on every load with the same
+    message, naming that load's path.
+    """
+    return _from_file(path, _parse)

@@ -77,6 +77,17 @@ def test_antisymmetry_of_stored_tensor():
                         -alg.structure_constant(j, i, k)
 
 
+def test_scalar_table_is_read_only():
+    # the view kept from __init__ and the one converted on first read
+    for alg in (so21(), truncated_algebra(3)):
+        before = dict(alg.sc)
+        with pytest.raises(TypeError):
+            alg.sc[(0, 1)] = ()
+        with pytest.raises(TypeError):
+            del alg.sc[(0, 1)]
+        assert dict(alg.sc) == before and alg.bracket_basis(0, 1) == before[(0, 1)]
+
+
 def test_check_jacobi_clean_cases():
     assert truncated_algebra(8).check_jacobi() is None
     assert so21().check_jacobi() is None

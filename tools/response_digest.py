@@ -8,6 +8,11 @@ Runs one pass of every ``perfbench`` workload for seeds 7 and 8 with the
 package under this checkout's ``src/`` and hashes each response: exit
 code, stdout and output files, with the work directory masked.  Two
 checkouts answer byte-identically when their outputs diff empty.
+
+Each pass then runs a second time under the same import, so every file
+it loads was loaded before in that process; if a second-pass response
+differs from the first, the script names the request on stderr and
+exits 1.  Only the first pass is printed.
 """
 
 import hashlib
@@ -22,13 +27,31 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 sys.path.insert(0, run.SRC)
+
+
+def digests(cli, requests, workdir) -> list[str]:
+    """One pass of requests: a sha256 per response, work directory masked."""
+    hashes = []
+    for resp in run.run_pass(cli, requests):
+        seen = repr((resp.code, resp.stdout, resp.files)).replace(workdir, "<work>")
+        hashes.append(hashlib.sha256(seen.encode()).hexdigest())
+    return hashes
+
+
+differing = []
 for name in sorted(workloads.WORKLOADS):
     for seed in (7, 8):
         workdir = tempfile.mkdtemp(prefix="liealg-digest-")
         try:
             cli, requests, _ = run.setup(name, seed, workdir)
-            for req, resp in zip(requests, run.run_pass(cli, requests)):
-                seen = repr((resp.code, resp.stdout, resp.files)).replace(workdir, "<work>")
-                print(name, seed, req.label, hashlib.sha256(seen.encode()).hexdigest())
+            first = digests(cli, requests, workdir)
+            second = digests(cli, requests, workdir)
+            for req, digest, again in zip(requests, first, second):
+                print(name, seed, req.label, digest)
+                if again != digest:
+                    differing.append(f"{name} {seed} {req.label}")
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
+for label in differing:
+    print(f"second pass differs from the first: {label}", file=sys.stderr)
+sys.exit(1 if differing else 0)
