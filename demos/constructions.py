@@ -2,11 +2,14 @@
 Double extensions, contractions, and what they can reach
 ========================================================
 
-Builds two algebras with the dim-4 member's invariant profile (a double
-extension of a plane, and a contraction of the split rank-1 simple
+Builds algebras with the dim-4 member's invariant profile (a double
+extension of a plane, and contractions of the split rank-1 simple
 algebra), then asks which family members the two constructions can
-produce at all.  Only the profiles are compared: the contraction along
-x0 below is not isomorphic to the member over Q.
+produce at all.  The double extension and the contraction along x1 are
+the member itself, shown by an explicit isomorphism.  The contraction
+along x0 only shares its profile: there ad b0 rotates (p0, p1), with
+characteristic polynomial l^4 + l^2, while every ad x of the member has
+l^2 (l^2 - a0^2) for a rational a0, so no isomorphism exists over Q.
 """
 
 from liealg import (
@@ -37,6 +40,8 @@ rho = Matrix(QQ, [[-1, 0], [0, 1]])
 d, d_metric = double_extend(DoubleExtensionInput(2, plane, line, (rho,)))
 print("\ndouble extension:", d.labels)
 print("same profile:", invariant_profile(d) == target)
+print("isomorphic to the member by the identity:",
+      truncated_algebra(3).is_isomorphism(d, Matrix.identity(QQ, 4)))
 
 # route 2: contract so(2,1) along the line its Killing form pairs with
 # itself; the complement Abelianizes into a central copy
@@ -46,8 +51,18 @@ so21 = LieAlgebra(QQ, 3, {(0, 1): [(2, 1)],
 metric = BilinearForm(so21.killing_form().matrix.scale(QQ(1, 2)))
 w, w_metric = wigner_contract(
     ContractionInput(so21, metric, Subspace.coordinate(QQ, 3, [0])))
-print("\ncontraction:", w.labels)
+print("\ncontraction along x0:", w.labels)
 print("same profile:", invariant_profile(w) == target)
+
+# along x1 the metric is positive, and phi: T0 -> b0, T1 -> p0 + p1,
+# T2 -> -p0 + p1, T3 -> -[phi T1, phi T2] maps the member onto the output
+w1, _ = wigner_contract(
+    ContractionInput(so21, metric, Subspace.coordinate(QQ, 3, [1])))
+images = [[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, 1, 0]]
+images.append([-c for c in w1.bracket(images[1], images[2])])
+phi = Matrix(QQ, list(zip(*images)))
+print("contraction along x1 isomorphic to the member by phi:",
+      truncated_algebra(3).is_isomorphism(w1, phi))
 
 # the family members are indecomposable, so each must be reachable in
 # one piece; counting dimensions pins the possible quotients down

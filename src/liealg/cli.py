@@ -299,7 +299,6 @@ def _split_json(split):
 def _cmd_classify(args):
     if (args.file is None) == (args.n is None):
         raise _Usage("classify takes either FILE or --family an --n N")
-    cap = _brute_cap()
     if args.n is not None:
         if args.family != "an":
             raise _Usage("only --family an is supported")
@@ -327,6 +326,7 @@ def _cmd_classify(args):
             f"verdict: {verdict.verdict.value}",
         ]
         return 0, report, human
+    cap = _brute_cap()
     alg, metric = load_algebra(args.file)
     if metric is None:
         raise _Usage("classify FILE needs a metric in the file")

@@ -27,10 +27,12 @@ and spans do not depend on the scale and take the integers as they
 are, nor do quotients.  A ``BilinearForm`` is its integer rows,
 cleared once where it enters; the Killing form, block forms and
 restrictions are rows, and its determinant is that of the rows.  The
-adjoint matrix and the automorphism test take the integer bracket of
+adjoint matrix and the isomorphism test take the integer bracket of
 rows cleared once, and a form applied to vectors, a map applied to a
 bracket or the Gram matrix of a subspace is a combination of integer
-rows (``linalg._combine``).
+rows (``linalg._combine``).  The table in another basis comes from one
+elimination of the new basis rows, each tagged with its own column
+(``_rebase``).
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -58,11 +60,12 @@ given vector, the x on which a map's derivation defect vanishes, the x
 with [x, J] in J for a subspace J, for an ideal C the x with [x, C] in
 span [S, C], and for a map phi the x with phi[x, y] = [phi x, phi y]
 for all y.  Invariant forms, the center, derivations, the ideal test,
-the lower central series and the automorphism test therefore ask their
+the lower central series and the isomorphism test therefore ask their
 conditions of x in a Lie generating set S of basis vectors only
 (``_generators``, picked greedily; T0, T1, T2 on the family's
-members).  A table that fails Jacobi gets the full basis as S, so the
-answers stay those of the definitions.
+members).  A table that fails Jacobi gets the full basis as S, and the
+isomorphism test takes the full basis when either table fails it, so
+the answers stay those of the definitions.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ from types import MappingProxyType
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
-                     _equations, _Immutable, _insert, _reduce, _Rows, _scalars, _sparse,
-                     det, nullspace)
+                     _echelon, _equations, _Immutable, _insert, _reduce, _Rows, _scalars,
+                     _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -534,36 +537,76 @@ class LieAlgebra(_Immutable):
         return LieAlgebra(self.field, len(kept), brackets,
                           labels=labels, grading=grading)
 
+    def _rebase(self, basis: Sequence[tuple[dict, int]]) -> dict | None:
+        """The table in the basis v_a = u_a / l_a, from pairs (u_a, l_a) of a
+        kernel row and a positive integer (a unit mod p over F_p): {(a, b):
+        [(c, x), ...]} with [v_a, v_b] = sum_c x v_c, for the a < b with a
+        nonzero bracket, as ``__init__`` takes it.  None unless the v_a
+        are a basis.
+
+        The rows (u_a, l_a e_{dim+a}), a tag column per v_a, are eliminated
+        once.  The v_a are a basis exactly when there are dim of them and
+        every pivot is an original column; the echelon then writes each
+        e_q in the u_a through its tags.  Reducing L [u_a, u_b] (L the
+        table's scale) against it gives m times the exact reduction (m
+        from ``_reduce``): zero in every original column, and -m L l_a l_b
+        times the coordinates of [v_a, v_b] in the tags.
+        """
+        d, p = self.dim, self.field.characteristic
+        tagged = _echelon(({**u, d + a: l} for a, (u, l) in enumerate(basis)), p)
+        if len(basis) != d or any(q >= d for q in tagged):
+            return None
+        brackets = {}
+        for (a, (u, lu)), (b, (v, lv)) in combinations(enumerate(basis), 2):
+            row = self._bracket(u, v)
+            if row:
+                conv = _scalars(self.field, -_reduce(tagged, row, p) * self._scale * lu * lv)
+                brackets[(a, b)] = [(c - d, conv(x)) for c, x in row.items()]
+        return brackets
+
     # -- maps ---------------------------------------------------------------
 
-    def is_automorphism(self, phi: Matrix) -> bool:
-        """phi invertible with phi[x,y] = [phi x, phi y] for all x, y.
+    def is_isomorphism(self, other: "LieAlgebra", phi: Matrix) -> bool:
+        """phi invertible with phi[x,y] = [phi x, phi y] for all x, y, the
+        bracket on the right that of ``other``.
 
-        Columns of phi are the images of the basis vectors.  They are
-        cleared to integers once (scale c, residues over F_p), so the
-        integer rows of phi^T decide invertibility, and c L phi[x_s, x_j]
-        is the combination of the columns with the coefficients c times
-        the integer table (``_combine``), to compare with the integer
-        bracket L [c phi x_s, c phi x_j].
+        Columns of phi are the images of this basis, written in other's
+        basis.  They are cleared to integers once (scale c, residues over
+        F_p), so the integer rows of phi^T decide invertibility.  With L
+        and L' the two tables' scales and g their gcd, c^2 L (L'/g)
+        phi[x_s, x_j] is the combination of the columns with the
+        coefficients c L'/g times this integer table (``_combine``), to
+        compare with L' [c phi x_s, (L/g) c phi x_j], the integer bracket
+        of ``other``.
 
-        The identity is asked of x_s for s in the generating set S only
-        (``_generators``).  If it holds for x and x' and all y, then
+        The identity is asked of x_s for s in this table's generating set
+        S only (``_generators``).  If it holds for x and x' and all y, then
         Jacobi in the source, the identity, and Jacobi in the target
         give phi[[x,x'],y] = [phi x,[phi x',phi y]] - [phi x',[phi x,phi
         y]] = [phi[x,x'], phi y]: the x for which it holds form a
-        subalgebra, which holds S and so is everything.  A table that
-        fails Jacobi gets the full basis as S.
+        subalgebra, which holds S and so is everything.  When either
+        table fails Jacobi, S is the full basis.
         """
-        if phi.field != self.field:
+        if phi.field != self.field or other.field != self.field:
             raise FieldMismatchError("map over a different field")
-        if not (phi.is_square() and phi.nrows == self.dim):
+        if not (phi.is_square() and phi.nrows == self.dim == other.dim):
             raise ShapeError("map dimension mismatch")
         c, cols = _clear(self.field, map(_sparse, zip(*phi.rows)))
+        g = gcd(self._scale, other._scale)
+        f, scaled = c * (other._scale // g), self._scale // g
+        targets = [{k: scaled * x for k, x in col.items()} for col in cols]
+        gens = self._generators() if other is self or other.check_jacobi() is None \
+            else range(self.dim)
         p, table = self.field.characteristic, self._int_table()
         return det(_Rows(self.field, self.dim, cols)) != self.field.zero and all(
-            _combine(((c * x, cols[k].items()) for k, x in table[s].get(j, ())), p)
-            == self._bracket(cols[s], cols[j])
-            for s in self._generators() for j in range(self.dim))
+            _combine(((f * x, cols[k].items()) for k, x in table[s].get(j, ())), p)
+            == other._bracket(cols[s], targets[j])
+            for s in gens for j in range(self.dim))
+
+    def is_automorphism(self, phi: Matrix) -> bool:
+        """phi invertible with phi[x,y] = [phi x, phi y] for all x, y: an
+        isomorphism of this table onto itself (``is_isomorphism``)."""
+        return self.is_isomorphism(self, phi)
 
     def derivation_space(self) -> DerivationSpace:
         """Solve D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j] for x_i in the

@@ -36,8 +36,8 @@ from .core import BilinearForm, LieAlgebra, _form_of_blocks
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _echelon, _equations,
-                     _reduce, _Rows, _scalars, _sparse, det, nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _equations, _Rows,
+                     _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "ConstructionError",
@@ -487,12 +487,10 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
     of the Abelian space P.
 
     The new basis is v_a = u_a / lead_a, u_a the kernel rows of B0 and
-    then of P.  The rows (u_a, lead_a e_a), a tag column per v_a, are
-    eliminated once; B0 + P is the whole space, so the echelon writes
-    each e_q in the u_a through its tags.  Reducing L [u_a, u_b] (L the
-    table's scale) against it gives m times the exact reduction (m from
-    ``_reduce``): zero in every original column, and -m L lead_a lead_b
-    times the coordinates of [v_a, v_b] in the tags.
+    then of P; ``LieAlgebra._rebase`` writes every [v_a, v_b] in it, and
+    one pass keeps the part of each that the output keeps.  A bracket
+    [b_i, b_j] = sum_k a_k b_k inside B0 also gives [b_i, b_j~] =
+    sum_k a_k b_k~ and [b_j, b_i~] = -sum_k a_k b_k~.
 
     Postconditions (Jacobi, invariance, non-degeneracy) are enforced.
     """
@@ -515,41 +513,27 @@ def wigner_contract(inp: ContractionInput) -> tuple[LieAlgebra, BilinearForm]:
             "the restriction of the metric to the subalgebra must be "
             "non-degenerate")
     p = orthogonal_complement(alg, omega, b0)
-    r, pd, d = b0.dim, p.dim, alg.dim
-    dim = r + pd + r
-    basis = [(u, u[q]) for s in (b0, p) for q, u in s._echelon.items()]
-    tagged = _echelon(({**u, d + a: lead} for a, (u, lead) in enumerate(basis)),
-                      field.characteristic)
-
-    def coords(a, b):
-        """{c: x_c} with [v_a, v_b] = sum_c x_c v_c."""
-        (u, lead_u), (v, lead_v) = basis[a], basis[b]
-        row = alg._bracket(u, v)
-        m = _reduce(tagged, row, field.characteristic)
-        conv = _scalars(field, -m * alg._scale * lead_u * lead_v)
-        return {c - d: conv(x) for c, x in row.items()}
-
-    brackets: dict[tuple[int, int], dict] = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            alpha = coords(i, j)
-            if any(c >= r for c in alpha):
-                raise ConstructionError("the subalgebra is not closed under the bracket")
-            brackets[(i, j)] = alpha
-            brackets[(i, r + pd + j)] = {r + pd + k: c for k, c in alpha.items()}
-    for i in range(r):
-        for x in range(r, r + pd):
-            brackets[(i, x)] = {y: c for y, c in coords(i, x).items() if y >= r}
-    for x in range(r, r + pd):
-        for y in range(x + 1, r + pd):
-            brackets[(x, y)] = {r + pd + k: c for k, c in coords(x, y).items() if k < r}
+    # B0 + P is the whole space, so the copy B0~ starts at z = dim
+    r, pd, z = b0.dim, p.dim, alg.dim
+    dim = z + r
+    brackets: dict[tuple[int, int], list] = {}
+    for (a, b), terms in alg._rebase(
+            [(u, u[q]) for s in (b0, p) for q, u in s._echelon.items()]).items():
+        if b < r:
+            brackets[(a, b)] = terms
+            brackets[(a, z + b)] = [(z + k, c) for k, c in terms]
+            brackets[(b, z + a)] = [(z + k, -c) for k, c in terms]
+        elif a < r:
+            brackets[(a, b)] = [(k, c) for k, c in terms if k >= r]
+        else:
+            brackets[(a, b)] = [(z + k, c) for k, c in terms if k < r]
     labels = tuple(f"b{i}" for i in range(r)) + \
         tuple(f"p{x}" for x in range(pd)) + \
         tuple(f"b{i}~" for i in range(r))
     out = LieAlgebra(field, dim, brackets, labels=labels)
 
     metric = _form_of_blocks(field, dim, [
-        (0, 0, on_b0), (0, r + pd, on_b0), (r + pd, 0, on_b0), (r, r, omega._restricted(p))])
+        (0, 0, on_b0), (0, z, on_b0), (z, 0, on_b0), (r, r, omega._restricted(p))])
     _enforce_metric_postconditions(out, metric, "contraction")
     return out, metric
 

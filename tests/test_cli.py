@@ -298,6 +298,18 @@ def test_brute_cap_environment_knob(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_family_classify_does_not_read_the_brute_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a6.json"
+    save_algebra(path, truncated_algebra(6), canonical_metric(6))
+    family = ["classify", "--family", "an", "--n", "6"]
+    expected = _run(capsys, family)
+    assert expected[0] == 0
+    monkeypatch.setenv("LIEALG_BRUTE_CAP", "abc")
+    assert _run(capsys, family) == expected
+    code, _, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and "LIEALG_BRUTE_CAP must be an integer" in err
+
+
 def test_analyze_family_member(tmp_path, capsys):
     path = tmp_path / "a6.json"
     save_algebra(path, truncated_algebra(6), canonical_metric(6))

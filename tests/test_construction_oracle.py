@@ -1,11 +1,12 @@
 """The constructions and quotients against their dense scalar references.
 
-``double_extend``, ``wigner_contract`` and ``LieAlgebra.quotient`` read
-the integer bracket table, eliminate once and assemble their metrics
-from the blocks' integer rows.  The references below build the same
-objects the dense way: a ``Matrix`` product per skewness test and a
-``structure_constant`` scan for the coadjoint block, one ``solve`` of
-the basis change per bracket of the contraction, a ``Subspace.reduce``
+``double_extend``, ``wigner_contract``, ``LieAlgebra.quotient`` and the
+change of basis ``LieAlgebra._rebase`` read the integer bracket table,
+eliminate once and assemble their metrics from the blocks' integer rows.
+The references below build the same objects the dense way: a ``Matrix``
+product per skewness test and a ``structure_constant`` scan for the
+coadjoint block, one ``solve`` of the basis change per bracket of the
+contraction and of a rotated table, a ``Subspace.reduce``
 of a dense bracket per pair of kept basis vectors, and dense grids of
 scalars for the metrics.  The two must agree bit for bit: the bracket
 table (order included), labels, grading, the metric's integer rows and
@@ -16,7 +17,7 @@ library must raise the same exception type with the same message.
 import random
 from fractions import Fraction
 
-from liealg.core import BilinearForm, LieAlgebra, NotAnIdealError, direct_sum
+from liealg.core import BilinearForm, LieAlgebra, NotAnIdealError, direct_sum, form_block_sum
 from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
 from liealg.fields import PrimeField, QQ
 from liealg.hats import IDENTITY_HAT
@@ -144,21 +145,20 @@ def _dense_wigner_contract(inp):
         if terms:
             brackets[(i, j)] = terms
 
-    for i in range(r):
-        for j in range(i + 1, r):
-            alpha, gamma = coords(alg.bracket(b0.basis[i], b0.basis[j]))
-            if any(gamma):
-                raise ConstructionError("the subalgebra is not closed under the bracket")
-            put(i, j, [(k, c) for k, c in enumerate(alpha)])
-            put(i, r + pd + j, [(r + pd + k, c) for k, c in enumerate(alpha)])
-    for i in range(r):
-        for x in range(pd):
-            _, gamma = coords(alg.bracket(b0.basis[i], p.basis[x]))
-            put(i, r + x, [(r + y, c) for y, c in enumerate(gamma)])
-    for x in range(pd):
-        for y in range(x + 1, pd):
-            alpha, _ = coords(alg.bracket(p.basis[x], p.basis[y]))
-            put(r + x, r + y, [(r + pd + k, c) for k, c in enumerate(alpha)])
+    basis = list(b0.basis) + list(p.basis)
+    for a in range(r + pd):
+        for b in range(a + 1, r + pd):
+            alpha, gamma = coords(alg.bracket(basis[a], basis[b]))
+            if b < r:
+                if any(gamma):
+                    raise ConstructionError("the subalgebra is not closed under the bracket")
+                put(a, b, [(k, c) for k, c in enumerate(alpha)])
+                put(a, r + pd + b, [(r + pd + k, c) for k, c in enumerate(alpha)])
+                put(b, r + pd + a, [(r + pd + k, -c) for k, c in enumerate(alpha)])
+            elif a < r:
+                put(a, b, [(r + y, c) for y, c in enumerate(gamma)])
+            else:
+                put(a, b, [(r + pd + k, c) for k, c in enumerate(alpha)])
     labels = tuple(f"b{i}" for i in range(r)) + \
         tuple(f"p{x}" for x in range(pd)) + \
         tuple(f"b{i}~" for i in range(r))
@@ -253,17 +253,24 @@ def _unimodular(rng, field, d):
     return low * up
 
 
-def _rotated_with_t0_line(alg, metric, seed):
+def _dense_rebase(alg, cols):
+    """The brackets of alg in the basis of the columns ``cols``: each
+    [cols[a], cols[b]], a < b, solved for in that basis."""
+    change = Matrix(alg.field, list(zip(*cols)))
+    return {(a, b): list(enumerate(solve(change, alg.bracket(cols[a], cols[b]))))
+            for a in range(alg.dim) for b in range(a + 1, alg.dim)}
+
+
+def _rotated(alg, metric, seed, locus=(0,)):
     """alg and metric in the basis of the columns of a seeded unimodular
-    P, and the line of T0 in that basis."""
+    P, and the span of the basis vectors ``locus`` (the line of T0 by
+    default) in that basis."""
     d, field = alg.dim, alg.field
     p = _unimodular(random.Random(seed), field, d)
     cols = [p.col(a) for a in range(d)]
-    brackets = {(a, b): list(enumerate(solve(p, alg.bracket(cols[a], cols[b]))))
-                for a in range(d) for b in range(a + 1, d)}
     gram = BilinearForm(Matrix(field, [[metric.value(u, v) for v in cols] for u in cols]))
-    line = Subspace(field, d, [solve(p, alg.basis_vector(0))])
-    return LieAlgebra(field, d, brackets), gram, line
+    span = Subspace(field, d, [solve(p, alg.basis_vector(k)) for k in locus])
+    return LieAlgebra(field, d, _dense_rebase(alg, cols)), gram, span
 
 
 def _contraction_inputs():
@@ -287,7 +294,7 @@ def _contraction_inputs():
     for n in (3, 6):
         for seed in range(4):
             for b in (1, 2):
-                alg, gram, line = _rotated_with_t0_line(
+                alg, gram, line = _rotated(
                     truncated_algebra(n), canonical_metric(n, b), seed)
                 yield ContractionInput(alg, gram, line)
 
@@ -412,10 +419,63 @@ def test_contractions_match_the_dense_reference():
 
 
 def test_rotated_contractions_use_a_non_coordinate_line():
-    alg, gram, line = _rotated_with_t0_line(truncated_algebra(6), canonical_metric(6, 1), 0)
+    alg, gram, line = _rotated(truncated_algebra(6), canonical_metric(6, 1), 0)
     assert len(line._echelon[min(line._echelon)]) > 1
     assert _agree(wigner_contract, _dense_wigner_contract,
                   ContractionInput(alg, gram, line)) == "ok"
+
+
+def test_contractions_along_a_non_abelian_locus_keep_both_copy_brackets():
+    """Along the first so(2,1) of so(2,1) + so(2,1), and along its image
+    in a seeded rotation, [b_i, b_j~] and [b_j, b_i~] are both set."""
+    so21 = _so21()
+    half = _half_killing(so21)
+    alg, metric = direct_sum(so21, so21), form_block_sum(half, half)
+    rotated, gram, locus = _rotated(alg, metric, 0, (0, 1, 2))
+    assert any(len(row) > 1 for row in locus._echelon.values())
+    for inp in (ContractionInput(alg, metric, Subspace.coordinate(QQ, 6, [0, 1, 2])),
+                ContractionInput(rotated, gram, locus)):
+        assert _agree(wigner_contract, _dense_wigner_contract, inp) == "ok"
+        out, form = wigner_contract(inp)
+        assert out.check_jacobi() is None
+        assert form.invariance_witness(out) is None
+        assert form.is_nondegenerate()
+
+
+def _change_of_basis(rng, field, d):
+    """Pairs (u_a, l_a) and the columns v_a = u_a / l_a they stand for:
+    the columns of a seeded unimodular P, divided by l_a in {1, 2, 3}."""
+    p = _unimodular(rng, QQ, d)
+    pairs, cols = [], []
+    for a in range(d):
+        w, l = [int(x) for x in p.col(a)], rng.choice((1, 2, 3))
+        q = field.characteristic
+        pairs.append(({c: x % q if q else x for c, x in enumerate(w) if field(x)}, l))
+        cols.append(tuple(field(x) / field(l) for x in w))
+    return pairs, cols
+
+
+def test_rebase_matches_the_dense_change_of_basis():
+    rng = random.Random(61)
+    tables = [_so21()] + [truncated_algebra(n, field=field)
+                          for field in (QQ, F5, F7) for n in (3, 6, 8)]
+    for alg in tables:
+        for _ in range(3):
+            pairs, cols = _change_of_basis(rng, alg.field, alg.dim)
+            found = LieAlgebra(alg.field, alg.dim, alg._rebase(pairs))
+            assert _algebra_state(found) == _algebra_state(
+                LieAlgebra(alg.field, alg.dim, _dense_rebase(alg, cols)))
+
+
+def test_rebase_keeps_the_table_in_its_own_basis_and_refuses_non_bases():
+    for alg in (_so21(), truncated_algebra(6), truncated_algebra(6, field=F5), JACOBI_FAILING):
+        d = alg.dim
+        identity = [({a: 1}, 1) for a in range(d)]
+        assert {key: dict(terms) for key, terms in alg._rebase(identity).items()} == \
+            {key: dict(terms) for key, terms in alg.sc.items()}
+        assert alg._rebase(identity[:-1]) is None
+        assert alg._rebase(identity + [({0: 1}, 1)]) is None
+        assert alg._rebase(identity[:-1] + [({0: 1, 1: 1}, 2)]) is None
 
 
 def test_double_extensions_match_the_dense_reference():

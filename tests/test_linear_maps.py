@@ -1,14 +1,18 @@
 """Linear maps on the integer table against their dense scalar references.
 
 ``LieAlgebra.adjoint`` brackets x, cleared once, with each basis index in
-integers; ``is_automorphism`` compares combinations of phi's cleared
-columns with integer brackets, for the generating set only; the family's
-metrics are built as integer rows.  The references below are the dense
-scalar bodies they replace: one ``bracket`` of scalar vectors per column,
-a ``Matrix`` times a bracket for every basis pair, and a dense grid fed
-to ``Matrix`` and ``BilinearForm``.  The two must agree exactly, and a
-guard counts that no scalar ``Matrix`` arithmetic and no scalar bracket
-runs inside the linear-map paths and the constructions.
+integers; ``is_isomorphism`` compares combinations of phi's cleared
+columns, over the source table, with integer brackets of the target
+table, for the source's generating set only, and ``is_automorphism`` is
+that check with the algebra as its own target; the family's metrics are
+built as integer rows.  The references below are the dense scalar bodies
+they replace: one ``bracket`` of scalar vectors per column, a ``Matrix``
+times a bracket for every basis pair (of one table, and of two tables),
+and a dense grid fed to ``Matrix`` and ``BilinearForm``.  The two must
+agree exactly, also on tables in rotated bases, with fractional
+constants, and on targets that fail Jacobi, and a guard counts that no
+scalar ``Matrix`` arithmetic and no scalar bracket runs inside the
+linear-map paths and the constructions.
 """
 
 import random
@@ -25,6 +29,7 @@ from liealg.hats import IDENTITY_HAT
 from liealg.linalg import Matrix, ShapeError, Subspace, det
 from liealg.selfdual import (ContractionInput, DoubleExtensionInput, double_extend,
                              wigner_contract)
+from test_construction_oracle import _dense_rebase, _unimodular
 from test_sparse_oracle import JACOBI_FAILING
 
 F5 = PrimeField(5)
@@ -48,6 +53,19 @@ def _dense_is_automorphism(alg, phi):
     cols = [phi.col(j) for j in range(alg.dim)]
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     return all(phi * alg.bracket(basis[i], basis[j]) == alg.bracket(cols[i], cols[j])
+               for i in range(alg.dim) for j in range(i + 1, alg.dim))
+
+
+def _dense_is_isomorphism(alg, other, phi):
+    if phi.field != alg.field or other.field != alg.field:
+        raise FieldMismatchError("map over a different field")
+    if not (phi.is_square() and phi.nrows == alg.dim == other.dim):
+        raise ShapeError("map dimension mismatch")
+    if det(phi) == alg.field.zero:
+        return False
+    cols = [phi.col(j) for j in range(alg.dim)]
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    return all(phi * alg.bracket(basis[i], basis[j]) == other.bracket(cols[i], cols[j])
                for i in range(alg.dim) for j in range(i + 1, alg.dim))
 
 
@@ -169,6 +187,78 @@ def test_is_automorphism_rejects_what_the_all_pairs_check_rejects():
             alg.is_automorphism(phi)
         with pytest.raises(found.type, match=str(found.value)):
             _dense_is_automorphism(alg, phi)
+
+
+def _rotation(alg, seed):
+    """alg in the basis of the columns of a seeded unimodular P, and P,
+    which maps that table onto alg."""
+    p = _unimodular(random.Random(seed), alg.field, alg.dim)
+    return LieAlgebra(alg.field, alg.dim, _dense_rebase(alg, [p.col(a) for a in range(alg.dim)])), p
+
+
+def _fractional(alg):
+    """alg with every basis vector halved: its constants halve too."""
+    return LieAlgebra(alg.field, alg.dim, {key: [(k, c / 2) for k, c in terms]
+                                           for key, terms in alg.sc.items()})
+
+
+def _isomorphism_cases(rng, field):
+    for n in (3, 6, 8):
+        alg = truncated_algebra(n, field=field)
+        for seed in range(3):
+            rotated, p = _rotation(alg, seed)
+            singular = Matrix(field, [r[:-1] + (sum(r[:-1], field.zero),) for r in p.rows])
+            yield from ((rotated, alg, p), (rotated, alg, _perturbed(rng, p)),
+                        (rotated, alg, singular), (alg, rotated, p))
+    so21 = _over(field, SO21)
+    rotated, p = _rotation(so21, 7)
+    yield rotated, so21, p
+    if field == QQ:
+        # the halved basis x_i / 2 of A3 maps onto the basis of A3: scales 2 and 1
+        a3 = truncated_algebra(3)
+        yield _fractional(a3), a3, Matrix.identity(QQ, 4).scale(Fraction(1, 2))
+        yield a3, _fractional(a3), Matrix.identity(QQ, 4).scale(2)
+        yield a3, _fractional(a3), Matrix.identity(QQ, 4)
+    failing = _over(field, JACOBI_FAILING)
+    rotated, p = _rotation(failing, 5)
+    yield rotated, failing, p
+    yield rotated, failing, _perturbed(rng, p)
+    # only the bracket of two non-generators differs: the target fails
+    # Jacobi, and the identity holds on the source's generating set
+    a6 = truncated_algebra(6, field=field)
+    bent = dict(a6.sc)
+    bent[(4, 5)] = ((6, field.one),)
+    bent = LieAlgebra(field, 7, bent)
+    assert bent.check_jacobi() is not None and not {4, 5} & set(a6._generators())
+    yield a6, bent, Matrix.identity(field, 7)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_is_isomorphism_matches_the_two_table_all_pairs_check(field):
+    rng = random.Random(67)
+    verdicts = []
+    for alg, other, phi in _isomorphism_cases(rng, field):
+        expected = _dense_is_isomorphism(alg, other, phi)
+        assert alg.is_isomorphism(other, phi) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_is_isomorphism_rejects_what_is_automorphism_rejects():
+    alg = truncated_algebra(3)
+    cases = [(alg, Matrix.identity(F5, 4)),
+             (truncated_algebra(3, field=F5), Matrix.identity(QQ, 4)),
+             (alg, Matrix.identity(QQ, 3)), (truncated_algebra(4), Matrix.identity(QQ, 4)),
+             (alg, Matrix(QQ, [[1] * 4] * 3))]
+    for other, phi in cases:
+        with pytest.raises((FieldMismatchError, ShapeError)) as found:
+            alg.is_isomorphism(other, phi)
+        assert str(found.value) in ("map over a different field", "map dimension mismatch")
+        with pytest.raises(found.type, match=str(found.value)):
+            _dense_is_isomorphism(alg, other, phi)
+        if other is alg:
+            with pytest.raises(found.type, match=str(found.value)):
+                alg.is_automorphism(phi)
 
 
 def test_adjoint_matches_the_bracket_per_column():

@@ -470,6 +470,7 @@ def test_double_extend_profile_matches_family_member():
     assert metric.is_nondegenerate()
     assert metric.invariance_witness(alg) is None
     assert invariant_profile(alg) == invariant_profile(truncated_algebra(3))
+    assert truncated_algebra(3).is_isomorphism(alg, Matrix.identity(QQ, 4))
 
 
 def test_double_extend_bracket_table():
@@ -557,6 +558,44 @@ def test_wigner_contraction_block_shape():
     assert copy.contains_subspace(_span_of_brackets(alg, j, j))
     # the copy is central
     assert alg.center().contains_subspace(copy)
+
+
+def test_wigner_contraction_along_x1_is_the_dim4_member():
+    """Along x1, where B(x1, x1) = 1, phi: T0 -> b0, T1 -> p0 + p1,
+    T2 -> -p0 + p1, T3 -> -[phi T1, phi T2] maps A3 onto the output."""
+    so21 = _so21()
+    metric = BilinearForm(so21.killing_form().matrix.scale(QQ(1, 2)))
+    out, _ = wigner_contract(ContractionInput(so21, metric, Subspace.coordinate(QQ, 3, [1])))
+    images = [[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, 1, 0]]
+    images.append([-c for c in out.bracket(images[1], images[2])])
+    phi = Matrix(QQ, list(zip(*images)))
+    assert det(phi) == 4
+    assert truncated_algebra(3).is_isomorphism(out, phi)
+
+
+def test_wigner_contraction_along_x0_is_not_the_dim4_member():
+    """Along x0, where B(x0, x0) = -1, ad b0 rotates (p0, p1): its
+    characteristic polynomial is l^4 + l^2, while every ad x of A3 has
+    l^2 (l^2 - a0^2), a0 the T0-coordinate of x.  An isomorphism phi
+    gives ad phi(b0) = phi ad b0 phi^-1, the same polynomial, so a0 would
+    be a rational root of a0^2 + 1."""
+    sympy = pytest.importorskip("sympy")
+    lam, a = sympy.Symbol("lam"), sympy.symbols("a0:4")
+
+    def charpoly(grid):
+        return sympy.expand(sympy.Matrix(grid).charpoly(lam).as_expr())
+
+    out, _ = _contracted_so21()
+    ad_b0 = out.adjoint([1, 0, 0, 0])
+    assert charpoly([[sympy.Rational(str(x)) for x in row] for row in ad_b0.rows]) == \
+        lam ** 4 + lam ** 2
+    a3 = truncated_algebra(3)
+    ad_x = [[sum(a[k] * sympy.Rational(str(a3.structure_constant(k, j, i))) for k in range(4))
+             for j in range(4)] for i in range(4)]
+    assert charpoly(ad_x) == sympy.expand(lam ** 2 * (lam ** 2 - a[0] ** 2))
+    gap = sympy.Poly(lam ** 4 + lam ** 2 - charpoly(ad_x), lam).coeffs()
+    roots = sympy.solve(gap, a[0], dict=True)
+    assert roots and not any(r[a[0]].is_rational for r in roots)
 
 
 def test_wigner_contraction_abelian_input():
