@@ -66,6 +66,13 @@ conditions of x in a Lie generating set S of basis vectors only
 members).  A table that fails Jacobi gets the full basis as S, and the
 isomorphism test takes the full basis when either table fails it, so
 the answers stay those of the definitions.
+
+Invariant forms go one step further.  A symmetric invariant form is a
+module map L -> L*, so it is fixed by its values on generators M of L
+as an ad_S-module.  ``_module_closure`` picks M greedily (the one root
+T0 on the family's members) and writes every basis vector in words
+L [x_s, v], one tagged elimination; the form solver's unknowns are the
+B(e_m, .) for m in M, not all dim (dim + 1) / 2 entries.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
@@ -103,6 +111,20 @@ class JacobiWitness:
     j: int
     k: int
     defect: tuple
+
+
+class _Closure(NamedTuple):
+    """The words of ``LieAlgebra._module_closure``: ``ad`` {s: {j: L [x_s,
+    x_j] as (k, int) pairs}} for the acting generators, ``words`` the
+    integer rows v_t, ``recipes`` (s, t0) for v_t = L [x_s, v_t0] or
+    (None, k) for v_t = e_k, ``relations`` (s, t0, m, {t: r_t}) for
+    m L [x_s, v_t0] + sum_t r_t v_t = 0, ``tags`` {q: row} with
+    row[q] e_q = sum_t row[dim + t] v_t."""
+    ad: dict
+    words: list
+    recipes: list
+    relations: list
+    tags: dict
 
 
 @dataclass(frozen=True)
@@ -438,12 +460,70 @@ class LieAlgebra(_Immutable):
         of ``_generators()``, with ``table`` the ``_int_table`` read once.
 
         A solver whose condition on ad_x holds on a subalgebra of the x
-        needs it for x in S only: the invariance of a form, the
-        vanishing of ad_x on the center, the derivation defect.
+        needs it for x in S only: the vanishing of ad_x on the center,
+        the derivation defect.
         """
         table = self._int_table()
         return nullspace(_equations(self.field, ncols, (
             row for s in self._generators() for row in rows_of(s, table))))
+
+    def _module_closure(self) -> "_Closure":
+        """A basis of words that writes the algebra as the ad_S-module
+        generated by basis vectors M, S = ``_generators()``.
+
+        e_k joins M (a root word, recipe (None, k)) when it is not in
+        the ad_S-closed span of the earlier words; those words are
+        then closed breadth first, each bracketed once with every x_s
+        whose ad_s is nonzero.  A bracket L [x_s, v_t0] (L the table's
+        scale) is reduced against one echelon of the rows (v_t, e_{dim+t}),
+        a tag column per word (as in ``_rebase``).  When an original
+        column is left it becomes the word v_t = L [x_s, v_t0], recipe
+        (s, t0), and its reduced row goes in with m at its own tag (m
+        from ``_reduce``: the row is m times the exact reduction).
+        Otherwise the tags of the reduced row r give the relation
+        m L [x_s, v_t0] + sum_t r_t v_t = 0, kept as (s, t0, m, {t: r_t}).
+        Every e_k is in the span at its turn, so the words are a basis
+        and the echelon has one row per original column q: lead_q e_q
+        plus the tags that write lead_q e_q in the words.  Returns the
+        acting rows of the integer table (``_int_table``), the words,
+        their recipes, the relations and that echelon.
+        """
+        d, p = self.dim, self.field.characteristic
+        table = self._int_table()
+        ad = {s: table[s] for s in self._generators() if table[s]}
+        words: list[dict] = []
+        recipes: list[tuple] = []
+        relations: list[tuple] = []
+        tagged: dict = {}
+        done = 0
+
+        def put(word, recipe, row, m):
+            row[d + len(words)] = m
+            words.append(word)
+            recipes.append(recipe)
+            _insert(tagged, row, p)
+
+        for k in range(d):
+            row = {k: 1}
+            m = _reduce(tagged, row, p)
+            if min(row) >= d:
+                continue
+            put({k: 1}, (None, k), row, m)
+            while done < len(words):
+                v = words[done]
+                for s, rows in ad.items():
+                    word = _combine(((x, rows.get(j, ())) for j, x in v.items()), p)
+                    if not word:
+                        relations.append((s, done, 1, {}))
+                        continue
+                    row = dict(word)
+                    m = _reduce(tagged, row, p)
+                    if min(row) < d:
+                        put(word, (s, done), row, m)
+                    else:
+                        relations.append((s, done, m, {c - d: x for c, x in row.items()}))
+                done += 1
+        return _Closure(ad, words, recipes, relations, tagged)
 
     # -- subspaces and series ------------------------------------------------
 

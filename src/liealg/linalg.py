@@ -337,14 +337,16 @@ def _reduce(echelon: dict, row: dict, p: int) -> int:
     return m
 
 
-def _insert(echelon: dict, row: dict, p: int):
+def _insert(echelon: dict, row: dict, p: int, cols: set | None = None):
     """Reduce ``row``, store its canonical multiple and clear its pivot
     from the other rows.
 
     Returns ``(pivot, lead, m)``: after reduction the row is m times the
     exact reduction and holds ``lead`` at its pivot, so the exact pivot
     entry is lead / m.  Returns None (storing nothing) if the row was
-    dependent.
+    dependent.  ``cols``, if given, holds every column any stored row
+    ever had an entry in, and is kept so: a pivot outside it is in no
+    stored row, and the rows are not scanned for it.
     """
     m = _reduce(echelon, row, p)
     if not row:
@@ -352,11 +354,14 @@ def _insert(echelon: dict, row: dict, p: int):
     pivot = min(row)
     lead = row[pivot]
     _normalise(row, pivot, p)
-    single = {pivot: row}
-    for q, other in echelon.items():
-        if pivot in other:
-            _reduce(single, other, p)
-            _normalise(other, q, p)
+    if cols is None or pivot in cols:
+        single = {pivot: row}
+        for q, other in echelon.items():
+            if pivot in other:
+                _reduce(single, other, p)
+                _normalise(other, q, p)
+    if cols is not None:
+        cols.update(row)
     echelon[pivot] = row
     return pivot, lead, m
 
@@ -369,11 +374,15 @@ def _echelon(rows: Iterable[dict], p: int) -> dict:
     of the fraction-free steps stay small while the echelon fills (a
     static Markowitz-style order; Markowitz, Management Sci. 3, 1957).
     The stored rows are the RREF of the span whatever the order, so the
-    order changes only the intermediate rows; the sort is stable.
+    order changes only the intermediate rows; the sort is stable.  A new
+    pivot in a column no stored row has touched clears nothing, so a
+    span of rows on distinct columns is built without scanning the
+    echelon for each pivot.
     """
     echelon: dict = {}
+    cols: set = set()
     for r in sorted(rows, key=len):
-        _insert(echelon, r, p)
+        _insert(echelon, r, p, cols)
     return dict(sorted(echelon.items()))
 
 

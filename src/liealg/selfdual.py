@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .core import BilinearForm, LieAlgebra, _form_of_blocks
+from .core import BilinearForm, LieAlgebra, _digits, _form_of_blocks, _width
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
@@ -82,40 +82,136 @@ def _sym_index(dim: int):
 def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """Basis of the space of symmetric ad-invariant bilinear forms.
 
-    Solves c_{ki}^l B_{lj} + c_{kj}^l B_{il} = 0 over the unknowns
-    B_{ij} = B_{ji}, for x_k in the algebra's generating set
-    (``LieAlgebra._generators``): by Jacobi the x whose ad_x is skew
-    for B form a subalgebra, and a table that fails Jacobi keeps every
-    x_k.  The constants are the integer table's (the system is
-    homogeneous, so their common scale does not matter); the returned
-    basis is the canonical nullspace basis unfolded into symmetric
-    matrices.  Each kernel row is unfolded straight into its form's
-    integer rows: over Q a primitive row with pivot entry l stands for
-    the form with denominator lcm l, over F_p its residues with a 1 at
-    the pivot are the form itself, so no scalar is built until a form's
-    ``matrix`` is read.
-    """
-    d = alg.dim
-    index = _sym_index(d)
+    A symmetric invariant form B is an L-module map L -> L*, x |->
+    B(x, .) (Bordemann, Acta Math. Univ. Comenianae 66, 1997), so it is
+    fixed by its values on module generators.  The solve runs over the
+    words of ``LieAlgebra._module_closure``: v_m = e_m for the roots m
+    of M, v_t = L [x_s, v_t0] for s in the generating set S (L the
+    table's scale).  The unknowns are the functionals f_m = B(e_m, .)
+    of the roots, with B(e_m, e_m') and B(e_m', e_m) one unknown for
+    two roots: |M| dim - |M|(|M| - 1)/2 of them.  Each word's
+    functional follows its recipe, g_t = -g_t0 o L ad_s, since
+    B([x_s, v], y) = -B(v, [x_s, y]).  Each relation m L [x_s, v_t0] +
+    sum_t r_t v_t = 0 of the closure gives the dim equations
+    m (-g_t0 o L ad_s) + sum_t r_t g_t = 0.  Conversely, a solution
+    defines B(v_t, y) = g_t(y) on the word basis, with
+    B([x_s, v], y) = -B(v, [x_s, y]) for every s and v; by Jacobi the x
+    for which that holds form a subalgebra, which holds S, so B is
+    invariant.  A table that fails Jacobi has S = the whole basis, and
+    there these conditions are the definition of invariance.  Symmetry
+    is asked of each pair of a root and a word that is not a root:
+    with B invariant so is its transpose, and A = B - B^T is an
+    invariant map, fixed like B by the A(e_m, .) on the roots.  So the
+    solutions are the symmetric invariant forms, each once.  (Outside
+    characteristic 2 these equations follow from the others: T(x, y, z)
+    = A([x, y], z) is antisymmetric in x, y and symmetric in y, z, so
+    T = 0, and every word that is not a root is a bracket.  Over F_2
+    that argument fails, and the equations are asked in every field.)
 
-    def rows_of(k, table):
-        row = table[k]
-        if not row:
-            return
-        adk = [row.get(j, ()) for j in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                if not adk[i] and not adk[j]:
-                    continue
-                eq = {index[(min(l, j), max(l, j))]: c for l, c in adk[i]}
-                for l, c in adk[j]:
-                    a = index[(min(i, l), max(i, l))]
-                    eq[a] = eq[a] + c if a in eq else c
-                yield eq
-    space = alg._generator_kernel(len(index), rows_of)
-    pairs = list(index)
+    Each g_t(e_j) is one packed integer over the unknowns (Kronecker
+    substitution, as in the identity scans; ``_digits``).  A digit of
+    g_t is at most D_t in absolute value: D_m = 1 at a root, and
+    D_t = R_s D_t0 along a recipe, with R_s = max_j sum_k |L c_sj^k| and
+    the constants taken balanced, in (-p/2, p/2], over F_p.  A
+    relation's digits are at most |m| R_s D_t0 + sum_t |r_t| D_t, a
+    symmetry equation's at most |v_b|_1 + D_b, and an unfolded entry's
+    (below) at most (l / lead_i) sum_t |T_it| D_t.  The width w is
+    taken above the largest of these bounds (``_width``), so no digit
+    carries and the decoded digits are the coefficients exactly.  The
+    packed equations are deduplicated up to sign before they are
+    decoded and handed to ``nullspace``.
+
+    The kernel is unfolded into the unknowns B_ij, i <= j, of
+    ``_sym_index``.  The tag rows give lead_i e_i = sum_t T_it v_t, so
+    with l the lcm of the leads, l B(e_i, e_j) = sum_t (l / lead_i) T_it
+    g_t(e_j); each of these packed sums is decoded once, into the
+    entries B_ij that each unknown reaches.  A kernel row then touches
+    only the entries its nonzeros reach (``_combine``).  The unfolded
+    rows are canonicalised by ``Subspace._span``, so the basis is the
+    canonical one of the space in the symmetric unknowns.  Each of its
+    rows is unfolded straight into its form's integer rows: over Q a
+    primitive row with pivot entry l stands for the form with
+    denominator lcm l, over F_p its residues with a 1 at the pivot are
+    the form itself, so no scalar is built until a form's ``matrix`` is
+    read.
+    """
+    d, p = alg.dim, alg.field.characteristic
+    ad, words, recipes, relations, tags = alg._module_closure()
+    # pull[s][k]: the (j, -L c_sj^k), so g o -L ad_s sums g(e_k) times
+    # them; reach[s] = R_s
+    pull, reach = {}, {}
+    for s, rows in ad.items():
+        cols = pull[s] = {}
+        reach[s] = 0
+        for j, terms in rows.items():
+            total = 0
+            for k, c in terms:
+                c = c - p if 2 * c > p > 0 else c
+                cols.setdefault(k, []).append((j, -c))
+                total += abs(c)
+            reach[s] = max(reach[s], total)
+    roots = [k for s, k in recipes if s is None]
+    # unknowns[n][j]: the digit of B(e_k, e_j), k = roots[n]; for an
+    # earlier root j it is the digit of B(e_j, e_k)
+    position = {k: n for n, k in enumerate(roots)}
+    unknowns: list[list] = []
+    count = 0
+    for n, k in enumerate(roots):
+        row = []
+        for j in range(d):
+            if position.get(j, n) < n:
+                row.append(unknowns[position[j]][k])
+            else:
+                row.append(count)
+                count += 1
+        unknowns.append(row)
+    bound, top = [], 1
+    for (s, t0), v in zip(recipes, words):
+        bound.append(1 if s is None else reach[s] * bound[t0])
+        top = max(top, sum(map(abs, v.values())) + bound[-1])
+    for s, t0, m, rel in relations:
+        top = max(top, abs(m) * reach[s] * bound[t0]
+                  + sum(abs(r) * bound[t] for t, r in rel.items()))
+    leads = 1 if p else lcm(*(row[q] for q, row in tags.items()))
+    unfold = []
+    for i in range(d):
+        row = tags[i]
+        tag = [(c - d, leads // row[i] * x) for c, x in row.items() if c >= d]
+        top = max(top, sum(abs(x) * bound[t] for t, x in tag))
+        unfold.append(tag)
+    w = _width(top)
+    funcs = []  # funcs[t]: {j: g_t(e_j) packed}
+    for s, t0 in recipes:
+        if s is None:
+            funcs.append({j: 1 << w * u for j, u in enumerate(unknowns[position[t0]])})
+        else:
+            funcs.append(_combine(((x, pull[s].get(k, ())) for k, x in funcs[t0].items()), 0))
+    eqs = set()
+    for s, t0, m, rel in relations:
+        eqs.update(map(abs, _combine([
+            *((m * x, pull[s].get(k, ())) for k, x in funcs[t0].items()),
+            *((r, funcs[t].items()) for t, r in rel.items())], 0).values()))
+    for (s, k), ga in zip(recipes, funcs):
+        if s is None:
+            for (r, _), v, gb in zip(recipes, words, funcs):
+                if r is not None:
+                    x = sum(y * ga[j] for j, y in v.items()) - gb.get(k, 0)
+                    if x:
+                        eqs.add(abs(x))
+    space = nullspace(_equations(alg.field, count, (_digits(x, w) for x in eqs)))
+    reached = [[] for _ in range(count)]
+    col = 0
+    for i, tag in enumerate(unfold):
+        for j, x in _combine(((f, funcs[t].items()) for t, f in tag), 0).items():
+            if j >= i:
+                for u, y in _digits(x, w).items():
+                    reached[u].append((col + j - i, y))
+        col += d - i
+    sym = Subspace._span(alg.field, d * (d + 1) // 2, [
+        _combine(((x, reached[u]) for u, x in z.items()), p) for z in space._echelon.values()])
+    pairs = list(_sym_index(d))
     forms = []
-    for q, v in space._echelon.items():
+    for q, v in sym._echelon.items():
         rows = [{} for _ in range(d)]
         for a, x in v.items():
             i, j = pairs[a]

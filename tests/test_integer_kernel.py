@@ -22,7 +22,7 @@ from liealg.fields import FpElement, PrimeField, QQ
 from liealg.linalg import Matrix, ShapeError, Subspace, det, nullspace, rank, rref, solve
 from liealg.selfdual import invariant_form_space, orthogonal_complement
 
-from test_sparse_oracle import _rotated, _rotation
+from test_sparse_oracle import _assembled_invariant_form_space, _rotated, _rotation
 
 F2, F5, F7 = PrimeField(2), PrimeField(5), PrimeField(7)
 F61 = PrimeField(2 ** 61 - 1)
@@ -347,16 +347,17 @@ def test_sparsest_first_gives_the_echelon_of_the_given_order(field, monkeypatch)
 
 
 def test_sparsest_first_limits_growth_on_a_rotated_system(monkeypatch):
-    """The invariant-form systems of rotated A3+A3 (103 to 140 equations
-    in 36 unknowns, rank 31): fewer reductions and smaller entries, stored
-    and in the working rows, than in the order the equations come in."""
+    """The invariant-form systems of rotated A3+A3 in the d(d+1)/2
+    unknowns of the assembled reference (103 to 140 equations in 36
+    unknowns, rank 31): fewer reductions and smaller entries, stored and
+    in the working rows, than in the order the equations come in."""
     real_insert, real_reduce = linalg._insert, linalg._reduce
 
     def growth(alg, echelon):
         peak, reductions = [0, 0], []
 
-        def insert(e, row, p):
-            found = real_insert(e, row, p)
+        def insert(e, row, p, *cols):
+            found = real_insert(e, row, p, *cols)
             peak[0] = max(peak[0], 0, *(abs(x).bit_length()
                                         for r in e.values() for x in r.values()))
             return found
@@ -370,7 +371,7 @@ def test_sparsest_first_limits_growth_on_a_rotated_system(monkeypatch):
         monkeypatch.setattr(linalg, "_echelon", echelon)
         monkeypatch.setattr(linalg, "_insert", insert)
         monkeypatch.setattr(linalg, "_reduce", reduce)
-        forms = invariant_form_space(alg)
+        forms = _assembled_invariant_form_space(alg)
         monkeypatch.undo()
         return forms, peak, len(reductions)
 

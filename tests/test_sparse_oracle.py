@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from liealg import core, linalg
+from liealg import core, linalg, selfdual
 from liealg.core import BilinearForm, DerivationSpace, LieAlgebra, direct_sum
 from liealg.family import (DiagonalMetricResult, _all_nonzero_element,
                            single_diagonal_metric_solve, suffix_subspace, truncated_algebra)
@@ -69,6 +69,40 @@ def _dense_invariant_form_space(alg):
             grid[i][j] = v[a]
             grid[j][i] = v[a]
         forms.append(BilinearForm(Matrix(alg.field, grid)))
+    return forms
+
+
+def _assembled_invariant_form_space(alg):
+    """The sparse assembler the ad-module closure solve replaced: the
+    equations c_{ki}^l B_{lj} + c_{kj}^l B_{il} = 0 for x_k in the
+    generating set, over the d(d+1)/2 unknowns B_{ij}, i <= j, of
+    ``_sym_index``, their canonical kernel unfolded into forms."""
+    d = alg.dim
+    index = _sym_index(d)
+
+    def rows_of(k, table):
+        row = table[k]
+        if not row:
+            return
+        adk = [row.get(j, ()) for j in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                if not adk[i] and not adk[j]:
+                    continue
+                eq = {index[(min(l, j), max(l, j))]: c for l, c in adk[i]}
+                for l, c in adk[j]:
+                    a = index[(min(i, l), max(i, l))]
+                    eq[a] = eq[a] + c if a in eq else c
+                yield eq
+    space = alg._generator_kernel(len(index), rows_of)
+    pairs = list(index)
+    forms = []
+    for q, v in space._echelon.items():
+        rows = [{} for _ in range(d)]
+        for a, x in v.items():
+            i, j = pairs[a]
+            rows[i][j] = rows[j][i] = x
+        forms.append(BilinearForm._of_cleared(alg.field, v[q], rows))
     return forms
 
 
@@ -343,14 +377,21 @@ def test_generating_sets_and_work_counts(monkeypatch):
     assert brackets == []
     systems, blocks = [], []
     real_nullspace, real_blocks = core.nullspace, linalg._blocks
-    monkeypatch.setattr(core, "nullspace",
-                        lambda m: systems.append((m.nrows, m.ncols)) or real_nullspace(m))
+
+    def recording(m):
+        systems.append((m.nrows, m.ncols))
+        return real_nullspace(m)
+    monkeypatch.setattr(core, "nullspace", recording)
+    monkeypatch.setattr(selfdual, "nullspace", recording)
     monkeypatch.setattr(linalg, "_blocks",
                         lambda rows: blocks.append(real_blocks(rows)) or blocks[-1])
-    invariant_form_space(truncated_algebra(30))
-    # the equations of x_0, x_1, x_2 for the 496 unknowns B_ij, i <= j
-    assert systems == [(900, 496)]
-    assert len(blocks) == 1 and len(blocks[0]) > 1
+    a30 = truncated_algebra(30)
+    assert _assembled_invariant_form_space(a30) == invariant_form_space(a30)
+    # the reference: the equations of x_0, x_1, x_2 for the 496 unknowns
+    # B_ij, i <= j; the closure solve: the relations and the symmetry of
+    # the words with the root T0, for the 31 unknowns B(T0, T_j)
+    assert systems == [(900, 496), (31, 31)]
+    assert len(blocks) == 2 and len(blocks[0]) > 1
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -1,0 +1,95 @@
+"""Print in-process best-of-N times of the invariant-form solver and of ``analyze``.
+
+Usage, from the root of a checkout:
+
+    python3 tools/solver_times.py [REPEAT] > times.txt
+
+The inputs are built with ``perfbench/inputs.py`` and written to a
+temporary directory:
+
+- rotated A9, A12, A15 and A18: the family member in the basis of
+  ``unimodular(random.Random(3), dim)``, with the canonical metric (b = 1)
+  carried along;
+- A60, A90, A150 and A300 with the canonical metric (b = 1);
+- Abelian tables of dimension 40 and 80.
+
+Each line gives the input, the best of REPEAT runs (default 3) of
+``invariant_form_space`` and the best of REPEAT runs of
+``cli.main(["analyze", FILE])``, in milliseconds.  The solver runs on a
+fresh copy of the loaded algebra whose generating set (and so its Jacobi
+check) is computed before the timer starts; ``analyze`` runs with the
+load memo cleared and its output discarded.  Run it in two checkouts and
+compare the lines.  Standard library only.
+"""
+
+import contextlib
+import io
+import os
+import random
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import inputs  # noqa: E402
+from liealg import cli  # noqa: E402
+from liealg import io as lio  # noqa: E402
+from liealg.core import LieAlgebra  # noqa: E402
+from liealg.selfdual import invariant_form_space  # noqa: E402
+
+
+def cases():
+    """(name, algebra, metric grid or None) for every input."""
+    for n in (9, 12, 15, 18):
+        p = inputs.unimodular(random.Random(3), n + 1)
+        yield (f"rotated A{n}", inputs.rotate(inputs.family(n), p),
+               inputs.congruent(inputs.canonical_metric(n), p))
+    for n in (60, 90, 150, 300):
+        yield f"A{n}", inputs.family(n), inputs.canonical_metric(n)
+    for d in (40, 80):
+        yield f"Abelian d={d}", inputs.Algebra(d, {}), None
+
+
+def best(run, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def solve_once(alg: LieAlgebra):
+    fresh = LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
+                                   alg.labels, alg.grading)
+    fresh._generators()
+    start = time.perf_counter()
+    invariant_form_space(fresh)
+    return time.perf_counter() - start
+
+
+def analyze_once(path: str):
+    lio._parse.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["analyze", path])
+
+
+def main() -> int:
+    repeat = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    with tempfile.TemporaryDirectory(prefix="liealg-times-") as work:
+        print(f"{'input':<16} {'forms ms':>10} {'analyze ms':>11}")
+        for name, alg, metric in cases():
+            path = os.path.join(work, "input.json")
+            inputs.write_json(path, inputs.algebra_document(alg, metric))
+            loaded, _ = lio.load_algebra(path)
+            forms = min(solve_once(loaded) for _ in range(repeat))
+            analyze = best(lambda: analyze_once(path), repeat)
+            print(f"{name:<16} {forms * 1e3:>10.1f} {analyze * 1e3:>11.1f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
