@@ -431,6 +431,7 @@ class LieAlgebra(_Immutable):
         p = self.field.characteristic
         acting = {i for key in self._isc for i in key}  # the x_i with ad x_i != 0
         span: dict = {}  # the kernel echelon of the subalgebra generated so far
+        cols: set = set()
         closed: list[dict] = []  # spanning rows, each bracketed with every acting pick
         gens: list[int] = []
         active: list[int] = []
@@ -441,13 +442,13 @@ class LieAlgebra(_Immutable):
                 continue
             gens.append(k)
             if k not in acting:
-                _insert(span, {k: 1}, p)
+                _insert(span, {k: 1}, p, cols)
                 continue
             active.append(k)
             pending = [{k: 1}] + [self._bracket({k: 1}, v) for v in closed]
             while pending:
                 v = pending.pop()
-                if _insert(span, v, p) is not None:
+                if _insert(span, v, p, cols) is not None:
                     v = dict(v)  # the stored row changes as later pivots come in
                     closed.append(v)
                     pending.extend(self._bracket({s: 1}, v) for s in active)
@@ -495,13 +496,14 @@ class LieAlgebra(_Immutable):
         recipes: list[tuple] = []
         relations: list[tuple] = []
         tagged: dict = {}
+        cols: set = set()
         done = 0
 
         def put(word, recipe, row, m):
             row[d + len(words)] = m
             words.append(word)
             recipes.append(recipe)
-            _insert(tagged, row, p)
+            _insert(tagged, row, p, cols)
 
         for k in range(d):
             row = {k: 1}

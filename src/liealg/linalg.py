@@ -337,16 +337,18 @@ def _reduce(echelon: dict, row: dict, p: int) -> int:
     return m
 
 
-def _insert(echelon: dict, row: dict, p: int, cols: set | None = None):
+def _insert(echelon: dict, row: dict, p: int, cols: set):
     """Reduce ``row``, store its canonical multiple and clear its pivot
     from the other rows.
 
     Returns ``(pivot, lead, m)``: after reduction the row is m times the
     exact reduction and holds ``lead`` at its pivot, so the exact pivot
     entry is lead / m.  Returns None (storing nothing) if the row was
-    dependent.  ``cols``, if given, holds every column any stored row
-    ever had an entry in, and is kept so: a pivot outside it is in no
-    stored row, and the rows are not scanned for it.
+    dependent.  ``cols`` is kept beside the echelon (empty with it) and
+    holds every column a stored row ever had an entry in: clearing adds
+    only columns of the new row, so a pivot outside it is in no stored
+    row and the rows are not scanned for it.  A span of rows on distinct
+    columns (Abelian input) is built in linear time.
     """
     m = _reduce(echelon, row, p)
     if not row:
@@ -354,14 +356,13 @@ def _insert(echelon: dict, row: dict, p: int, cols: set | None = None):
     pivot = min(row)
     lead = row[pivot]
     _normalise(row, pivot, p)
-    if cols is None or pivot in cols:
+    if pivot in cols:
         single = {pivot: row}
         for q, other in echelon.items():
             if pivot in other:
                 _reduce(single, other, p)
                 _normalise(other, q, p)
-    if cols is not None:
-        cols.update(row)
+    cols.update(row)
     echelon[pivot] = row
     return pivot, lead, m
 
@@ -374,10 +375,7 @@ def _echelon(rows: Iterable[dict], p: int) -> dict:
     of the fraction-free steps stay small while the echelon fills (a
     static Markowitz-style order; Markowitz, Management Sci. 3, 1957).
     The stored rows are the RREF of the span whatever the order, so the
-    order changes only the intermediate rows; the sort is stable.  A new
-    pivot in a column no stored row has touched clears nothing, so a
-    span of rows on distinct columns is built without scanning the
-    echelon for each pivot.
+    order changes only the intermediate rows; the sort is stable.
     """
     echelon: dict = {}
     cols: set = set()
@@ -510,9 +508,10 @@ def det(m: Matrix | _Rows):
     p = m.field.characteristic
     s, rows = m._cleared() if isinstance(m, Matrix) else (1, m.rows)
     echelon: dict = {}
+    cols: set = set()
     num, den = 1, s ** m.nrows
     for r in rows:
-        found = _insert(echelon, dict(r), p)
+        found = _insert(echelon, dict(r), p, cols)
         if found is None:
             return m.field.zero
         pivot, lead, mult = found

@@ -98,24 +98,23 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     B([x_s, v], y) = -B(v, [x_s, y]) for every s and v; by Jacobi the x
     for which that holds form a subalgebra, which holds S, so B is
     invariant.  A table that fails Jacobi has S = the whole basis, and
-    there these conditions are the definition of invariance.  Symmetry
-    is asked of each pair of a root and a word that is not a root:
-    with B invariant so is its transpose, and A = B - B^T is an
-    invariant map, fixed like B by the A(e_m, .) on the roots.  So the
-    solutions are the symmetric invariant forms, each once.  (Outside
-    characteristic 2 these equations follow from the others: T(x, y, z)
-    = A([x, y], z) is antisymmetric in x, y and symmetric in y, z, so
-    T = 0, and every word that is not a root is a bracket.  Over F_2
-    that argument fails, and the equations are asked in every field.)
+    there these conditions are the definition of invariance.  Such a B
+    is symmetric, and no symmetry equation is asked: b(x, y, z) =
+    B([x, y], z) = B(x, [y, z]) is alternating in x, y and in y, z, so
+    b(z, x, y) = b(x, y, z), and B(z, [x, y]) = B([z, x], y) = B([x, y],
+    z).  So B - B^T vanishes on [L, L] x L in every characteristic, F_2
+    included; every word that is not a root is a bracket, and B is
+    symmetric on the roots by the shared unknowns.  The solutions are
+    the symmetric invariant forms, each once.
 
     Each g_t(e_j) is one packed integer over the unknowns (Kronecker
     substitution, as in the identity scans; ``_digits``).  A digit of
     g_t is at most D_t in absolute value: D_m = 1 at a root, and
     D_t = R_s D_t0 along a recipe, with R_s = max_j sum_k |L c_sj^k| and
     the constants taken balanced, in (-p/2, p/2], over F_p.  A
-    relation's digits are at most |m| R_s D_t0 + sum_t |r_t| D_t, a
-    symmetry equation's at most |v_b|_1 + D_b, and an unfolded entry's
-    (below) at most (l / lead_i) sum_t |T_it| D_t.  The width w is
+    relation's digits are at most |m| R_s D_t0 + sum_t |r_t| D_t, and
+    an unfolded entry's (below) at most (l / lead_i) sum_t |T_it| D_t.
+    These are the only packed sums decoded.  The width w is
     taken above the largest of these bounds (``_width``), so no digit
     carries and the decoded digits are the coefficients exactly.  The
     packed equations are deduplicated up to sign before they are
@@ -136,7 +135,7 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     read.
     """
     d, p = alg.dim, alg.field.characteristic
-    ad, words, recipes, relations, tags = alg._module_closure()
+    ad, _, recipes, relations, tags = alg._module_closure()
     # pull[s][k]: the (j, -L c_sj^k), so g o -L ad_s sums g(e_k) times
     # them; reach[s] = R_s
     pull, reach = {}, {}
@@ -166,9 +165,8 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                 count += 1
         unknowns.append(row)
     bound, top = [], 1
-    for (s, t0), v in zip(recipes, words):
+    for s, t0 in recipes:
         bound.append(1 if s is None else reach[s] * bound[t0])
-        top = max(top, sum(map(abs, v.values())) + bound[-1])
     for s, t0, m, rel in relations:
         top = max(top, abs(m) * reach[s] * bound[t0]
                   + sum(abs(r) * bound[t] for t, r in rel.items()))
@@ -191,13 +189,6 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
         eqs.update(map(abs, _combine([
             *((m * x, pull[s].get(k, ())) for k, x in funcs[t0].items()),
             *((r, funcs[t].items()) for t, r in rel.items())], 0).values()))
-    for (s, k), ga in zip(recipes, funcs):
-        if s is None:
-            for (r, _), v, gb in zip(recipes, words, funcs):
-                if r is not None:
-                    x = sum(y * ga[j] for j, y in v.items()) - gb.get(k, 0)
-                    if x:
-                        eqs.add(abs(x))
     space = nullspace(_equations(alg.field, count, (_digits(x, w) for x in eqs)))
     reached = [[] for _ in range(count)]
     col = 0

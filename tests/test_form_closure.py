@@ -97,10 +97,10 @@ def test_width_follows_the_recipes(monkeypatch):
 
     A word's functional g_t = -g_t0 o L ad_s has digits at most D_t =
     R_s D_t0 (R_s the largest column sum of |L ad_s|, D = 1 at a root),
-    and the relations, symmetry equations and unfolded entries are sums
-    of such terms with the integer coefficients the closure gives, so
-    the width taken above the largest of these sums keeps every digit
-    below 2^(w-1) and the decoded equations exact.  Scaling a rotated
+    and the relations and unfolded entries are sums of such terms with
+    the integer coefficients the closure gives, so the width taken above
+    the largest of these sums keeps every digit below 2^(w-1) and the
+    decoded equations exact.  Scaling a rotated
     table by 10^12 multiplies every R_s by 10^12; rescaling its basis
     by factors with several denominators gives the integer table a
     large scale L and large entries.  Both need widths past 40 bits,

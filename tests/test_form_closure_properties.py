@@ -18,12 +18,10 @@ from liealg.core import LieAlgebra, direct_sum  # noqa: E402
 from liealg.family import truncated_algebra  # noqa: E402
 from liealg.fields import PrimeField, QQ  # noqa: E402
 from liealg.hats import IDENTITY_HAT  # noqa: E402
+from liealg.linalg import Matrix, nullspace  # noqa: E402
 
 from test_form_closure import _same_forms, _scaled  # noqa: E402
 from test_sparse_oracle import _rotated  # noqa: E402
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 _SETTINGS = dict(max_examples=150, deadline=None, database=None, derandomize=True)
 _FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
@@ -92,3 +90,39 @@ def test_random_tables(alg):
 def test_random_lie_algebras(alg):
     assert alg.check_jacobi() is None
     _same_forms(alg)
+
+
+def _invariant_bilinear_forms(alg):
+    """Every bilinear form on which each ad_x is skew, symmetric or not:
+    the kernel of c_ki^l B_lj + c_kj^l B_il = 0 over the d^2 entries
+    B_ij (entry i d + j)."""
+    d, zero = alg.dim, alg.field.zero
+    rows = []
+    for k in range(d):
+        ad = [[alg.structure_constant(k, i, l) for l in range(d)] for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                row = [zero] * (d * d)
+                for l in range(d):
+                    row[l * d + j] += ad[i][l]
+                    row[i * d + l] += ad[j][l]
+                rows.append(row)
+    return nullspace(Matrix(alg.field, rows)).basis
+
+
+@settings(**_SETTINGS)
+@given(st.one_of(_raw_tables(), _lie_tables()).filter(lambda alg: alg.dim))
+def test_invariant_forms_are_symmetric_on_brackets(alg):
+    """B(u, z) = B(z, u) for u in [L, L] and every ad-skew B, in every
+    characteristic F_2 included, with or without Jacobi.  So a form
+    that is symmetric on the module generators, which span L modulo
+    [L, L], is symmetric, and ``invariant_form_space`` asks no
+    symmetry equation of its words."""
+    d = alg.dim
+    for b in _invariant_bilinear_forms(alg):
+        for i in range(d):
+            for j in range(i + 1, d):
+                u = [alg.structure_constant(i, j, l) for l in range(d)]
+                for z in range(d):
+                    assert (sum((x * b[l * d + z] for l, x in enumerate(u)), alg.field.zero)
+                            == sum((x * b[z * d + l] for l, x in enumerate(u)), alg.field.zero))

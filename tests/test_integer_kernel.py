@@ -293,9 +293,9 @@ def test_no_raw_integer_leaves_the_scans(field):
 def _given_order(rows, p):
     """The echelon of the rows inserted in the order they come in, in
     pivot order as ``_echelon`` returns it."""
-    echelon = {}
+    echelon, cols = {}, set()
     for r in rows:
-        linalg._insert(echelon, r, p)
+        linalg._insert(echelon, r, p, cols)
     return dict(sorted(echelon.items()))
 
 
@@ -356,8 +356,8 @@ def test_sparsest_first_limits_growth_on_a_rotated_system(monkeypatch):
     def growth(alg, echelon):
         peak, reductions = [0, 0], []
 
-        def insert(e, row, p, *cols):
-            found = real_insert(e, row, p, *cols)
+        def insert(e, row, p, cols):
+            found = real_insert(e, row, p, cols)
             peak[0] = max(peak[0], 0, *(abs(x).bit_length()
                                         for r in e.values() for x in r.values()))
             return found

@@ -388,9 +388,9 @@ def test_generating_sets_and_work_counts(monkeypatch):
     a30 = truncated_algebra(30)
     assert _assembled_invariant_form_space(a30) == invariant_form_space(a30)
     # the reference: the equations of x_0, x_1, x_2 for the 496 unknowns
-    # B_ij, i <= j; the closure solve: the relations and the symmetry of
-    # the words with the root T0, for the 31 unknowns B(T0, T_j)
-    assert systems == [(900, 496), (31, 31)]
+    # B_ij, i <= j; the closure solve: the distinct equations of the
+    # relations, for the 31 unknowns B(T0, T_j)
+    assert systems == [(900, 496), (20, 31)]
     assert len(blocks) == 2 and len(blocks[0]) > 1
 
 
