@@ -419,7 +419,8 @@ def _parse_index_list(text: str, dim: int) -> list[int]:
         raise _Usage("subalgebra index list has duplicates")
     for i in indices:
         if not 0 <= i < dim:
-            raise _Usage(f"subalgebra index {i} out of range 0..{dim - 1}")
+            bounds = f"0..{dim - 1}" if dim else "(the basis is empty)"
+            raise _Usage(f"subalgebra index {i} out of range {bounds}")
     return sorted(indices)
 
 

@@ -67,6 +67,12 @@ members).  A table that fails Jacobi gets the full basis as S, and the
 isomorphism test takes the full basis when either table fails it, so
 the answers stay those of the definitions.
 
+The generating set, [L, L] (the span of the stored brackets) and the
+center are computed once per algebra and kept beside the table
+(``LieAlgebra._memo``): the derived and lower central series start from
+the one [L, L], and the center serves ``analyze``, the derivations and
+the self-duality search alike.  A pickled algebra starts without them.
+
 Invariant forms go one step further.  A symmetric invariant form is a
 module map L -> L*, so it is fixed by its values on generators M of L
 as an ad_S-module.  ``_module_closure`` picks M greedily (the one root
@@ -140,10 +146,13 @@ class LieAlgebra(_Immutable):
 
     The algebra is its integer table (``_scale``, ``_isc``); ``sc``, the
     table in field scalars, is a read-only view, kept from ``__init__`` or
-    converted on first read from a table given to ``_of_cleared``.
+    converted on first read from a table given to ``_of_cleared``.  The
+    generating set, [L, L] and the center are computed once per algebra
+    and kept in the slots beside the table.
     """
 
-    __slots__ = ("field", "dim", "labels", "grading", "_scale", "_isc", "_sc", "_gens")
+    __slots__ = ("field", "dim", "labels", "grading", "_scale", "_isc", "_sc",
+                 "_gens", "_derived", "_center")
 
     def __init__(self, field, dim: int,
                  brackets: Mapping[tuple[int, int], object],
@@ -198,7 +207,17 @@ class LieAlgebra(_Immutable):
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_isc", isc)
         object.__setattr__(self, "_sc", sc)
-        object.__setattr__(self, "_gens", None)
+        for slot in ("_gens", "_derived", "_center"):
+            object.__setattr__(self, slot, None)
+
+    def _memo(self, slot: str, compute: Callable[[], object]):
+        """The value kept in ``slot``, computed on first use: the algebra
+        is immutable, so it is computed once per algebra."""
+        value = getattr(self, slot)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, slot, value)
+        return value
 
     def __reduce__(self):
         return self._of_cleared, (self.field, self.dim, self._scale, self._isc,
@@ -422,10 +441,8 @@ class LieAlgebra(_Immutable):
         fails Jacobi gets the full basis: every reduction to S rests on
         ad_[x,y] = [ad_x, ad_y].  Computed once per algebra.
         """
-        if self._gens is None:
-            object.__setattr__(self, "_gens", tuple(range(self.dim))
-                               if self.check_jacobi() is not None else self._greedy_generators())
-        return self._gens
+        return self._memo("_gens", lambda: tuple(range(self.dim))
+                          if self.check_jacobi() is not None else self._greedy_generators())
 
     def _greedy_generators(self) -> tuple[int, ...]:
         p = self.field.characteristic
@@ -535,11 +552,16 @@ class LieAlgebra(_Immutable):
         return Subspace._span(self.field, self.dim, (
             self._bracket(u, v) for u, v in combinations(s._echelon.values(), 2)))
 
+    def _derived_algebra(self) -> Subspace:
+        """[L, L], the span of the stored brackets, with or without
+        Jacobi.  Computed once per algebra."""
+        return self._memo("_derived", lambda: Subspace._span(
+            self.field, self.dim, map(dict, self._isc.values())))
+
     def _series(self, step: Callable[[Subspace], Subspace]) -> list[Subspace]:
-        """L, [L, L], step([L, L]), ... listed until stable.  [L, L] is
-        the span of the stored brackets, with or without Jacobi."""
+        """L, [L, L], step([L, L]), ... listed until stable."""
         series = [Subspace.full(self.field, self.dim)]
-        nxt = Subspace._span(self.field, self.dim, map(dict, self._isc.values()))
+        nxt = self._derived_algebra()
         while nxt != series[-1]:
             series.append(nxt)
             nxt = step(nxt)
@@ -570,14 +592,15 @@ class LieAlgebra(_Immutable):
     def center(self) -> Subspace:
         """{x : [x_s, x] = 0 for s in the generating set}: sum_j c_{sj}^k
         x_j = 0 for all k.  The centraliser of x is a subalgebra, so x
-        is central once it commutes with a generating set."""
+        is central once it commutes with a generating set.  Computed once
+        per algebra."""
         def rows_of(s, table):
             eqs: dict = {}
             for j, terms in table[s].items():
                 for k, c in terms:
                     eqs.setdefault(k, {})[j] = c
             return eqs.values()
-        return self._generator_kernel(self.dim, rows_of)
+        return self._memo("_center", lambda: self._generator_kernel(self.dim, rows_of))
 
     def is_ideal(self, s: Subspace) -> bool:
         """Whether [x_g, s] lies in s for g in the generating set: the

@@ -266,6 +266,12 @@ class SelfDuality:
     reason: str | None = None
 
 
+def _center_lemma_rules_out(alg: LieAlgebra) -> bool:
+    """Whether dim Z != dim - dim [L, L], so that no invariant form is
+    non-degenerate (the center lemma of ``is_self_dual``)."""
+    return alg.center().dim != alg.dim - alg._derived_algebra().dim
+
+
 def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     """Does the algebra admit an invariant metric?
 
@@ -277,6 +283,16 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     matrix of scalars (``_first_metric``).
     0. d = 0: 'yes', with the empty metric (its determinant is 1).
     1. s = 0: 'no', certificate kind ``empty-invariant-form-space``.
+       Then the center lemma (Medina-Revoy, Ann. Sci. ENS 18, 1985;
+       ``_center_lemma_rules_out``).  For an invariant non-degenerate B,
+       x is central <=> B([x, y], z) = B(x, [y, z]) = 0 for all y, z
+       <=> x is in [L, L]-perp, so dim Z = d - dim [L, L] over every
+       field, with or without Jacobi.  When that equality fails, every
+       sum t_a F_a is degenerate, and steps 2, 3 and 5 skip their
+       determinants and end as those would: no metric in step 2, the
+       certificate of step 3, the reason of step 5.  The lemma only
+       skips evaluations; verdicts and certificates stay the same.  Z
+       and [L, L] are the ones the algebra keeps once computed.
     2. The first non-degenerate F_a is the metric ('yes').
     3. Let q = d + 1, or min(d + 1, p) over F_p.  If the grid
        {0..q-1}^s has at most 64 points, its first non-degenerate sum
@@ -314,15 +330,18 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     if not forms:
         return SelfDuality("no", certificate={
             "kind": "empty-invariant-form-space", "space_dim": 0})
-    for f in forms:
-        if f.is_nondegenerate():
-            return SelfDuality("yes", metric=f)
+    # every sum is degenerate when the lemma applies: no determinant is taken
+    degenerate = _center_lemma_rules_out(alg)
+    if not degenerate:
+        for f in forms:
+            if f.is_nondegenerate():
+                return SelfDuality("yes", metric=f)
     s, d = len(forms), alg.dim
     p = alg.field.characteristic
     q = min(d + 1, p) if p else d + 1
     points = q ** s
     if points <= _GRID_BUDGET:
-        metric = _first_metric(forms, _line_points(s, q))
+        metric = None if degenerate else _first_metric(forms, _line_points(s, q))
         if metric is not None:
             return SelfDuality("yes", metric=metric)
         return SelfDuality("no", certificate={
@@ -340,7 +359,7 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
             "matrix_dim": d,
             "witness": [scalar_to_string(x) for x in radical.basis[0]],
         })
-    metric = _first_metric(
+    metric = None if degenerate else _first_metric(
         forms, itertools.islice(_seeded_points(s, d), _SEARCH_BUDGET))
     if metric is not None:
         return SelfDuality("yes", metric=metric)

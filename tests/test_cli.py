@@ -592,6 +592,16 @@ def test_wigner_pipeline(tmp_path, capsys):
     assert code == 2
 
 
+def test_wigner_on_the_zero_algebra_names_the_empty_basis(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    save_algebra(path, LieAlgebra(QQ, 0, {}), BilinearForm.zero(QQ, 0))
+    code, _, err = _run(capsys, ["wigner", "--algebra", str(path),
+                                 "--subalgebra", "0", "-o", str(tmp_path / "c.json")])
+    assert code == 2
+    assert "subalgebra index 0 out of range (the basis is empty)" in err
+    assert "0..-1" not in err
+
+
 def test_wigner_degenerate_restriction(tmp_path, capsys):
     path = tmp_path / "a3.json"
     save_algebra(path, truncated_algebra(3), canonical_metric(3))

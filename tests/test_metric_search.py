@@ -14,7 +14,9 @@ of {0..q-1}^s through ``_first_metric`` it must stop at the same first
 point with an equal form, or find nothing exactly when the full scan
 does, on every list whose single forms are all degenerate (the case step
 3 sees); ``is_self_dual`` must answer exactly as with the full scan, and
-the step-3 determinant counts of the benchmark's algebras are pinned.
+the step-3 determinant counts of the benchmark's algebras are pinned
+with the center lemma off.  With it on, those algebras take no
+determinant at all and answer the same.
 ``tests/test_scan_properties.py`` runs the same comparison on
 hypothesis-drawn lists.
 """
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from liealg import selfdual
+from liealg import core, selfdual
 from liealg.core import BilinearForm, LieAlgebra, direct_sum
 from liealg.family import truncated_algebra
 from liealg.fields import PrimeField, QQ
@@ -273,14 +275,20 @@ def test_is_self_dual_answers_as_with_the_full_grid(monkeypatch):
     assert verdicts == {"yes", "no"}
 
 
+_STEP_THREE_COUNTS = {"A4": (5, 36), "A5": (6, 49), "h3": (18, 64), "W10": (0, 12),
+                      "rotated A4 #0": (5, 36), "rotated A4 #1": (5, 36),
+                      "rotated A5 #0": (6, 49), "rotated A5 #1": (6, 49)}
+
+
 def test_step_three_determinant_counts(monkeypatch):
     """The benchmark's non-metric algebras end in step 3: each line
     representative costs one determinant, where the full grid cost one
-    per grid point, and the certificate still names the whole grid."""
-    counts = {"A4": (5, 36), "A5": (6, 49), "h3": (18, 64), "W10": (0, 12),
-              "rotated A4 #0": (5, 36), "rotated A4 #1": (5, 36),
-              "rotated A5 #0": (6, 49), "rotated A5 #1": (6, 49)}
+    per grid point, and the certificate still names the whole grid.
+    Counted with the center lemma off, which skips all of these
+    evaluations (``test_center_lemma_skips_the_determinants``)."""
+    counts = _STEP_THREE_COUNTS
     calls = []
+    monkeypatch.setattr(selfdual, "_center_lemma_rules_out", lambda alg: False)
     monkeypatch.setattr(selfdual, "det", lambda m: calls.append(m) or det(m))
     for name, alg in _nonmetric_algebras():
         if name not in counts:
@@ -294,3 +302,34 @@ def test_step_three_determinant_counts(monkeypatch):
         assert answer.certificate["kind"] == "generic-determinant-zero"
         assert answer.certificate["grid_points"] == counts[name][1]
 
+
+
+def test_center_lemma_skips_the_determinants(monkeypatch):
+    """With the center lemma the non-metric algebras of the count test
+    evaluate no determinant in steps 2, 3 and 5 and answer as without
+    it, while the metric A6 and A3+A3 keep their step-2 determinants."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return det(m)
+
+    def determinants(alg, lemma):
+        with monkeypatch.context() as m:
+            m.setattr(selfdual, "det", counted)
+            m.setattr(core, "det", counted)
+            if not lemma:
+                m.setattr(selfdual, "_center_lemma_rules_out", lambda alg: False)
+            calls.clear()
+            return is_self_dual(alg), len(calls)
+
+    algebras = dict(_nonmetric_algebras())
+    for name in _STEP_THREE_COUNTS:
+        answer, count = determinants(algebras[name], True)
+        assert count == 0, name
+        assert answer == determinants(algebras[name], False)[0], name
+    a3 = truncated_algebra(3)
+    for alg in (truncated_algebra(6), direct_sum(a3, a3)):
+        answer, count = determinants(alg, True)
+        assert answer.verdict == "yes" and count > 0
+        assert (answer, count) == determinants(alg, False)

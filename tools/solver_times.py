@@ -11,14 +11,19 @@ temporary directory:
   ``unimodular(random.Random(3), dim)``, with the canonical metric (b = 1)
   carried along;
 - A60, A90, A150 and A300 with the canonical metric (b = 1);
-- Abelian tables of dimension 40 and 80.
+- Abelian tables of dimension 40 and 80;
+- the benchmark's non-metric inputs: A4, A5, A7, h3, W10 (the family
+  with the identity hat, n = 10), and A4, A5 and the larger A14 in the
+  basis of ``workloads.signed_rotation`` (stream
+  ``nonmetric-search:a<n>#0``, signs from ``random.Random(7)``).
 
 Each line gives the input, the best of REPEAT runs (default 3) of
 ``invariant_form_space`` and the best of REPEAT runs of
 ``cli.main(["analyze", FILE])``, in milliseconds.  The solver runs on a
 fresh copy of the loaded algebra whose generating set (and so its Jacobi
 check) is computed before the timer starts; ``analyze`` runs with the
-load memo cleared and its output discarded.  Run it in two checkouts and
+load memo cleared and its output discarded, so each run is a first
+computation on a freshly loaded algebra.  Run it in two checkouts and
 compare the lines.  Standard library only.
 """
 
@@ -35,6 +40,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import inputs  # noqa: E402
+import workloads  # noqa: E402
 from liealg import cli  # noqa: E402
 from liealg import io as lio  # noqa: E402
 from liealg.core import LieAlgebra  # noqa: E402
@@ -51,6 +57,13 @@ def cases():
         yield f"A{n}", inputs.family(n), inputs.canonical_metric(n)
     for d in (40, 80):
         yield f"Abelian d={d}", inputs.Algebra(d, {}), None
+    for n in (4, 5, 7):
+        yield f"A{n}", inputs.family(n), None
+    yield "h3", inputs.heisenberg(), None
+    yield "W10", inputs.family(10, reduce=lambda x: x), None
+    for n in (4, 5, 14):
+        p = workloads.signed_rotation(f"nonmetric-search:a{n}#0", n + 1, random.Random(7))
+        yield f"rotated A{n}", inputs.rotate(inputs.family(n), p), None
 
 
 def best(run, repeat: int) -> float:
