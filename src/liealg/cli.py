@@ -223,8 +223,11 @@ def _cmd_ideals(args):
     human += ["  {" + ", ".join(str(i) for i in s) + "}" for s in listing]
     code = 0
     if args.classify_an:
-        n = alg.dim - 1
-        classification = classify_ideals(n, MOD3_BALANCED, cross_check=False)
+        try:
+            classification = classify_ideals(alg.dim - 1, MOD3_BALANCED, cross_check=False)
+        except ValueError as exc:
+            raise _Usage(f"--classify-an needs a family member of dimension n + 1 "
+                         f"(the file has dimension {alg.dim}): {exc}")
         closed = classification.subspaces(alg.field)
         match = set(closed) == set(ideals) and len(closed) == len(ideals)
         report["closed_form"] = {

@@ -274,8 +274,11 @@ def classify_ideals(n: int, hat=MOD3_BALANCED,
     member's 2^(n+1) subsets; the enumeration's cost follows the number
     of ideals, about 4n/3 where the closed form holds, but up to
     2^(n+1) for a hat that vanishes almost everywhere) and a mismatch
-    raises ``ClassificationMismatchError``.
+    raises ``ClassificationMismatchError``.  A negative n names no
+    member and raises ``ValueError``, with or without ``cross_check``.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     suffix = tuple(range(0, n + 2))
     skip = tuple(m for m in range(2, n + 2) if hat.value(m) == 0)
     result = IdealClassification(n, suffix, skip, ())

@@ -79,6 +79,11 @@ def _sym_index(dim: int):
     return index
 
 
+def _vanishes(rows: list[dict], p: int) -> bool:
+    """Whether every entry of the decoded rows is 0 (mod p over F_p)."""
+    return not any(y % p if p else y for row in rows for y in row.values())
+
+
 def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     """Basis of the space of symmetric ad-invariant bilinear forms.
 
@@ -114,25 +119,41 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     the constants taken balanced, in (-p/2, p/2], over F_p.  A
     relation's digits are at most |m| R_s D_t0 + sum_t |r_t| D_t, and
     an unfolded entry's (below) at most (l / lead_i) sum_t |T_it| D_t.
-    These are the only packed sums decoded.  The width w is
-    taken above the largest of these bounds (``_width``), so no digit
-    carries and the decoded digits are the coefficients exactly.  The
-    packed equations are deduplicated up to sign before they are
-    decoded and handed to ``nullspace``.
+    These are the only packed sums decoded.  The width w is taken above
+    the largest of these bounds, call it T (``_width``), so no digit
+    carries and the decoded digits are the coefficients exactly.
+
+    Most relations are dependent, so only the first ones are solved:
+    the relations in closure order, up to the first at which their
+    distinct packed equations (up to sign) number at least the
+    unknowns, are decoded and handed to ``nullspace``.  Its kernel K,
+    rows z_1..z_s, holds the true kernel.  Every later relation is then
+    evaluated on K in one pass: the same walk along the recipes, with
+    unknown u standing for sum_k z_k[u] 2^(W k) (z_k balanced over
+    F_p), so digit k of a packed sum is its value at z_k.  A value
+    sum_u c_u z_k[u] with every |c_u| <= T is at most T sum_u |z_k[u]|
+    <= T count max|z|, and W is taken above T max_k sum_u |z_k[u]|, so
+    the digits are the values exactly.  A relation whose digits all
+    vanish (mod p over F_p) holds on all of K; the digits of the others
+    are their equations in the coordinates a of K, and the true kernel
+    is the sum_k a_k z_k with a in the kernel of those equations (a
+    second ``nullspace``, in s unknowns).  This is exact: a relation
+    that holds on K holds on every subspace of K, and every other
+    relation is solved.  Most inputs take no second solve.
 
     The kernel is unfolded into the unknowns B_ij, i <= j, of
-    ``_sym_index``.  The tag rows give lead_i e_i = sum_t T_it v_t, so
-    with l the lcm of the leads, l B(e_i, e_j) = sum_t (l / lead_i) T_it
-    g_t(e_j); each of these packed sums is decoded once, into the
-    entries B_ij that each unknown reaches.  A kernel row then touches
-    only the entries its nonzeros reach (``_combine``).  The unfolded
-    rows are canonicalised by ``Subspace._span``, so the basis is the
-    canonical one of the space in the symmetric unknowns.  Each of its
-    rows is unfolded straight into its form's integer rows: over Q a
-    primitive row with pivot entry l stands for the form with
-    denominator lcm l, over F_p its residues with a 1 at the pivot are
-    the form itself, so no scalar is built until a form's ``matrix`` is
-    read.
+    ``_sym_index`` from the same walk.  The tag rows give lead_i e_i =
+    sum_t T_it v_t, so with l the lcm of the leads, l B(e_i, e_j) =
+    sum_t (l / lead_i) T_it g_t(e_j); each of these packed sums is
+    decoded once, and its digit k is the entry B_ij of the row z_k (l
+    times it over Q).  The unfold is linear, so the true kernel unfolds
+    to the combinations sum_k a_k of the unfolded rows.  These are
+    canonicalised by ``Subspace._span``, so the basis is the canonical
+    one of the space in the symmetric unknowns.  Each of its rows is
+    unfolded straight into its form's integer rows: over Q a primitive
+    row with pivot entry l stands for the form with denominator lcm l,
+    over F_p its residues with a 1 at the pivot are the form itself, so
+    no scalar is built until a form's ``matrix`` is read.
     """
     d, p = alg.dim, alg.field.characteristic
     ad, _, recipes, relations, tags = alg._module_closure()
@@ -150,8 +171,8 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                 total += abs(c)
             reach[s] = max(reach[s], total)
     roots = [k for s, k in recipes if s is None]
-    # unknowns[n][j]: the digit of B(e_k, e_j), k = roots[n]; for an
-    # earlier root j it is the digit of B(e_j, e_k)
+    # unknowns[n][j]: the unknown B(e_k, e_j), k = roots[n]; for an
+    # earlier root j it is B(e_j, e_k)
     position = {k: n for n, k in enumerate(roots)}
     unknowns: list[list] = []
     count = 0
@@ -178,28 +199,61 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
         top = max(top, sum(abs(x) * bound[t] for t, x in tag))
         unfold.append(tag)
     w = _width(top)
-    funcs = []  # funcs[t]: {j: g_t(e_j) packed}
-    for s, t0 in recipes:
-        if s is None:
-            funcs.append({j: 1 << w * u for j, u in enumerate(unknowns[position[t0]])})
-        else:
-            funcs.append(_combine(((x, pull[s].get(k, ())) for k, x in funcs[t0].items()), 0))
-    eqs = set()
-    for s, t0, m, rel in relations:
-        eqs.update(map(abs, _combine([
-            *((m * x, pull[s].get(k, ())) for k, x in funcs[t0].items()),
-            *((r, funcs[t].items()) for t, r in rel.items())], 0).values()))
+
+    def walk(packed: list, funcs: list, upto: int) -> list:
+        # funcs[t] = {j: g_t(e_j)} for the words t < upto, unknown u
+        # standing for packed[u]
+        for s, t0 in recipes[len(funcs):upto]:
+            if s is None:
+                funcs.append({j: packed[u] for j, u in enumerate(unknowns[position[t0]])
+                              if packed[u]})
+            else:
+                funcs.append(_combine(((x, pull[s].get(k, ())) for k, x in funcs[t0].items()), 0))
+        return funcs
+
+    def values(funcs: list, relation):
+        s, t0, m, rel = relation
+        return _combine([*((m * x, pull[s].get(k, ())) for k, x in funcs[t0].items()),
+                         *((r, funcs[t].items()) for t, r in rel.items())], 0).values()
+
+    symbolic: list = []  # the walk over the unknowns, as far as it is needed
+    units = [1 << w * u for u in range(count)]
+    eqs: set = set()
+    first = 0  # the relations solved
+    while first < len(relations) and len(eqs) < count:
+        walk(units, symbolic, max((relations[first][1], *relations[first][3])) + 1)
+        eqs.update(map(abs, values(symbolic, relations[first])))
+        first += 1
     space = nullspace(_equations(alg.field, count, (_digits(x, w) for x in eqs)))
-    reached = [[] for _ in range(count)]
+    kernel = [{u: x - p if 2 * x > p > 0 else x for u, x in z.items()}
+              for z in space._echelon.values()]
+    width = _width(top * max((sum(map(abs, z.values())) for z in kernel), default=0))
+    packed = [0] * count
+    for k, z in enumerate(kernel):
+        for u, x in z.items():
+            packed[u] += x << width * k
+    funcs = walk(packed, [], len(recipes))
+    failed = []  # the later relations' equations in the kernel coordinates
+    for r in relations[first:]:
+        rows = [_digits(x, width) for x in values(funcs, r)]
+        if not _vanishes(rows, p):
+            failed += rows
+    vectors = [{} for _ in kernel]
     col = 0
     for i, tag in enumerate(unfold):
         for j, x in _combine(((f, funcs[t].items()) for t, f in tag), 0).items():
             if j >= i:
-                for u, y in _digits(x, w).items():
-                    reached[u].append((col + j - i, y))
+                for k, y in _digits(x, width).items():
+                    if p:
+                        y %= p
+                    if y:
+                        vectors[k][col + j - i] = y
         col += d - i
-    sym = Subspace._span(alg.field, d * (d + 1) // 2, [
-        _combine(((x, reached[u]) for u, x in z.items()), p) for z in space._echelon.values()])
+    if failed:
+        restricted = nullspace(_equations(alg.field, len(kernel), failed))
+        vectors = [_combine(((a, vectors[k].items()) for k, a in z.items()), p)
+                   for z in restricted._echelon.values()]
+    sym = Subspace._span(alg.field, d * (d + 1) // 2, vectors)
     pairs = list(_sym_index(d))
     forms = []
     for q, v in sym._echelon.items():

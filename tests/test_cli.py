@@ -281,6 +281,20 @@ def test_ideals_classification_cross_check(tmp_path, capsys):
     assert closed["suffix_starts"] == list(range(0, 8))
 
 
+def test_ideals_classify_an_refuses_the_zero_algebra(tmp_path, capsys):
+    """A 0-dimensional file would be the member n = -1, which does not
+    exist: a usage error, not a closed form."""
+    path = tmp_path / "zero.json"
+    save_algebra(path, LieAlgebra(QQ, 0, {}))
+    code, out, err = _run(capsys, ["ideals", str(path), "--classify-an"])
+    assert code == 2
+    assert out == ""
+    assert "--classify-an needs a family member" in err
+    assert "dimension 0" in err
+    code, report = _porcelain(capsys, ["ideals", str(path)])
+    assert code == 0 and report["count"] == 1
+
+
 def test_brute_cap_environment_knob(tmp_path, capsys, monkeypatch):
     path = tmp_path / "a6.json"
     save_algebra(path, truncated_algebra(6))

@@ -119,23 +119,102 @@ def test_width_follows_the_recipes(monkeypatch):
         assert widths and widths[0] > 41
 
 
-def test_unfold_touches_only_the_reached_entries(monkeypatch):
+def _certified(monkeypatch, alg):
+    """Check alg's forms against the reference, recording the later
+    relations checked on the first kernel, how many of them failed,
+    and the shape (rows, unknowns) of each system handed to
+    ``nullspace``."""
+    checks, systems = [], []
+    vanishes, nullspace = selfdual._vanishes, selfdual.nullspace
+
+    def checking(*args):
+        checks.append(vanishes(*args))
+        return checks[-1]
+
+    def solving(m):
+        systems.append((m.nrows, m.ncols))
+        return nullspace(m)
+    monkeypatch.setattr(selfdual, "_vanishes", checking)
+    monkeypatch.setattr(selfdual, "nullspace", solving)
+    _same_forms(alg)
+    return len(checks), checks.count(False), systems
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=str)
+def test_failing_relations_are_solved_in(monkeypatch, field):
+    """Rotated A3+A3: the first 2 of its 26 relations give 15 distinct
+    equations in the 15 unknowns, with a kernel of dimension 11.  Of
+    the 24 later relations, 4 do not vanish on it; their 27 distinct
+    equations are solved in the 11 coordinates of that kernel, which
+    leaves the 5 forms."""
+    a3 = truncated_algebra(3, field=field)
+    alg = _rotated(direct_sum(a3, a3), 0)
+    assert len(alg._module_closure().relations) == 26
+    assert _certified(monkeypatch, alg) == (24, 4, [(15, 15), (27, 11)])
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=str)
+def test_a_kernel_that_holds_is_solved_once(monkeypatch, field):
+    """Rotated A6: the first 2 of its 15 relations already have the
+    final kernel, so the other 13 vanish on it and one system is
+    solved."""
+    alg = _rotated(truncated_algebra(6, field=field), 6)
+    assert len(alg._module_closure().relations) == 15
+    assert _certified(monkeypatch, alg) == (13, 0, [(13, 7)])
+
+
+def test_failing_branch_over_f2_and_on_wide_digits(monkeypatch):
+    """The failing branch over F_2 (values tested mod 2), and on a
+    rotated A3+A3 scaled by 10^12, whose widths are above 100 bits."""
+    a3 = truncated_algebra(3, field=F2)
+    checked, failed, systems = _certified(monkeypatch, _rotated(direct_sum(a3, a3), 0))
+    assert (checked, failed, len(systems)) == (30, 10, 2)
+    a3 = truncated_algebra(3)
+    big = _scaled(_rotated(direct_sum(a3, a3), 0), 10 ** 12)
+    widths = []
+    real = selfdual._width
+    monkeypatch.setattr(selfdual, "_width", lambda bound: widths.append(real(bound)) or widths[-1])
+    assert _certified(monkeypatch, big) == (24, 4, [(15, 15), (27, 11)])
+    assert min(widths) > 100
+
+
+def test_family_members_solve_every_relation(monkeypatch):
+    """On A30 over Q the 63 relations give 20 distinct equations, fewer
+    than the 31 unknowns, so all of them are solved and none is left
+    to check."""
+    assert len(truncated_algebra(30)._module_closure().relations) == 63
+    assert _certified(monkeypatch, truncated_algebra(30)) == (0, 0, [(20, 31)])
+
+
+def test_unfold_decodes_each_entry_once(monkeypatch):
     """On Abelian d = 40 every e_m is a root, so the solve has the
-    d(d+1)/2 unknowns B(e_m, e_j), m <= j, no equation, and a kernel of
-    d(d+1)/2 unit rows.  The unfold sums each row's tag combination of
-    functionals once, d entries for each of the d rows, and each unit
-    kernel row then reaches one entry B_mj: d^2 + d(d+1)/2 entries in
-    all, where a dense unfold would touch every unknown for every
-    kernel row, (d(d+1)/2)^2."""
-    touched = []
-    real = selfdual._combine
+    d(d+1)/2 unknowns B(e_m, e_j), m <= j, no relation, one system
+    without equations and a kernel of d(d+1)/2 unit rows.  No word is
+    walked but the roots, so the only sums are the unfold's: each
+    row's tag combination of functionals, d entries for each of the d
+    rows, d^2 in all.  Each of the d(d+1)/2 entries B_ij, i <= j, is
+    decoded once, into the one kernel row it belongs to, at a width of
+    2 bits: a unit kernel row has digits of absolute value 1."""
+    touched, decoded, widths, systems = [], [], [], []
+    combine, digits, width, nullspace = (selfdual._combine, selfdual._digits,
+                                         selfdual._width, selfdual.nullspace)
 
     def counting(terms, p):
         terms = [(f, list(row)) for f, row in terms]
         touched.append(sum(len(row) for _, row in terms))
-        return real(terms, p)
+        return combine(terms, p)
+
+    def decoding(n, w):
+        decoded.append(digits(n, w))
+        return decoded[-1]
     monkeypatch.setattr(selfdual, "_combine", counting)
+    monkeypatch.setattr(selfdual, "_digits", decoding)
+    monkeypatch.setattr(selfdual, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
+    monkeypatch.setattr(selfdual, "nullspace", lambda m: systems.append(m.nrows) or nullspace(m))
     d = 40
     forms = invariant_form_space(LieAlgebra(QQ, d, {}))
     assert len(forms) == d * (d + 1) // 2
-    assert sum(touched) == d * d + d * (d + 1) // 2
+    assert sum(touched) == d * d
+    assert len(decoded) == d * (d + 1) // 2
+    assert all(len(x) == 1 for x in decoded)
+    assert widths == [2, 2] and systems == [0]

@@ -301,6 +301,13 @@ def test_classification_mismatch_raises():
         classify_ideals(6, ZModHat(5))
 
 
+def test_classify_ideals_rejects_negative_n():
+    for cross_check in (False, True):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            classify_ideals(-1, cross_check=cross_check)
+    assert classify_ideals(0, cross_check=True).suffix_ideals == (0, 1)
+
+
 def test_hat_shift_automorphism():
     phi6 = hat_shift_automorphism(6)
     assert phi6 is not None

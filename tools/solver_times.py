@@ -1,4 +1,5 @@
-"""Print in-process best-of-N times of the invariant-form solver and of ``analyze``.
+"""Print in-process best-of-N times of the invariant-form solver, of the
+derivation solver and of ``analyze``.
 
 Usage, from the root of a checkout:
 
@@ -10,7 +11,7 @@ temporary directory:
 - rotated A9, A12, A15 and A18: the family member in the basis of
   ``unimodular(random.Random(3), dim)``, with the canonical metric (b = 1)
   carried along;
-- A60, A90, A150 and A300 with the canonical metric (b = 1);
+- A30, A60, A90, A150 and A300 with the canonical metric (b = 1);
 - Abelian tables of dimension 40 and 80;
 - the benchmark's non-metric inputs: A4, A5, A7, h3, W10 (the family
   with the identity hat, n = 10), and A4, A5 and the larger A14 in the
@@ -18,10 +19,13 @@ temporary directory:
   ``nonmetric-search:a<n>#0``, signs from ``random.Random(7)``).
 
 Each line gives the input, the best of REPEAT runs (default 3) of
-``invariant_form_space`` and the best of REPEAT runs of
-``cli.main(["analyze", FILE])``, in milliseconds.  The solver runs on a
-fresh copy of the loaded algebra whose generating set (and so its Jacobi
-check) is computed before the timer starts; ``analyze`` runs with the
+``invariant_form_space``, of ``derivation_space`` and of
+``cli.main(["analyze", FILE])``, in milliseconds.  Derivations are timed
+on rotated A9, rotated A12, A30 and Abelian d = 40 only (``DERIVED``;
+rotated A15 takes about 12 s) and read ``-`` elsewhere.  Each solver
+runs on a fresh copy of the loaded algebra whose generating set (and so
+its Jacobi check) is computed before the timer starts, so the
+derivations include their center solve; ``analyze`` runs with the
 load memo cleared and its output discarded, so each run is a first
 computation on a freshly loaded algebra.  Run it in two checkouts and
 compare the lines.  Standard library only.
@@ -46,6 +50,9 @@ from liealg import io as lio  # noqa: E402
 from liealg.core import LieAlgebra  # noqa: E402
 from liealg.selfdual import invariant_form_space  # noqa: E402
 
+# the inputs whose derivation space is timed
+DERIVED = {"rotated A9", "rotated A12", "A30", "Abelian d=40"}
+
 
 def cases():
     """(name, algebra, metric grid or None) for every input."""
@@ -53,7 +60,7 @@ def cases():
         p = inputs.unimodular(random.Random(3), n + 1)
         yield (f"rotated A{n}", inputs.rotate(inputs.family(n), p),
                inputs.congruent(inputs.canonical_metric(n), p))
-    for n in (60, 90, 150, 300):
+    for n in (30, 60, 90, 150, 300):
         yield f"A{n}", inputs.family(n), inputs.canonical_metric(n)
     for d in (40, 80):
         yield f"Abelian d={d}", inputs.Algebra(d, {}), None
@@ -75,12 +82,12 @@ def best(run, repeat: int) -> float:
     return min(times)
 
 
-def solve_once(alg: LieAlgebra):
+def solve_once(alg: LieAlgebra, solver) -> float:
     fresh = LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
                                    alg.labels, alg.grading)
     fresh._generators()
     start = time.perf_counter()
-    invariant_form_space(fresh)
+    solver(fresh)
     return time.perf_counter() - start
 
 
@@ -93,14 +100,19 @@ def analyze_once(path: str):
 def main() -> int:
     repeat = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     with tempfile.TemporaryDirectory(prefix="liealg-times-") as work:
-        print(f"{'input':<16} {'forms ms':>10} {'analyze ms':>11}")
+        print(f"{'input':<16} {'forms ms':>10} {'derivations ms':>15} {'analyze ms':>11}")
         for name, alg, metric in cases():
             path = os.path.join(work, "input.json")
             inputs.write_json(path, inputs.algebra_document(alg, metric))
             loaded, _ = lio.load_algebra(path)
-            forms = min(solve_once(loaded) for _ in range(repeat))
+            forms = min(solve_once(loaded, invariant_form_space) for _ in range(repeat))
+            derived = "-"
+            if name in DERIVED:
+                seconds = min(solve_once(loaded, LieAlgebra.derivation_space) for _ in range(repeat))
+                derived = f"{seconds * 1e3:.1f}"
             analyze = best(lambda: analyze_once(path), repeat)
-            print(f"{name:<16} {forms * 1e3:>10.1f} {analyze * 1e3:>11.1f}", flush=True)
+            print(f"{name:<16} {forms * 1e3:>10.1f} {derived:>15} {analyze * 1e3:>11.1f}",
+                  flush=True)
     return 0
 
 
