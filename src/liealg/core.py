@@ -532,12 +532,9 @@ class LieAlgebra(_Immutable):
                 v = words[done]
                 for s, rows in ad.items():
                     word = _combine(((x, rows.get(j, ())) for j, x in v.items()), p)
-                    if not word:
-                        relations.append((s, done, 1, {}))
-                        continue
                     row = dict(word)
                     m = _reduce(tagged, row, p)
-                    if min(row) < d:
+                    if min(row, default=d) < d:
                         put(word, (s, done), row, m)
                     else:
                         relations.append((s, done, m, {c - d: x for c, x in row.items()}))

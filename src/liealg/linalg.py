@@ -13,11 +13,14 @@ row-echelon form of what was inserted, which is unique for the span:
 row order and duplicates cannot change it, so two spans of the same
 subspace give bit-identical ``Subspace`` objects.  Bulk eliminations
 (``_echelon``: spans, kernels, ``rref``, ``rank``, ``solve`` and the
-contraction's change of basis) therefore materialise their rows and
-insert them sparsest first, which keeps the fraction-free multipliers
-and the intermediate entries small on dense systems; only ``det``,
-whose sign follows the row order, and the incremental generating-set
-search insert rows one at a time as given.  An echelon is handed back
+tagged basis of ``LieAlgebra._rebase``, the table in another basis)
+therefore materialise their rows and insert them sparsest first, which
+keeps the fraction-free multipliers and the intermediate entries small
+on dense systems.  Three callers insert rows one at a time as given:
+``det``, whose sign follows the row order, and two that act on each
+row as it goes in, the generating-set search
+(``LieAlgebra._greedy_generators``) and the ad-module closure
+(``LieAlgebra._module_closure``).  An echelon is handed back
 in pivot order, so a ``Subspace`` is walked in basis order unsorted and
 a pickled one comes back with the same state.
 

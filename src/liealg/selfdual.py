@@ -70,15 +70,6 @@ class ConstructionError(RuntimeError):
 # invariant forms
 # ---------------------------------------------------------------------------
 
-def _sym_index(dim: int):
-    """Order the unknowns B_{ij}, i <= j, lexicographically."""
-    index = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            index[(i, j)] = len(index)
-    return index
-
-
 def _vanishes(rows: list[dict], p: int) -> bool:
     """Whether every entry of the decoded rows is 0 (mod p over F_p)."""
     return not any(y % p if p else y for row in rows for y in row.values())
@@ -141,16 +132,19 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
     that holds on K holds on every subspace of K, and every other
     relation is solved.  Most inputs take no second solve.
 
-    The kernel is unfolded into the unknowns B_ij, i <= j, of
-    ``_sym_index`` from the same walk.  The tag rows give lead_i e_i =
-    sum_t T_it v_t, so with l the lcm of the leads, l B(e_i, e_j) =
-    sum_t (l / lead_i) T_it g_t(e_j); each of these packed sums is
-    decoded once, and its digit k is the entry B_ij of the row z_k (l
-    times it over Q).  The unfold is linear, so the true kernel unfolds
-    to the combinations sum_k a_k of the unfolded rows.  These are
-    canonicalised by ``Subspace._span``, so the basis is the canonical
-    one of the space in the symmetric unknowns.  Each of its rows is
-    unfolded straight into its form's integer rows: over Q a primitive
+    The kernel is unfolded from the same walk into the entries B_ij,
+    i <= j, each at column i d + j of a row of d^2 columns: the
+    row-major order of the d x d matrix, restricted to its upper
+    triangle.  The tag rows give lead_i e_i = sum_t T_it v_t, so with l
+    the lcm of the leads, l B(e_i, e_j) = sum_t (l / lead_i) T_it
+    g_t(e_j); each of these packed sums is decoded once, and its digit k
+    is the entry B_ij of the row z_k (l times it over Q).  The unfold is
+    linear, so the true kernel unfolds to the combinations sum_k a_k of
+    the unfolded rows.  These are canonicalised by ``Subspace._span``,
+    so the basis is the canonical one of the space in the upper-triangle
+    entries, in their lexicographic order.  Each of its rows is unfolded
+    straight into its form's integer rows, column a = i d + j giving
+    B_ij = B_ji with (i, j) = divmod(a, d): over Q a primitive
     row with pivot entry l stands for the form with denominator lcm l,
     over F_p its residues with a 1 at the pivot are the form itself, so
     no scalar is built until a form's ``matrix`` is read.
@@ -170,21 +164,12 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                 cols.setdefault(k, []).append((j, -c))
                 total += abs(c)
             reach[s] = max(reach[s], total)
-    roots = [k for s, k in recipes if s is None]
-    # unknowns[n][j]: the unknown B(e_k, e_j), k = roots[n]; for an
-    # earlier root j it is B(e_j, e_k)
-    position = {k: n for n, k in enumerate(roots)}
-    unknowns: list[list] = []
-    count = 0
-    for n, k in enumerate(roots):
-        row = []
-        for j in range(d):
-            if position.get(j, n) < n:
-                row.append(unknowns[position[j]][k])
-            else:
-                row.append(count)
-                count += 1
-        unknowns.append(row)
+    # unknowns[k][j]: the unknown B(e_k, e_j) of the root k, numbered by
+    # the unordered pair (its upper-triangle column), so two roots share theirs
+    number: dict = {}
+    unknowns = {k: [number.setdefault(k * d + j if k <= j else j * d + k, len(number))
+                    for j in range(d)] for s, k in recipes if s is None}
+    count = len(number)
     bound, top = [], 1
     for s, t0 in recipes:
         bound.append(1 if s is None else reach[s] * bound[t0])
@@ -205,8 +190,7 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
         # standing for packed[u]
         for s, t0 in recipes[len(funcs):upto]:
             if s is None:
-                funcs.append({j: packed[u] for j, u in enumerate(unknowns[position[t0]])
-                              if packed[u]})
+                funcs.append({j: packed[u] for j, u in enumerate(unknowns[t0]) if packed[u]})
             else:
                 funcs.append(_combine(((x, pull[s].get(k, ())) for k, x in funcs[t0].items()), 0))
         return funcs
@@ -239,7 +223,6 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
         if not _vanishes(rows, p):
             failed += rows
     vectors = [{} for _ in kernel]
-    col = 0
     for i, tag in enumerate(unfold):
         for j, x in _combine(((f, funcs[t].items()) for t, f in tag), 0).items():
             if j >= i:
@@ -247,19 +230,16 @@ def invariant_form_space(alg: LieAlgebra) -> list[BilinearForm]:
                     if p:
                         y %= p
                     if y:
-                        vectors[k][col + j - i] = y
-        col += d - i
+                        vectors[k][i * d + j] = y
     if failed:
         restricted = nullspace(_equations(alg.field, len(kernel), failed))
         vectors = [_combine(((a, vectors[k].items()) for k, a in z.items()), p)
                    for z in restricted._echelon.values()]
-    sym = Subspace._span(alg.field, d * (d + 1) // 2, vectors)
-    pairs = list(_sym_index(d))
     forms = []
-    for q, v in sym._echelon.items():
+    for q, v in Subspace._span(alg.field, d * d, vectors)._echelon.items():
         rows = [{} for _ in range(d)]
         for a, x in v.items():
-            i, j = pairs[a]
+            i, j = divmod(a, d)
             rows[i][j] = rows[j][i] = x
         forms.append(BilinearForm._of_cleared(alg.field, v[q], rows))
     return forms

@@ -10,8 +10,9 @@ import pytest
 from liealg.core import (BilinearForm, JacobiWitness, LieAlgebra, NotAnIdealError, direct_sum,
                          form_block_sum)
 from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
-from liealg.fields import PrimeField, QQ
+from liealg.fields import FieldMismatchError, PrimeField, QQ
 from liealg.linalg import Matrix, ShapeError, Subspace, _scalars, det, solve
+from liealg.selfdual import orthogonal_complement
 
 
 def heisenberg():
@@ -806,3 +807,40 @@ def test_integer_row_forms_match_the_scalar_grid_references():
                        (BilinearForm.zero(form.field, 0), form)):
             _same_form(form_block_sum(b1, b2), _grid_form_block_sum(b1, b2))
     assert degenerate > 20
+
+
+def test_form_determinant_matches_the_matrix_determinant():
+    f5 = PrimeField(5)
+    cases = [
+        (canonical_metric(6, Fraction(1, 2)), Fraction(-1)),
+        (BilinearForm.from_entries(f5, [[1, 2], [2, 3]]), f5(4)),
+        (BilinearForm.from_entries(QQ, [["1", "1"], ["1", "1"]]), QQ(0)),
+        (BilinearForm.zero(QQ, 0), QQ(1)),
+    ]
+    for form, expected in cases:
+        assert form.det() == det(form.matrix) == expected
+    # a form read from integer rows, before its matrix is ever built
+    assert BilinearForm._of_cleared(QQ, 2, [{0: 1}, {1: 3}]).det() == Fraction(3, 4)
+
+
+def test_input_checks_raise():
+    f5 = PrimeField(5)
+    alg = heisenberg()
+    with pytest.raises(ValueError, match="grading length mismatch"):
+        LieAlgebra(QQ, 3, {(0, 1): [(2, 1)]}, grading=(1, 1))
+    with pytest.raises(ShapeError, match="degrees length mismatch"):
+        alg.grading_witness([1, 1])
+    for check in (alg.is_ideal, alg.is_subalgebra):
+        with pytest.raises(ShapeError, match="ambient dimension mismatch"):
+            check(Subspace.full(QQ, 2))
+        with pytest.raises(FieldMismatchError, match="different field"):
+            check(Subspace.full(f5, 3))
+    form = BilinearForm(Matrix.identity(QQ, 3))
+    with pytest.raises(ShapeError, match="form/subspace dimension mismatch"):
+        form.restrict(Subspace.full(QQ, 2))
+    with pytest.raises(ShapeError, match="form/algebra dimension mismatch"):
+        form.invariance_witness(two_dim_nonabelian())
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        orthogonal_complement(alg, BilinearForm(Matrix.identity(QQ, 2)), Subspace.full(QQ, 3))
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        orthogonal_complement(alg, form, Subspace.full(QQ, 2))

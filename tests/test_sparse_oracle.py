@@ -22,7 +22,7 @@ from liealg.fields import PrimeField, QQ
 from liealg.hats import IDENTITY_HAT, MOD3_BALANCED
 from liealg.io import scalar_to_string
 from liealg.linalg import Matrix, Subspace, nullspace, solve
-from liealg.selfdual import (_GRID_BUDGET, _sym_index, invariant_form_space, is_self_dual,
+from liealg.selfdual import (_GRID_BUDGET, invariant_form_space, is_self_dual,
                              orthogonal_complement)
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -35,6 +35,15 @@ JACOBI_FAILING = LieAlgebra(QQ, 4, {(0, 1): [(3, 1)], (0, 2): [(2, 1)], (1, 2): 
 
 
 # -- dense references ---------------------------------------------------------
+
+def _sym_index(dim):
+    """The references' unknowns B_{ij}, i <= j, numbered lexicographically."""
+    index = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            index[(i, j)] = len(index)
+    return index
+
 
 def _dense_invariant_form_space(alg):
     d = alg.dim

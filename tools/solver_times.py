@@ -1,5 +1,5 @@
 """Print in-process best-of-N times of the invariant-form solver, of the
-derivation solver and of ``analyze``.
+self-duality search, of the derivation solver and of ``analyze``.
 
 Usage, from the root of a checkout:
 
@@ -19,16 +19,20 @@ temporary directory:
   ``nonmetric-search:a<n>#0``, signs from ``random.Random(7)``).
 
 Each line gives the input, the best of REPEAT runs (default 3) of
-``invariant_form_space``, of ``derivation_space`` and of
-``cli.main(["analyze", FILE])``, in milliseconds.  Derivations are timed
-on rotated A9, rotated A12, A30 and Abelian d = 40 only (``DERIVED``;
-rotated A15 takes about 12 s) and read ``-`` elsewhere.  Each solver
-runs on a fresh copy of the loaded algebra whose generating set (and so
-its Jacobi check) is computed before the timer starts, so the
-derivations include their center solve; ``analyze`` runs with the
-load memo cleared and its output discarded, so each run is a first
-computation on a freshly loaded algebra.  Run it in two checkouts and
-compare the lines.  Standard library only.
+``invariant_form_space``, of ``is_self_dual``, of ``derivation_space``
+and of ``cli.main(["analyze", FILE])``, in milliseconds.  Derivations
+are timed on rotated A9, rotated A12, A30 and Abelian d = 40 only
+(``DERIVED``; rotated A15 takes about 12 s) and read ``-`` elsewhere.
+Each solver runs on a fresh copy of the loaded algebra whose generating
+set (and so its Jacobi check) is computed before the timer starts, so
+the derivations include their center solve.  ``is_self_dual`` runs on
+the copy the form solve just ran on, with nothing of it kept: its time
+is its own form solve plus the center lemma and the determinants of its
+search (on an Abelian input, one per basis form in step 2), so the
+search cost is the self-dual column minus the forms column.
+``analyze`` runs with the load memo cleared and its output discarded,
+so each run is a first computation on a freshly loaded algebra.  Run it
+in two checkouts and compare the lines.  Standard library only.
 """
 
 import contextlib
@@ -48,7 +52,7 @@ import workloads  # noqa: E402
 from liealg import cli  # noqa: E402
 from liealg import io as lio  # noqa: E402
 from liealg.core import LieAlgebra  # noqa: E402
-from liealg.selfdual import invariant_form_space  # noqa: E402
+from liealg.selfdual import invariant_form_space, is_self_dual  # noqa: E402
 
 # the inputs whose derivation space is timed
 DERIVED = {"rotated A9", "rotated A12", "A30", "Abelian d=40"}
@@ -82,13 +86,17 @@ def best(run, repeat: int) -> float:
     return min(times)
 
 
-def solve_once(alg: LieAlgebra, solver) -> float:
+def solve_once(alg: LieAlgebra, *solvers) -> list[float]:
+    """The seconds of each solver, in turn, on one fresh copy of alg."""
     fresh = LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
                                    alg.labels, alg.grading)
     fresh._generators()
-    start = time.perf_counter()
-    solver(fresh)
-    return time.perf_counter() - start
+    seconds = []
+    for solver in solvers:
+        start = time.perf_counter()
+        solver(fresh)
+        seconds.append(time.perf_counter() - start)
+    return seconds
 
 
 def analyze_once(path: str):
@@ -100,19 +108,22 @@ def analyze_once(path: str):
 def main() -> int:
     repeat = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     with tempfile.TemporaryDirectory(prefix="liealg-times-") as work:
-        print(f"{'input':<16} {'forms ms':>10} {'derivations ms':>15} {'analyze ms':>11}")
+        print(f"{'input':<16} {'forms ms':>10} {'self-dual ms':>13} {'derivations ms':>15} "
+              f"{'analyze ms':>11}")
         for name, alg, metric in cases():
             path = os.path.join(work, "input.json")
             inputs.write_json(path, inputs.algebra_document(alg, metric))
             loaded, _ = lio.load_algebra(path)
-            forms = min(solve_once(loaded, invariant_form_space) for _ in range(repeat))
+            forms, dual = map(min, zip(*(solve_once(loaded, invariant_form_space, is_self_dual)
+                                         for _ in range(repeat))))
             derived = "-"
             if name in DERIVED:
-                seconds = min(solve_once(loaded, LieAlgebra.derivation_space) for _ in range(repeat))
+                (seconds,) = min(solve_once(loaded, LieAlgebra.derivation_space)
+                                 for _ in range(repeat))
                 derived = f"{seconds * 1e3:.1f}"
             analyze = best(lambda: analyze_once(path), repeat)
-            print(f"{name:<16} {forms * 1e3:>10.1f} {derived:>15} {analyze * 1e3:>11.1f}",
-                  flush=True)
+            print(f"{name:<16} {forms * 1e3:>10.1f} {dual * 1e3:>13.1f} {derived:>15} "
+                  f"{analyze * 1e3:>11.1f}", flush=True)
     return 0
 
 
