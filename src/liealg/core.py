@@ -781,11 +781,12 @@ class BilinearForm(_Immutable):
     def _of_cleared(cls, field, scale: int, rows: list[dict]) -> "BilinearForm":
         """The form rows / scale from one symmetric integer row per basis
         vector (taken mod p, scale 1, over F_p), scale > 0; zeros are
-        dropped, nothing is coerced or re-checked."""
+        dropped, an empty row is kept as it is, nothing is coerced or
+        re-checked."""
         p = field.characteristic
         form = object.__new__(cls)
         form._hold(field, len(rows), None, (scale, [
-            {c: x % p for c, x in r.items() if x % p} if p else
+            {} if not r else {c: x % p for c, x in r.items() if x % p} if p else
             {c: x for c, x in r.items() if x} for r in rows]))
         return form
 
@@ -831,9 +832,9 @@ class BilinearForm(_Immutable):
         return det(_Rows(self.field, self.dim, rows)) / m ** self.dim
 
     def is_nondegenerate(self) -> bool:
-        """Whether the determinant of the integer rows is nonzero; the
-        elimination stops at the first row that depends on the rows
-        before it."""
+        """Whether the determinant of the integer rows is nonzero; it is
+        zero at once when a row is empty, and otherwise the elimination
+        stops at the first row that depends on the rows before it."""
         return det(_Rows(self.field, self.dim, self._cleared()[1])) != self.field.zero
 
     def scale(self, c) -> "BilinearForm":

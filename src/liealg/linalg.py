@@ -17,7 +17,8 @@ tagged basis of ``LieAlgebra._rebase``, the table in another basis)
 therefore materialise their rows and insert them sparsest first, which
 keeps the fraction-free multipliers and the intermediate entries small
 on dense systems.  Three callers insert rows one at a time as given:
-``det``, whose sign follows the row order, and two that act on each
+``det``, whose sign follows the row order (and which answers zero
+without eliminating when a row is empty), and two that act on each
 row as it goes in, the generating-set search
 (``LieAlgebra._greedy_generators``) and the ad-module closure
 (``LieAlgebra._module_closure``).  An echelon is handed back
@@ -503,13 +504,16 @@ def det(m: Matrix | _Rows):
     A row leaves reduction as m times the exact reduction, so its exact
     lead is lead / m; the numerators and denominators are multiplied as
     integers and divided once, by s^n times the product of the m.  The
-    answer is zero at the first row that reduces to zero: the rows after
-    it are never reduced.
+    answer is zero, before any elimination, when a row is empty, and
+    otherwise at the first row that reduces to zero: the rows after it
+    are never reduced.
     """
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a non-square matrix")
     p = m.field.characteristic
     s, rows = m._cleared() if isinstance(m, Matrix) else (1, m.rows)
+    if not all(rows):
+        return m.field.zero
     echelon: dict = {}
     cols: set = set()
     num, den = 1, s ** m.nrows

@@ -36,8 +36,8 @@ from .core import BilinearForm, LieAlgebra, _digits, _form_of_blocks, _width
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _equations, _Rows,
-                     _scalars, _sparse, det, nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _equations, _scalars,
+                     _sparse, nullspace)
 
 __all__ = [
     "ConstructionError",
@@ -251,14 +251,13 @@ _GRID_BUDGET = 64
 _SEARCH_BUDGET = 16
 
 
-def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
-    """The first non-degenerate sum t_a F_a over the coefficient tuples.
+def _sums(forms: list[BilinearForm], points):
+    """The sums t_a F_a at the coefficient tuples, built one at a time.
 
     The forms' integer rows are scaled once to a common denominator L,
     G_a = L F_a, and each point's sum is the form (sum t_a G_a) / L,
-    held as integer rows (residues over F_p) whose determinant is
-    tested; only the winner becomes a form, and only its matrix of
-    scalars is ever built.
+    held as integer rows (residues over F_p); no matrix of scalars is
+    built unless a sum's ``matrix`` is read.
     """
     field, d, p = forms[0].field, forms[0].dim, forms[0].field.characteristic
     scale = lcm(*(f._cleared()[0] for f in forms))
@@ -266,10 +265,8 @@ def _first_metric(forms: list[BilinearForm], points) -> BilinearForm | None:
               for m, rows in (f._cleared() for f in forms)]
     for coeffs in points:
         terms = [(t, g) for t, g in zip(coeffs, scaled) if t]
-        rows = [_combine(((t, g[i].items()) for t, g in terms), p) for i in range(d)]
-        if det(_Rows(field, d, rows)) != field.zero:
-            return BilinearForm._of_cleared(field, scale, rows)
-    return None
+        yield BilinearForm._of_cleared(field, scale, [
+            _combine(((t, g[i].items()) for t, g in terms), p) for i in range(d)])
 
 
 def _line_points(s: int, q: int):
@@ -311,52 +308,46 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
 
     One procedure over the basis F_1..F_s of ``invariant_form_space``,
     d = alg.dim; each step proves its answer or stops inside a bound.
-    Every non-degeneracy test runs on the forms' integer rows and stops
-    at the first row that depends on the ones before it; the sums of
-    steps 3 and 5 are built in integers and only the winner becomes a
-    matrix of scalars (``_first_metric``).
     0. d = 0: 'yes', with the empty metric (its determinant is 1).
     1. s = 0: 'no', certificate kind ``empty-invariant-form-space``.
-       Then the center lemma (Medina-Revoy, Ann. Sci. ENS 18, 1985;
-       ``_center_lemma_rules_out``).  For an invariant non-degenerate B,
-       x is central <=> B([x, y], z) = B(x, [y, z]) = 0 for all y, z
-       <=> x is in [L, L]-perp, so dim Z = d - dim [L, L] over every
-       field, with or without Jacobi.  When that equality fails, every
-       sum t_a F_a is degenerate, and steps 2, 3 and 5 skip their
-       determinants and end as those would: no metric in step 2, the
-       certificate of step 3, the reason of step 5.  The lemma only
-       skips evaluations; verdicts and certificates stay the same.  Z
-       and [L, L] are the ones the algebra keeps once computed.
-    2. The first non-degenerate F_a is the metric ('yes').
-    3. Let q = d + 1, or min(d + 1, p) over F_p.  If the grid
-       {0..q-1}^s has at most 64 points, its first non-degenerate sum
-       t_a F_a in lexicographic order is the metric.  Only the line
-       representatives are evaluated (``_line_points``): the
-       (q^s - 1)/(q - 1) - s points whose first nonzero coordinate is 1
-       and that have another nonzero coordinate.  That finds the same
-       first point, because P(t) = det(sum t_a F_a) is homogeneous of
-       degree d.  Were the first point t to have c >= 2 at its first
-       nonzero index k, then for q = p the grid point t / c comes
-       earlier, with P(t / c) = c^-d P(t) != 0; for q = d + 1 the
-       nonzero homogeneous Q(u) = P(0, .., 0, u) stays nonzero at
-       u_k = 1, so with degree <= d in each other variable it is nonzero
-       somewhere on {0..d}^(s-k-1) (Alon, Combin. Probab. Comput. 8,
-       1999), again earlier.  The points with one nonzero coordinate
-       are multiples of the F_a, found degenerate in step 2.  If no
-       representative is non-degenerate, P vanishes on the whole grid:
-       it is the zero polynomial when q = d + 1 (Schwartz, JACM 1980),
-       and for p <= d the grid is all of F_p^s: 'no', kind
+    2. The first non-degenerate candidate is the metric ('yes').  The
+       candidates are F_1..F_s, then sums t_a F_a (``_sums``, built in
+       integers over one common denominator).  Let q = d + 1, or
+       min(d + 1, p) over F_p.  If the grid {0..q-1}^s has at most 64
+       points, the sums are its line representatives (``_line_points``):
+       the (q^s - 1)/(q - 1) - s points whose first nonzero coordinate
+       is 1 and that have another nonzero coordinate, in lexicographic
+       order.  They find the grid's first non-degenerate point, because
+       P(t) = det(sum t_a F_a) is homogeneous of degree d.  Were the
+       first point t to have c >= 2 at its first nonzero index k, then
+       for q = p the grid point t / c comes earlier, with P(t / c) =
+       c^-d P(t) != 0; for q = d + 1 the nonzero homogeneous Q(u) =
+       P(0, .., 0, u) stays nonzero at u_k = 1, so with degree <= d in
+       each other variable it is nonzero somewhere on {0..d}^(s-k-1)
+       (Alon, Combin. Probab. Comput. 8, 1999), again earlier.  The
+       points with one nonzero coordinate are multiples of the F_a.
+       Otherwise the sums are at 16 points, (-1, ..., -1) and then
+       seeded points of {-d..d}^s; a random point misses a nonzero P
+       with probability at most d / (2d + 1) (Schwartz, JACM 1980).
+       Every candidate is tested by ``BilinearForm.is_nondegenerate``,
+       and only the winner's matrix of scalars is ever built.  No
+       candidate is tested when the center lemma rules them all out
+       (Medina-Revoy, Ann. Sci. ENS 18, 1985; ``_center_lemma_rules_out``):
+       for an invariant non-degenerate B, x is central <=> B([x, y], z)
+       = B(x, [y, z]) = 0 for all y, z <=> x is in [L, L]-perp, so
+       dim Z = d - dim [L, L] over every field, with or without Jacobi.
+       When that equality fails every candidate is degenerate, so the
+       lemma changes no answer.  Z and [L, L] are the ones the algebra
+       keeps once computed.
+    3. No candidate is non-degenerate.  If the grid was searched, P
+       vanishes on all of it: P is the zero polynomial when q = d + 1
+       (Schwartz), and for p <= d the grid is all of F_p^s: 'no', kind
        ``generic-determinant-zero`` with ``space_dim``, ``matrix_dim``
-       and ``grid_points`` (q^s, the whole grid, on which det provably
-       vanishes).
-    4. A nonzero x with F_a x = 0 for all a is in the radical of every
-       combination: 'no', kind ``common-radical`` with ``space_dim``,
-       ``matrix_dim`` and ``witness`` (x as canonical scalar strings).
-    5. The first non-degenerate sum among 16 points, (-1, ..., -1) and
-       then seeded points of {-d..d}^s, is the metric.  A random point
-       misses a nonzero det(sum t_a F_a) with probability at most
-       d / (2d + 1) (Schwartz, JACM 1980).  Otherwise 'unknown', with
-       the limits in ``reason``.
+       and ``grid_points`` (q^s, the whole grid).  Otherwise a nonzero x
+       with F_a x = 0 for all a is in the radical of every sum: 'no',
+       kind ``common-radical`` with ``space_dim``, ``matrix_dim`` and
+       ``witness`` (x as canonical scalar strings).  Otherwise
+       'unknown', with the limits in ``reason``.
     """
     if alg.dim == 0:
         return SelfDuality("yes", metric=BilinearForm.zero(alg.field, 0))
@@ -364,20 +355,18 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     if not forms:
         return SelfDuality("no", certificate={
             "kind": "empty-invariant-form-space", "space_dim": 0})
-    # every sum is degenerate when the lemma applies: no determinant is taken
-    degenerate = _center_lemma_rules_out(alg)
-    if not degenerate:
-        for f in forms:
-            if f.is_nondegenerate():
-                return SelfDuality("yes", metric=f)
     s, d = len(forms), alg.dim
     p = alg.field.characteristic
     q = min(d + 1, p) if p else d + 1
     points = q ** s
-    if points <= _GRID_BUDGET:
-        metric = None if degenerate else _first_metric(forms, _line_points(s, q))
-        if metric is not None:
-            return SelfDuality("yes", metric=metric)
+    grid = points <= _GRID_BUDGET
+    if not _center_lemma_rules_out(alg):
+        sums = _sums(forms, _line_points(s, q) if grid else
+                     itertools.islice(_seeded_points(s, d), _SEARCH_BUDGET))
+        for metric in itertools.chain(forms, sums):
+            if metric.is_nondegenerate():
+                return SelfDuality("yes", metric=metric)
+    if grid:
         return SelfDuality("no", certificate={
             "kind": "generic-determinant-zero",
             "space_dim": s,
@@ -393,10 +382,6 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
             "matrix_dim": d,
             "witness": [scalar_to_string(x) for x in radical.basis[0]],
         })
-    metric = None if degenerate else _first_metric(
-        forms, itertools.islice(_seeded_points(s, d), _SEARCH_BUDGET))
-    if metric is not None:
-        return SelfDuality("yes", metric=metric)
     return SelfDuality("unknown", reason=(
         f"the {s} invariant forms have no common radical, the grid "
         f"certificate needs {q}^{s} points (budget {_GRID_BUDGET}), "

@@ -52,6 +52,13 @@ def test_scalar_strings_round_trip():
     f5 = PrimeField(5)
     assert scalar_to_string(f5(7)) == "2"
     assert string_to_scalar(f5, "4") == f5(4)
+    assert scalar_to_string(3) == "3"
+
+
+def test_document_rejects_a_metric_of_another_dimension():
+    alg = truncated_algebra(3)
+    with pytest.raises(AlgebraFileError, match="metric does not match"):
+        algebra_to_document(alg, canonical_metric(2))
 
 
 def test_scalar_strings_reject_noncanonical():

@@ -844,3 +844,24 @@ def test_input_checks_raise():
         orthogonal_complement(alg, BilinearForm(Matrix.identity(QQ, 2)), Subspace.full(QQ, 3))
     with pytest.raises(ShapeError, match="dimension mismatch"):
         orthogonal_complement(alg, form, Subspace.full(QQ, 2))
+
+
+def test_sums_across_fields_raise():
+    f5 = PrimeField(5)
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        direct_sum(heisenberg(), LieAlgebra(f5, 1, {}))
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        form_block_sum(BilinearForm.zero(QQ, 1), BilinearForm.zero(f5, 1))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5)), ids=str)
+def test_forms_from_cleared_rows_keep_empty_rows(field):
+    rows = [{0: 2, 2: 5}, {}, {0: 5, 2: 0}]
+    form = BilinearForm._of_cleared(field, 1, rows)
+    scale, held = form._cleared()
+    if field.characteristic:
+        assert held == [{0: 2}, {}, {}]
+    else:
+        assert held == [{0: 2, 2: 5}, {}, {0: 5}]
+    assert held[1] == {} and not form.is_nondegenerate()
+    assert form == BilinearForm(form.matrix)

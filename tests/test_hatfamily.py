@@ -361,3 +361,55 @@ def test_coordinate_ideal_scan_matches_is_ideal_on_every_subset():
                         if alg.is_ideal(Subspace.coordinate(field, alg.dim, c))]
             assert enumerate_coordinate_ideals(alg) == expected
     assert len(enumerate_coordinate_ideals(LieAlgebra(QQ, 5, {}))) == 32
+
+
+def test_hat_properties_witnesses():
+    report = hat_properties(RangeHat(3, (0, 1, 2)), range(-4, 5))
+    assert (report.multiplicative, report.add1, report.add2) == (False, False, True)
+    assert report.witnesses == {"add1": (-4,), "multiplicative": (-4, -4)}
+    report = hat_properties(RangeHat(5, (-2, -1, 0, 1, 2)), range(-4, 5))
+    assert (report.multiplicative, report.add1, report.add2) == (False, True, True)
+    assert report.witnesses == {"multiplicative": (-3, -3)}
+
+
+class _DuckHat:
+    """A hat given by two functions, for identities residue hats never fail."""
+
+    def __init__(self, value, same=lambda a, b: a == b):
+        self.calls = 0
+        self._value, self.same = value, same
+
+    def value(self, i):
+        self.calls += 1
+        return self._value(i)
+
+
+def test_hat_properties_pair_witnesses_and_early_exit():
+    # odd and injective, so only the pair form of add1 fails
+    report = hat_properties(_DuckHat(lambda i: i ** 3), range(-2, 3))
+    assert (report.multiplicative, report.add1, report.add2) == (True, False, True)
+    assert report.witnesses == {"add1": (-2, -2)}
+    # hat values compared by parity: hat(i - j) = 0 only when i = j
+    report = hat_properties(_DuckHat(lambda i: i, lambda a, b: (a - b) % 2 == 0), range(-2, 3))
+    assert (report.multiplicative, report.add1, report.add2) == (True, True, False)
+    assert report.witnesses == {"add2": (-2, 0)}
+    # every identity fails on the first pair, and the scan stops there
+    hat = _DuckHat(lambda i: i + 1)
+    report = hat_properties(hat, range(-2, 3))
+    assert report.witnesses == {"add1": (-2,), "multiplicative": (-2, -2), "add2": (-2, -2)}
+    assert hat.calls == 2 + 3 + 3
+
+
+def test_all_nonzero_element_scans_combinations():
+    from liealg.family import _all_nonzero_element
+    for field in (QQ, PrimeField(3)):
+        space = Subspace(field, 3, [(1, 0, 1), (0, 1, 1)])
+        assert _all_nonzero_element(space, field) == tuple(map(field, (1, 1, 2)))
+    f2 = PrimeField(2)
+    assert _all_nonzero_element(Subspace(f2, 3, [(1, 0, 1), (0, 1, 1)]), f2) is None
+    assert _all_nonzero_element(Subspace(QQ, 3, [(1, 0, 0), (0, 1, 0)]), QQ) is None
+
+
+def test_truncated_algebra_rejects_negative_n():
+    with pytest.raises(ValueError, match="non-negative"):
+        truncated_algebra(-1)

@@ -492,3 +492,79 @@ def test_primality_is_exact_and_bounded_below_2_to_the_64():
         assert not is_prime(composite)
     with pytest.raises(ValueError, match="out of range"):
         PrimeField(2 ** 89 - 1)
+
+
+# -- determinants of systems with an empty row ---------------------------------
+
+def test_det_of_an_empty_row_is_zero_without_elimination(monkeypatch):
+    from liealg import linalg
+    calls = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda *args: calls.append(args) or insert(*args))
+    for field in (QQ, F5):
+        rows = [{0: 2, 1: 1}, {}, {1: 3, 2: 1}]
+        assert det(linalg._Rows(field, 3, rows)) == field.zero
+        assert det(Matrix(field, [[1, 2, 0], [0, 0, 0], [4, 0, 1]])) == field.zero
+    assert calls == []
+    # a dependent nonempty row is found by elimination, as before
+    assert det(linalg._Rows(QQ, 2, [{0: 1, 1: 2}, {0: 2, 1: 4}])) == QQ.zero
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=str)
+def test_det_with_and_without_empty_rows_matches_sympy(field):
+    from liealg import linalg
+    dm, _, back = _sympy_oracle(field)
+    rng = random.Random(59 + field.characteristic)
+    empty = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        grid = [[_product_scalar(rng, field) if rng.random() < 0.6 else field.zero
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            grid[rng.randrange(n)] = [field.zero] * n
+        m = Matrix(field, grid)
+        empty += not all(any(r) for r in grid)
+        want = back(dm(m.rows, n).det())
+        assert det(m) == want
+        scale, rows = m._cleared()
+        assert det(linalg._Rows(field, n, rows)) == want * scale ** n
+    assert empty >= 5
+
+
+def test_shape_errors_of_traces_solves_and_subspaces():
+    with pytest.raises(ShapeError, match="trace"):
+        Matrix(QQ, [[1, 2]]).trace()
+    with pytest.raises(ShapeError, match="right-hand side"):
+        solve(Matrix.identity(QQ, 2), [1, 2, 3])
+    with pytest.raises(ShapeError, match="spanning vector"):
+        Subspace(QQ, 3, [(1, 0)])
+    s = Subspace(QQ, 3, [(1, 0, 0)])
+    for probe in (s.reduce, s.contains):
+        with pytest.raises(ShapeError, match="wrong length"):
+            probe((1, 0))
+    other = Subspace(QQ, 4, [(1, 0, 0, 0)])
+    for combine in (s.contains_subspace, s.add, s.intersect):
+        with pytest.raises(ShapeError, match="ambient dimension"):
+            combine(other)
+
+
+def test_fp_element_mixed_operands():
+    three, five = PrimeField(3), F5
+    a = five(2)
+    assert 1 - a == five(4) and 1 / a == five(3)
+    with pytest.raises(ZeroDivisionError):
+        a / five(0)
+    with pytest.raises(ZeroDivisionError):
+        1 / five(0)
+    with pytest.raises(FieldMismatchError):
+        a + three(1)
+    for op in (lambda: a + 1.5, lambda: 1.5 - a, lambda: a * 1.5, lambda: a / 1.5,
+               lambda: 1.5 / a, lambda: a - 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert five("3") == five(3)
+    with pytest.raises(FieldMismatchError):
+        five(three(1))
+    with pytest.raises(TypeError):
+        QQ(1.5)

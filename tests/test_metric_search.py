@@ -10,13 +10,13 @@ direct sums and rotated family members.
 
 The grid certificate of ``is_self_dual`` evaluates only the line
 representatives ``_line_points``.  Against the full lexicographic scan
-of {0..q-1}^s through ``_first_metric`` it must stop at the same first
-point with an equal form, or find nothing exactly when the full scan
-does, on every list whose single forms are all degenerate (the case step
-3 sees); ``is_self_dual`` must answer exactly as with the full scan, and
-the step-3 determinant counts of the benchmark's algebras are pinned
-with the center lemma off.  With it on, those algebras take no
-determinant at all and answer the same.
+of {0..q-1}^s through ``_sums`` it must stop at the same first point
+with an equal form, or find nothing exactly when the full scan does, on
+every list whose single forms are all degenerate (the case the grid
+sees); ``is_self_dual`` must answer exactly as with the full scan, and
+the determinant counts of the benchmark's algebras are pinned with the
+center lemma off.  With it on, those algebras take no determinant at
+all and answer the same.
 ``tests/test_scan_properties.py`` runs the same comparison on
 hypothesis-drawn lists.
 """
@@ -33,8 +33,8 @@ from liealg.family import truncated_algebra
 from liealg.fields import PrimeField, QQ
 from liealg.hats import IDENTITY_HAT
 from liealg.linalg import Matrix, _clear, _sparse, det
-from liealg.selfdual import (_first_metric, _line_points, _seeded_points,
-                             invariant_form_space, is_self_dual)
+from liealg.selfdual import (_line_points, _seeded_points, _sums, invariant_form_space,
+                             is_self_dual)
 from test_sparse_oracle import _rotated
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -53,15 +53,16 @@ def _ref_first_metric(forms, points):
 
 
 def _searched(forms, points):
-    """The integer search's (point, form), the point being the last one
-    it read (it stops at the winner), or None."""
+    """The integer search's (point, form): the first non-degenerate sum of
+    ``_sums``, the point being the last one it read (the sums are built
+    one at a time, so it stops at the winner), or None."""
     seen = []
 
     def tracked():
         for point in points:
             seen.append(point)
             yield point
-    form = _first_metric(forms, tracked())
+    form = next((f for f in _sums(forms, tracked()) if f.is_nondegenerate()), None)
     return None if form is None else (seen[-1], form)
 
 
@@ -275,61 +276,53 @@ def test_is_self_dual_answers_as_with_the_full_grid(monkeypatch):
     assert verdicts == {"yes", "no"}
 
 
-_STEP_THREE_COUNTS = {"A4": (5, 36), "A5": (6, 49), "h3": (18, 64), "W10": (0, 12),
-                      "rotated A4 #0": (5, 36), "rotated A4 #1": (5, 36),
-                      "rotated A5 #0": (6, 49), "rotated A5 #1": (6, 49)}
+# (line scan, full grid): s determinants of the basis forms, then one per
+# line representative or per grid point
+_SEARCH_COUNTS = {"A4": (7, 38), "A5": (8, 51), "h3": (21, 67), "W10": (1, 13),
+                  "rotated A4 #0": (7, 38), "rotated A4 #1": (7, 38),
+                  "rotated A5 #0": (8, 51), "rotated A5 #1": (8, 51)}
 
 
-def test_step_three_determinant_counts(monkeypatch):
-    """The benchmark's non-metric algebras end in step 3: each line
-    representative costs one determinant, where the full grid cost one
-    per grid point, and the certificate still names the whole grid.
-    Counted with the center lemma off, which skips all of these
-    evaluations (``test_center_lemma_skips_the_determinants``)."""
-    counts = _STEP_THREE_COUNTS
+def _determinants(alg, monkeypatch, lemma=True, full_grid=False):
+    """``is_self_dual``'s answer and its number of determinants: every
+    ``core.det`` call, so every non-degeneracy test of a candidate."""
     calls = []
-    monkeypatch.setattr(selfdual, "_center_lemma_rules_out", lambda alg: False)
-    monkeypatch.setattr(selfdual, "det", lambda m: calls.append(m) or det(m))
-    for name, alg in _nonmetric_algebras():
-        if name not in counts:
-            continue
-        calls.clear()
-        answer = is_self_dual(alg)
-        lines = len(calls)
-        calls.clear()
-        assert _is_self_dual_by_full_grid(alg, monkeypatch) == answer
-        assert (lines, len(calls)) == counts[name], name
-        assert answer.certificate["kind"] == "generic-determinant-zero"
-        assert answer.certificate["grid_points"] == counts[name][1]
+    with monkeypatch.context() as m:
+        m.setattr(core, "det", lambda rows: calls.append(rows) or det(rows))
+        if not lemma:
+            m.setattr(selfdual, "_center_lemma_rules_out", lambda alg: False)
+        answer = _is_self_dual_by_full_grid(alg, monkeypatch) if full_grid else is_self_dual(alg)
+    return answer, len(calls)
 
+
+def test_search_determinant_counts(monkeypatch):
+    """The benchmark's non-metric algebras end at the grid certificate:
+    each basis form and each line representative costs one determinant,
+    where the full grid cost one per grid point, and the certificate
+    still names the whole grid.  Counted with the center lemma off, which
+    skips all of these evaluations
+    (``test_center_lemma_skips_the_determinants``)."""
+    algebras = dict(_nonmetric_algebras())
+    for name, counts in _SEARCH_COUNTS.items():
+        answer, lines = _determinants(algebras[name], monkeypatch, lemma=False)
+        full, grid = _determinants(algebras[name], monkeypatch, lemma=False, full_grid=True)
+        assert full == answer
+        assert (lines, grid) == counts, name
+        assert answer.certificate["kind"] == "generic-determinant-zero"
+        assert answer.certificate["grid_points"] == grid - answer.certificate["space_dim"]
 
 
 def test_center_lemma_skips_the_determinants(monkeypatch):
     """With the center lemma the non-metric algebras of the count test
-    evaluate no determinant in steps 2, 3 and 5 and answer as without
-    it, while the metric A6 and A3+A3 keep their step-2 determinants."""
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return det(m)
-
-    def determinants(alg, lemma):
-        with monkeypatch.context() as m:
-            m.setattr(selfdual, "det", counted)
-            m.setattr(core, "det", counted)
-            if not lemma:
-                m.setattr(selfdual, "_center_lemma_rules_out", lambda alg: False)
-            calls.clear()
-            return is_self_dual(alg), len(calls)
-
+    test no candidate and answer as without it, while the metric A6 and
+    A3+A3 keep their determinants."""
     algebras = dict(_nonmetric_algebras())
-    for name in _STEP_THREE_COUNTS:
-        answer, count = determinants(algebras[name], True)
+    for name in _SEARCH_COUNTS:
+        answer, count = _determinants(algebras[name], monkeypatch)
         assert count == 0, name
-        assert answer == determinants(algebras[name], False)[0], name
+        assert answer == _determinants(algebras[name], monkeypatch, lemma=False)[0], name
     a3 = truncated_algebra(3)
     for alg in (truncated_algebra(6), direct_sum(a3, a3)):
-        answer, count = determinants(alg, True)
+        answer, count = _determinants(alg, monkeypatch)
         assert answer.verdict == "yes" and count > 0
-        assert (answer, count) == determinants(alg, False)
+        assert (answer, count) == _determinants(alg, monkeypatch, lemma=False)

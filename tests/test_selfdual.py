@@ -7,7 +7,7 @@ import time
 import pytest
 
 from liealg import selfdual
-from liealg.core import BilinearForm, LieAlgebra, direct_sum, form_block_sum
+from liealg.core import BilinearForm, JacobiWitness, LieAlgebra, direct_sum, form_block_sum
 from liealg.family import (
     canonical_metric,
     classify_ideals,
@@ -699,3 +699,30 @@ def test_invariant_profile_values():
 
 def test_construction_error_is_runtime_error():
     assert issubclass(ConstructionError, RuntimeError)
+
+
+_BROKEN_POSTCONDITIONS = [
+    (LieAlgebra, "check_jacobi", lambda alg: JacobiWitness(0, 1, 2, ()), "violates Jacobi"),
+    (BilinearForm, "invariance_witness", lambda form, alg: (0, 1, 2), "not invariant"),
+    (BilinearForm, "is_nondegenerate", lambda form: False, "is degenerate"),
+]
+
+
+@pytest.mark.parametrize("owner, name, broken, message", _BROKEN_POSTCONDITIONS,
+                         ids=[n for _, n, _, _ in _BROKEN_POSTCONDITIONS])
+def test_constructions_refuse_an_output_that_fails_a_postcondition(
+        monkeypatch, owner, name, broken, message):
+    """Each check fails only inside the postcondition step, so the inputs
+    still validate and the error comes from the output."""
+    enforce = selfdual._enforce_metric_postconditions
+
+    def failing(alg, metric, what):
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, broken)
+            enforce(alg, metric, what)
+
+    monkeypatch.setattr(selfdual, "_enforce_metric_postconditions", failing)
+    with pytest.raises(ConstructionError, match=f"^double extension output .*{message}"):
+        double_extend(_oscillator_input())
+    with pytest.raises(ConstructionError, match=f"^contraction output .*{message}"):
+        _contracted_so21()

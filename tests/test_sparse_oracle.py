@@ -298,7 +298,7 @@ def test_structure_solvers_match_the_dense_assembly(alg):
 def test_common_radical_matches_the_dense_assembly(alg):
     forms = _dense_invariant_form_space(alg)
     q = min(alg.dim + 1, alg.field.characteristic or alg.dim + 1)
-    # steps 1-3 of is_self_dual decide before the radical is read
+    # is_self_dual reads the radical only after the seeded search
     if not forms or any(f.is_nondegenerate() for f in forms) or q ** len(forms) <= _GRID_BUDGET:
         return
     radical = _dense_common_radical(alg, forms)

@@ -28,8 +28,8 @@ set (and so its Jacobi check) is computed before the timer starts, so
 the derivations include their center solve.  ``is_self_dual`` runs on
 the copy the form solve just ran on, with nothing of it kept: its time
 is its own form solve plus the center lemma and the determinants of its
-search (on an Abelian input, one per basis form in step 2), so the
-search cost is the self-dual column minus the forms column.
+search, so the search cost is the self-dual column minus the forms
+column.
 ``analyze`` runs with the load memo cleared and its output discarded,
 so each run is a first computation on a freshly loaded algebra.  Run it
 in two checkouts and compare the lines.  Standard library only.
