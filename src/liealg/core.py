@@ -92,8 +92,8 @@ from typing import NamedTuple
 
 from .fields import FieldMismatchError
 from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _dense, _dot,
-                     _echelon, _equations, _Immutable, _insert, _reduce, _Rows, _scalars,
-                     _sparse, det, nullspace)
+                     _echelon, _equations, _Immutable, _insert, _reduce, _require_same_field,
+                     _Rows, _scalars, _sparse, det, nullspace)
 
 __all__ = [
     "LieAlgebra",
@@ -471,20 +471,6 @@ class LieAlgebra(_Immutable):
                     pending.extend(self._bracket({s: 1}, v) for s in active)
         return tuple(gens)
 
-    def _generator_kernel(self, ncols: int,
-                          rows_of: Callable[[int, list], Iterable[dict]]) -> Subspace:
-        """The solutions in ``ncols`` unknowns of the equations (integer
-        ``{col: coeff}`` rows) that ``rows_of(s, table)`` gives for each s
-        of ``_generators()``, with ``table`` the ``_int_table`` read once.
-
-        A solver whose condition on ad_x holds on a subalgebra of the x
-        needs it for x in S only: the vanishing of ad_x on the center,
-        the derivation defect.
-        """
-        table = self._int_table()
-        return nullspace(_equations(self.field, ncols, (
-            row for s in self._generators() for row in rows_of(s, table))))
-
     def _module_closure(self) -> "_Closure":
         """A basis of words that writes the algebra as the ad_S-module
         generated by basis vectors M, S = ``_generators()``.
@@ -591,13 +577,14 @@ class LieAlgebra(_Immutable):
         x_j = 0 for all k.  The centraliser of x is a subalgebra, so x
         is central once it commutes with a generating set.  Computed once
         per algebra."""
-        def rows_of(s, table):
-            eqs: dict = {}
-            for j, terms in table[s].items():
-                for k, c in terms:
-                    eqs.setdefault(k, {})[j] = c
-            return eqs.values()
-        return self._memo("_center", lambda: self._generator_kernel(self.dim, rows_of))
+        def solve():
+            table, eqs = self._int_table(), {}  # eqs[s, k]: [x_s, x] at e_k
+            for s in self._generators():
+                for j, terms in table[s].items():
+                    for k, c in terms:
+                        eqs.setdefault((s, k), {})[j] = c
+            return nullspace(_equations(self.field, self.dim, eqs.values()))
+        return self._memo("_center", solve)
 
     def is_ideal(self, s: Subspace) -> bool:
         """Whether [x_g, s] lies in s for g in the generating set: the
@@ -719,30 +706,31 @@ class LieAlgebra(_Immutable):
         Unknowns are the dim^2 entries of D flattened row-major, which
         fixes the layout of the returned basis.
         """
-        d = self.dim
+        d, table = self.dim, self._int_table()
         gens = set(self._generators())
 
-        def rows_of(i, table):
-            ri = table[i]
-            for j in range(d):
-                rj = table[j]
-                if j == i or (j < i and j in gens) or (not ri and not rj):
-                    continue
-                eq: dict[int, dict] = {}
-                for l, c in ri.get(j, ()):
-                    for k in range(d):
-                        e = eq.setdefault(k, {})
-                        e[k * d + l] = e.get(k * d + l, 0) + c
-                for r, terms in rj.items():  # [x_r, x_j] = -[x_j, x_r]
-                    for k, c in terms:
-                        e = eq.setdefault(k, {})
-                        e[r * d + i] = e.get(r * d + i, 0) + c
-                for r, terms in ri.items():
-                    for k, c in terms:
-                        e = eq.setdefault(k, {})
-                        e[r * d + j] = e.get(r * d + j, 0) - c
-                yield from eq.values()
-        space = self._generator_kernel(d * d, rows_of)
+        def rows():
+            for i in gens:
+                ri = table[i]
+                for j in range(d):
+                    rj = table[j]
+                    if j == i or (j < i and j in gens) or (not ri and not rj):
+                        continue
+                    eq: dict[int, dict] = {}
+                    for l, c in ri.get(j, ()):
+                        for k in range(d):
+                            e = eq.setdefault(k, {})
+                            e[k * d + l] = e.get(k * d + l, 0) + c
+                    for r, terms in rj.items():  # [x_r, x_j] = -[x_j, x_r]
+                        for k, c in terms:
+                            e = eq.setdefault(k, {})
+                            e[r * d + i] = e.get(r * d + i, 0) + c
+                    for r, terms in ri.items():
+                        for k, c in terms:
+                            e = eq.setdefault(k, {})
+                            e[r * d + j] = e.get(r * d + j, 0) - c
+                    yield from eq.values()
+        space = nullspace(_equations(self.field, d * d, rows()))
         inner = d - self.center().dim
         return DerivationSpace(space, inner, space.dim - inner)
 
@@ -1010,11 +998,6 @@ def _form_of_blocks(field, dim: int, blocks) -> BilinearForm:
 def form_block_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
     """Orthogonal (block-diagonal) sum of two forms."""
     return _form_of_blocks(b1.field, b1.dim + b2.dim, [(0, 0, b1), (b1.dim, b1.dim, b2)])
-
-
-def _require_same_field(f1, f2):
-    if f1 != f2:
-        raise FieldMismatchError(f"field mismatch: {f1} vs {f2}")
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -94,9 +94,9 @@ class _Immutable:
         return self
 
 
-def _check_same_field(a, b):
-    if a.field != b.field:
-        raise FieldMismatchError(f"field mismatch: {a.field} vs {b.field}")
+def _require_same_field(f1, f2):
+    if f1 != f2:
+        raise FieldMismatchError(f"field mismatch: {f1} vs {f2}")
 
 
 class Matrix(_Immutable):
@@ -179,7 +179,7 @@ class Matrix(_Immutable):
         return Matrix(self.field, [[-x for x in r] for r in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
+        _require_same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("matrix addition shape mismatch")
         return Matrix(self.field,
@@ -191,7 +191,7 @@ class Matrix(_Immutable):
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            _check_same_field(self, other)
+            _require_same_field(self.field, other.field)
             if self.ncols != other.nrows:
                 raise ShapeError("matrix product shape mismatch")
             cols = [_sparse(c) for c in zip(*other.rows)]
@@ -655,13 +655,13 @@ class Subspace(_Immutable):
         return not row
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        _check_same_field(self, other)
+        _require_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
         return all(self._contains_row(dict(r)) for r in other._echelon.values())
 
     def add(self, other: "Subspace") -> "Subspace":
-        _check_same_field(self, other)
+        _require_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
         return Subspace._span(self.field, self.ambient_dim, [
@@ -671,7 +671,7 @@ class Subspace(_Immutable):
         """Intersection by Zassenhaus: the RREF of the rows (u, u) for u
         in this basis and (v, 0) for v in the other's; its rows (0, w)
         are the canonical basis of the intersection."""
-        _check_same_field(self, other)
+        _require_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
         n = self.ambient_dim

@@ -254,29 +254,25 @@ _SEARCH_BUDGET = 16
 def _sums(forms: list[BilinearForm], points):
     """The sums t_a F_a at the coefficient tuples, built one at a time.
 
-    The forms' integer rows are scaled once to a common denominator L,
-    G_a = L F_a, and each point's sum is the form (sum t_a G_a) / L,
-    held as integer rows (residues over F_p); no matrix of scalars is
-    built unless a sum's ``matrix`` is read.
+    With F_a = G_a / M_a (G_a the form's integer rows) and L the lcm of
+    the M_a, each point's sum is the form (sum t_a (L / M_a) G_a) / L,
+    combined straight from the forms' own rows and held as integer rows
+    (residues over F_p); no matrix of scalars is built unless a sum's
+    ``matrix`` is read.
     """
     field, d, p = forms[0].field, forms[0].dim, forms[0].field.characteristic
-    scale = lcm(*(f._cleared()[0] for f in forms))
-    scaled = [[{c: x * (scale // m) for c, x in r.items()} for r in rows]
-              for m, rows in (f._cleared() for f in forms)]
+    cleared = [f._cleared() for f in forms]
+    scale = lcm(*(m for m, _ in cleared))
     for coeffs in points:
-        terms = [(t, g) for t, g in zip(coeffs, scaled) if t]
+        terms = [(t * (scale // m), rows) for t, (m, rows) in zip(coeffs, cleared) if t]
         yield BilinearForm._of_cleared(field, scale, [
-            _combine(((t, g[i].items()) for t, g in terms), p) for i in range(d)])
+            _combine(((t, rows[i].items()) for t, rows in terms), p) for i in range(d)])
 
 
-def _line_points(s: int, q: int):
-    """The points of {0..q-1}^s whose first nonzero coordinate is 1 and
-    that have another nonzero coordinate, in lexicographic order."""
-    for k in range(s - 2, -1, -1):
-        head = (0,) * k + (1,)
-        for tail in itertools.product(range(q), repeat=s - k - 1):
-            if any(tail):
-                yield head + tail
+def _grid_points(s: int, q: int):
+    """The points of {0..q-1}^s with two or more nonzero coordinates, in
+    lexicographic order."""
+    return (t for t in itertools.product(range(q), repeat=s) if s - t.count(0) >= 2)
 
 
 def _seeded_points(s: int, d: int):
@@ -314,20 +310,11 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
        candidates are F_1..F_s, then sums t_a F_a (``_sums``, built in
        integers over one common denominator).  Let q = d + 1, or
        min(d + 1, p) over F_p.  If the grid {0..q-1}^s has at most 64
-       points, the sums are its line representatives (``_line_points``):
-       the (q^s - 1)/(q - 1) - s points whose first nonzero coordinate
-       is 1 and that have another nonzero coordinate, in lexicographic
-       order.  They find the grid's first non-degenerate point, because
-       P(t) = det(sum t_a F_a) is homogeneous of degree d.  Were the
-       first point t to have c >= 2 at its first nonzero index k, then
-       for q = p the grid point t / c comes earlier, with P(t / c) =
-       c^-d P(t) != 0; for q = d + 1 the nonzero homogeneous Q(u) =
-       P(0, .., 0, u) stays nonzero at u_k = 1, so with degree <= d in
-       each other variable it is nonzero somewhere on {0..d}^(s-k-1)
-       (Alon, Combin. Probab. Comput. 8, 1999), again earlier.  The
-       points with one nonzero coordinate are multiples of the F_a.
-       Otherwise the sums are at 16 points, (-1, ..., -1) and then
-       seeded points of {-d..d}^s; a random point misses a nonzero P
+       points, the sums are its points in lexicographic order but for
+       those with one nonzero coordinate, multiples of the F_a
+       (``_grid_points``).  Otherwise the sums are at 16 points,
+       (-1, ..., -1) and then seeded points of {-d..d}^s; a random
+       point misses a nonzero P(t) = det(sum t_a F_a), of degree d,
        with probability at most d / (2d + 1) (Schwartz, JACM 1980).
        Every candidate is tested by ``BilinearForm.is_nondegenerate``,
        and only the winner's matrix of scalars is ever built.  No
@@ -361,7 +348,7 @@ def is_self_dual(alg: LieAlgebra) -> SelfDuality:
     points = q ** s
     grid = points <= _GRID_BUDGET
     if not _center_lemma_rules_out(alg):
-        sums = _sums(forms, _line_points(s, q) if grid else
+        sums = _sums(forms, _grid_points(s, q) if grid else
                      itertools.islice(_seeded_points(s, d), _SEARCH_BUDGET))
         for metric in itertools.chain(forms, sums):
             if metric.is_nondegenerate():

@@ -865,3 +865,9 @@ def test_forms_from_cleared_rows_keep_empty_rows(field):
         assert held == [{0: 2, 2: 5}, {}, {0: 5}]
     assert held[1] == {} and not form.is_nondegenerate()
     assert form == BilinearForm(form.matrix)
+
+
+def test_reprs_of_algebras_and_forms():
+    assert repr(truncated_algebra(3)) == "LieAlgebra(dim 4 over Q, 3 stored brackets)"
+    assert repr(canonical_metric(3)) == (
+        "BilinearForm(Matrix(Q, 4x4: 0 0 0 1; 0 0 1 0; 0 1 0 0; 1 0 0 0))")

@@ -21,6 +21,8 @@ from liealg.fields import PrimeField, QQ
 from liealg.hats import (
     IDENTITY_HAT,
     MOD3_BALANCED,
+    BalancedMod3,
+    IdentityHat,
     RangeHat,
     ZModHat,
     hat_properties,
@@ -413,3 +415,16 @@ def test_all_nonzero_element_scans_combinations():
 def test_truncated_algebra_rejects_negative_n():
     with pytest.raises(ValueError, match="non-negative"):
         truncated_algebra(-1)
+
+
+def test_hat_equality_hashing_and_names():
+    hats = {MOD3_BALANCED, BalancedMod3(), IDENTITY_HAT, IdentityHat(), ZModHat(5), ZModHat(5),
+            RangeHat(2, (0, 1)), RangeHat(2, (1, 0))}
+    assert len(hats) == 4
+    assert RangeHat(2, (0, 1)).name == "modrange:2:{0,1}"
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        ZModHat(1)
+    # a ring homomorphism onto Z_6: the identities hold, compared by ZModHat.same
+    report = hat_properties(ZModHat(6), range(-6, 7))
+    assert (report.multiplicative, report.add1, report.add2) == (True, True, True)
+    assert report.witnesses == {}

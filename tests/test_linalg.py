@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liealg.core import BilinearForm
-from liealg.fields import FieldMismatchError, PrimeField, QQ
+from liealg.fields import FieldMismatchError, FpElement, PrimeField, QQ
 from liealg.linalg import Matrix, ShapeError, Subspace, det, nullspace, rank, rref, solve
 
 F2 = PrimeField(2)
@@ -568,3 +568,12 @@ def test_fp_element_mixed_operands():
         five(three(1))
     with pytest.raises(TypeError):
         QQ(1.5)
+
+
+def test_reprs_and_comparisons_with_other_types():
+    assert repr(Matrix(QQ, [[1, 2], [3, 4]])) == "Matrix(Q, 2x2: 1 2; 3 4)"
+    assert repr(Subspace(QQ, 2, [(1, 1)])) == "Subspace(dim 1 of 2: (1, 1))"
+    assert Subspace.span(QQ, 2, [(1, 1)]) == Subspace(QQ, 2, [(1, 1)])
+    assert repr(FpElement(5, 7)) == "2 (mod 5)"
+    assert FpElement(5, 1).__eq__("1") is NotImplemented
+    assert (FpElement(5, 1) == "1") is False

@@ -8,15 +8,15 @@ denominators) and over F_2, F_3, F_5 (coefficients wrapping mod p), on
 lists whose sums are degenerate or cancel, and on the invariant forms of
 direct sums and rotated family members.
 
-The grid certificate of ``is_self_dual`` evaluates only the line
-representatives ``_line_points``.  Against the full lexicographic scan
-of {0..q-1}^s through ``_sums`` it must stop at the same first point
-with an equal form, or find nothing exactly when the full scan does, on
-every list whose single forms are all degenerate (the case the grid
-sees); ``is_self_dual`` must answer exactly as with the full scan, and
-the determinant counts of the benchmark's algebras are pinned with the
-center lemma off.  With it on, those algebras take no determinant at
-all and answer the same.
+The grid certificate of ``is_self_dual`` skips the grid points with one
+nonzero coordinate, multiples of the basis forms (``_grid_points``).
+Against the full lexicographic scan of {0..q-1}^s through ``_sums`` it
+must stop at the same first point with an equal form, or find nothing
+exactly when the full scan does, on every list whose single forms are
+all degenerate (the case the grid sees); ``is_self_dual`` must answer
+exactly as with the full scan, and the determinant counts of the
+benchmark's algebras are pinned with the center lemma off.  With it on,
+those algebras take no determinant at all and answer the same.
 ``tests/test_scan_properties.py`` runs the same comparison on
 hypothesis-drawn lists.
 """
@@ -33,7 +33,7 @@ from liealg.family import truncated_algebra
 from liealg.fields import PrimeField, QQ
 from liealg.hats import IDENTITY_HAT
 from liealg.linalg import Matrix, _clear, _sparse, det
-from liealg.selfdual import (_line_points, _seeded_points, _sums, invariant_form_space,
+from liealg.selfdual import (_grid_points, _seeded_points, _sums, invariant_form_space,
                              is_self_dual)
 from test_sparse_oracle import _rotated
 
@@ -169,7 +169,7 @@ def test_invariant_forms_carry_their_cleared_rows():
 
 
 # ---------------------------------------------------------------------------
-# the grid certificate on line representatives
+# the grid certificate on the points with two or more nonzero coordinates
 # ---------------------------------------------------------------------------
 
 def _grid_side(forms):
@@ -179,12 +179,12 @@ def _grid_side(forms):
 
 
 def _check_line_scan(forms):
-    """The line scan's (point, form) equals the full grid scan's; returns
-    whether a metric was found."""
+    """The scan of ``_grid_points`` finds the full grid scan's (point,
+    form); returns whether a metric was found."""
     assert not any(f.is_nondegenerate() for f in forms)
     s, q = len(forms), _grid_side(forms)
     full = _searched(forms, itertools.product(range(q), repeat=s))
-    assert _searched(forms, _line_points(s, q)) == full
+    assert _searched(forms, _grid_points(s, q)) == full
     return full is not None
 
 
@@ -216,14 +216,14 @@ def _degenerate_lists(field, seed):
             yield forms
 
 
-def test_line_points_are_the_ordered_line_representatives():
+def test_grid_points_are_the_ordered_grid_without_the_axes():
     for s in range(5):
         for q in range(2, 8):
             expected = [t for t in itertools.product(range(q), repeat=s)
-                        if sum(map(bool, t)) >= 2 and next(filter(None, t)) == 1]
-            points = list(_line_points(s, q))
+                        if sum(map(bool, t)) >= 2]
+            points = list(_grid_points(s, q))
             assert points == expected
-            assert len(points) == ((q ** s - 1) // (q - 1) - s if s else 0)
+            assert len(points) == q ** s - 1 - s * (q - 1)
 
 
 @pytest.mark.parametrize("field", (QQ, F2, F3, F5), ids=str)
@@ -256,7 +256,7 @@ def test_line_scan_matches_the_grid_scan_on_invariant_forms():
 
 def _is_self_dual_by_full_grid(alg, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(selfdual, "_line_points",
+        m.setattr(selfdual, "_grid_points",
                   lambda s, q: itertools.product(range(q), repeat=s))
         return is_self_dual(alg)
 
@@ -276,11 +276,11 @@ def test_is_self_dual_answers_as_with_the_full_grid(monkeypatch):
     assert verdicts == {"yes", "no"}
 
 
-# (line scan, full grid): s determinants of the basis forms, then one per
-# line representative or per grid point
-_SEARCH_COUNTS = {"A4": (7, 38), "A5": (8, 51), "h3": (21, 67), "W10": (1, 13),
-                  "rotated A4 #0": (7, 38), "rotated A4 #1": (7, 38),
-                  "rotated A5 #0": (8, 51), "rotated A5 #1": (8, 51)}
+# (filtered grid, full grid): s determinants of the basis forms, then one
+# per grid point with two or more nonzero coordinates, or per grid point
+_SEARCH_COUNTS = {"A4": (27, 38), "A5": (38, 51), "h3": (57, 67), "W10": (1, 13),
+                  "rotated A4 #0": (27, 38), "rotated A4 #1": (27, 38),
+                  "rotated A5 #0": (38, 51), "rotated A5 #1": (38, 51)}
 
 
 def _determinants(alg, monkeypatch, lemma=True, full_grid=False):
@@ -297,17 +297,17 @@ def _determinants(alg, monkeypatch, lemma=True, full_grid=False):
 
 def test_search_determinant_counts(monkeypatch):
     """The benchmark's non-metric algebras end at the grid certificate:
-    each basis form and each line representative costs one determinant,
-    where the full grid cost one per grid point, and the certificate
-    still names the whole grid.  Counted with the center lemma off, which
-    skips all of these evaluations
+    each basis form and each grid point with two or more nonzero
+    coordinates costs one determinant, where the full grid costs one per
+    grid point, and the certificate still names the whole grid.  Counted
+    with the center lemma off, which skips all of these evaluations
     (``test_center_lemma_skips_the_determinants``)."""
     algebras = dict(_nonmetric_algebras())
     for name, counts in _SEARCH_COUNTS.items():
-        answer, lines = _determinants(algebras[name], monkeypatch, lemma=False)
+        answer, filtered = _determinants(algebras[name], monkeypatch, lemma=False)
         full, grid = _determinants(algebras[name], monkeypatch, lemma=False, full_grid=True)
         assert full == answer
-        assert (lines, grid) == counts, name
+        assert (filtered, grid) == counts, name
         assert answer.certificate["kind"] == "generic-determinant-zero"
         assert answer.certificate["grid_points"] == grid - answer.certificate["space_dim"]
 

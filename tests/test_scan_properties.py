@@ -6,8 +6,9 @@ Q (mixed denominators), F_2, F_3 and F_5, ``check_jacobi`` and
 ``test_core`` return: the same first witness and the same defect.  On
 the same tables the structure solvers equal the dense full-basis
 references of ``test_sparse_oracle``.  On seeded lists of low-rank
-symmetric forms the self-duality grid scan over line representatives
-stops where the full grid scan does (``test_metric_search``).
+symmetric forms the self-duality grid scan, which skips the points with
+one nonzero coordinate, stops where the full grid scan does
+(``test_metric_search``).
 """
 
 import random
