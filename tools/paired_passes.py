@@ -1,35 +1,54 @@
-"""Time benchmark passes of this checkout and another, alternated in one process.
+"""Screen a change against another checkout: answers, benchmark passes and solver rows.
 
 Usage, from the root of a checkout:
 
     python3 tools/paired_passes.py PARENT_CHECKOUT [ROUNDS] > ratios.txt
 
-The ``liealg`` packages under PARENT_CHECKOUT/src and under this
-checkout's ``src/`` are both imported into this process, each with its
-own table of ``liealg*`` modules; before each pass the tree's table is
-put in ``sys.modules``, so the imports that the CLI makes inside
-functions resolve to the same tree.  For each ``perfbench`` workload the
-seed-7 inputs are built with ``perfbench/workloads.py`` in a temporary
-directory.  One untimed pass per tree checks that every request gives
-the same exit code, stdout and output-file bytes in both; otherwise the
-script names the requests on stderr and exits 1.  Then ROUNDS (default
-10) pairs of passes are timed, the two trees alternating within a pair
-and the first of them flipping every round, with the ``load_algebra``
-memo cleared before each pass.  ROUNDS is at least 2.
+The ``liealg`` packages under PARENT_CHECKOUT/src and this checkout's
+``src/`` are both imported into this process, each with its own table
+of ``liealg*`` modules, put in ``sys.modules`` before each of its calls
+so that the CLI's imports inside functions resolve to the same tree.
+Both trees share every moment of the host, which separate processes
+run at different times do not, so small changes show.  This screens a
+change; the perfbench protocol (``perfbench/run.py`` runs of each
+checkout) judges it.  Standard library only.
 
-One line per workload gives the median and quartiles of the per-round
-ratio (this checkout's seconds / the parent's), the rounds in which
-this checkout was faster, and each tree's median pass seconds.  Both
-trees share every moment of the host, which separate processes run at
-different times do not, so small changes show; this screens a change,
-and the perfbench protocol (``perfbench/run.py`` runs of each checkout)
-is still the judge.  Standard library only.
+Answer check: on each ``perfbench`` workload at seeds 7 and 8, each tree
+runs one pass and then a second under the same import, where every load
+hits the memo.  If the exit code, stdout or output-file bytes of a
+request differ between the trees or between the passes, the script
+names it on stderr and exits 1.
+
+Then ROUNDS (default 10, at least 2) rounds time one call per tree, the
+trees alternating within a round and the first flipping every round,
+with the ``load_algebra`` memo cleared before each call.  Each line
+gives both trees' medians and the median, quartiles and win count of
+the per-round ratio (this checkout / the parent); a run against a copy
+of the same tree gives the baseline.  The calls:
+
+- one pass of each workload at seed 7.  No output file of any request
+  exists when a pass starts, as after perfbench's set-up: truncating
+  an output rewritten moments before took about 60 ms a file on one
+  host, against microseconds to create it, so rotated-dense passes
+  were mostly filesystem stalls (and a tree that writes no file would
+  be read the other tree's in the answer check);
+- the solver rows, on the inputs of ``cases()``: ``analyze``, that is
+  ``cli.main(["analyze", FILE])`` on a fresh load, output discarded;
+  ``forms``, ``invariant_form_space`` on a fresh copy of the algebra
+  whose generating set (and so its Jacobi check) is computed untimed;
+  ``self-dual``, ``is_self_dual`` on that copy right after, keeping
+  nothing of the form solve, so its search costs self-dual minus forms;
+  and on the ``DERIVED`` inputs ``derivations``, ``derivation_space`` on
+  another fresh copy, center solve included (rotated A15 takes ~12 s).
 """
 
+import contextlib
 import gc
 import importlib
+import io
+import itertools
 import os
-import shutil
+import random
 import statistics
 import sys
 import tempfile
@@ -39,17 +58,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave both checkouts' trees as they are
 
+import inputs  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-
-def _ours(name: str) -> bool:
-    return name == "liealg" or name.startswith("liealg.")
+# the inputs whose derivation space is timed
+DERIVED = {"rotated A9", "rotated A12", "A30", "Abelian d=40"}
 
 
 def _install(modules: dict) -> None:
     """Make ``modules`` the only ``liealg*`` entries of ``sys.modules``."""
-    for name in [n for n in sys.modules if _ours(n)]:
+    for name in [n for n in sys.modules if n.partition(".")[0] == "liealg"]:
         del sys.modules[name]
     sys.modules.update(modules)
 
@@ -65,19 +84,102 @@ def load(src: str) -> dict:
         sys.path.remove(src)
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise ImportError(f"liealg imported from {cli.__file__}, not from {src}")
-    modules = {n: m for n, m in sys.modules.items() if _ours(n)}
-    _install({})
-    return modules
+    return {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "liealg"}
 
 
-def one_pass(modules: dict, requests) -> tuple[float, list]:
-    """Seconds and responses of one pass with that tree's modules."""
-    _install(modules)
-    modules["liealg.io"]._parse.cache_clear()
-    gc.collect()
+def timed(call, *args) -> float:
     start = time.perf_counter()
-    responses = run.run_pass(modules["liealg.cli"], requests)
-    return time.perf_counter() - start, responses
+    call(*args)
+    return time.perf_counter() - start
+
+
+def ready(modules: dict, requests):
+    """The tree's ``cli``, installed, with no request's output file left to rewrite."""
+    _install(modules)
+    for req in requests:
+        for path in req.outputs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+    return modules["liealg.cli"]
+
+
+def check_answers(trees: dict) -> list[str]:
+    """Every request whose answer differs between the trees or between two passes."""
+    differing = []
+    for name, seed in itertools.product(sorted(workloads.WORKLOADS), (7, 8)):
+        with tempfile.TemporaryDirectory(prefix="liealg-paired-") as work:
+            requests = workloads.build(name, seed, work)
+            for modules in trees.values():
+                modules["liealg.io"]._parse.cache_clear()
+            first, second = ({tree: [(r.code, r.stdout, r.files)
+                                     for r in run.run_pass(ready(mods, requests), requests)]
+                              for tree, mods in trees.items()} for _ in range(2))
+        for i, req in enumerate(requests):
+            where = f"{name} seed {seed} {req.label}"
+            if first["change"][i] != first["parent"][i]:
+                differing.append(f"{where}: the trees answer differently")
+            differing += [f"{where}: the {tree} tree's second pass differs from its first"
+                          for tree in trees if second[tree][i] != first[tree][i]]
+    return differing
+
+
+def alternate(trees: dict, rounds: int, measure) -> dict:
+    """``measure(modules)`` (a list of seconds) per tree and round, the first tree flipping."""
+    seconds = {tree: [] for tree in trees}
+    for r in range(rounds):
+        for tree in ("change", "parent") if r % 2 == 0 else ("parent", "change"):
+            _install(trees[tree])
+            trees[tree]["liealg.io"]._parse.cache_clear()
+            gc.collect()
+            seconds[tree].append(measure(trees[tree]))
+    return seconds
+
+
+def report(label: str, seconds: dict, column: int, scale: float, unit: str) -> None:
+    change = [s[column] for s in seconds["change"]]
+    parent = [s[column] for s in seconds["parent"]]
+    ratios = [c / p for c, p in zip(change, parent)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{label:<30} change/parent {median:.3f} [{q1:.3f}, {q3:.3f}] "
+          f"faster {sum(x < 1 for x in ratios)}/{len(ratios)}  "
+          f"parent {statistics.median(parent) * scale:.4g} {unit}  "
+          f"change {statistics.median(change) * scale:.4g} {unit}", flush=True)
+
+
+def cases():
+    """(name, algebra, metric grid or None) of every solver row; rotated rows without
+    a metric are in the basis of the nonmetric-search workload's rotation."""
+    for n in (9, 12, 15, 18):
+        p = inputs.unimodular(random.Random(3), n + 1)
+        yield (f"rotated A{n}", inputs.rotate(inputs.family(n), p),
+               inputs.congruent(inputs.canonical_metric(n), p))
+    for n in (30, 60, 90, 150, 300):
+        yield f"A{n}", inputs.family(n), inputs.canonical_metric(n)
+    for d in (40, 80):
+        yield f"Abelian d={d}", inputs.Algebra(d, {}), None
+    for n in (4, 5, 7):
+        yield f"A{n}", inputs.family(n), None
+    yield "h3", inputs.heisenberg(), None
+    yield "W10", inputs.family(10, reduce=lambda x: x), None
+    for n in (4, 5, 14):
+        p = workloads.signed_rotation(f"nonmetric-search:a{n}#0", n + 1, random.Random(7))
+        yield f"rotated A{n}", inputs.rotate(inputs.family(n), p), None
+
+
+def solver_seconds(modules: dict, path: str, derive: bool) -> list:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seconds = [timed(modules["liealg.cli"].main, ["analyze", path])]
+    alg, _ = modules["liealg.io"].load_algebra(path)
+    core, selfdual = modules["liealg.core"], modules["liealg.selfdual"]
+    copies = [core.LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
+                                          alg.labels, alg.grading) for _ in range(1 + derive)]
+    for copy in copies:
+        copy._generators()
+    seconds += [timed(selfdual.invariant_form_space, copies[0]),
+                timed(selfdual.is_self_dual, copies[0])]
+    if derive:
+        seconds.append(timed(core.LieAlgebra.derivation_space, copies[1]))
+    return seconds
 
 
 def main() -> int:
@@ -88,31 +190,26 @@ def main() -> int:
         return 2
     trees = {"parent": load(os.path.join(os.path.abspath(sys.argv[1]), "src")),
              "change": load(os.path.join(ROOT, "src"))}
+    differing = check_answers(trees)
+    for line in differing:
+        print(f"answers differ: {line}", file=sys.stderr)
+    if differing:
+        return 1
     for name in sorted(workloads.WORKLOADS):
-        workdir = tempfile.mkdtemp(prefix="liealg-paired-")
-        try:
-            requests = workloads.build(name, 7, workdir)
-            answers = {tree: [(r.code, r.stdout, r.files) for r in one_pass(mods, requests)[1]]
-                       for tree, mods in trees.items()}
-            differing = [req.label for req, a, b in
-                         zip(requests, answers["parent"], answers["change"]) if a != b]
-            for label in differing:
-                print(f"answers differ: {name} {label}", file=sys.stderr)
-            if differing:
-                return 1
-            seconds = {tree: [] for tree in trees}
-            for r in range(rounds):
-                order = ("change", "parent") if r % 2 == 0 else ("parent", "change")
-                for tree in order:
-                    seconds[tree].append(one_pass(trees[tree], requests)[0])
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
-        q1, median, q3 = statistics.quantiles(ratios, n=4)
-        wins = sum(x < 1 for x in ratios)
-        print(f"{name:<17} change/parent {median:.3f} [{q1:.3f}, {q3:.3f}] "
-              f"faster {wins}/{rounds}  parent {statistics.median(seconds['parent']):.3f} s"
-              f"  change {statistics.median(seconds['change']):.3f} s", flush=True)
+        with tempfile.TemporaryDirectory(prefix="liealg-paired-") as work:
+            requests = workloads.build(name, 7, work)
+            seconds = alternate(trees, rounds, lambda modules: [
+                timed(run.run_pass, ready(modules, requests), requests)])
+            report(f"{name} pass", seconds, 0, 1, "s")
+    with tempfile.TemporaryDirectory(prefix="liealg-paired-") as work:
+        path = os.path.join(work, "input.json")
+        for name, alg, metric in cases():
+            inputs.write_json(path, inputs.algebra_document(alg, metric))
+            columns = ["analyze", "forms", "self-dual"] + ["derivations"] * (name in DERIVED)
+            seconds = alternate(trees, rounds,
+                                lambda modules: solver_seconds(modules, path, name in DERIVED))
+            for column, solver in enumerate(columns):
+                report(f"{name} {solver}", seconds, column, 1e3, "ms")
     return 0
 
 
