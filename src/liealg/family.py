@@ -93,6 +93,8 @@ def canonical_metric(n: int, b=0, field=QQ) -> BilinearForm:
     Always constructible; it is an invariant metric exactly when
     hat(n) = 0, which downstream checks verify rather than assume.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     rows = [{n - i: field.one} for i in range(n + 1)]
     rows[0][0] = rows[0].get(0, field.zero) + field(b)
     return BilinearForm._of_cleared(field, *_clear(field, rows))
@@ -127,6 +129,8 @@ def single_diagonal_metric_solve(n: int, hat=MOD3_BALANCED) -> DiagonalMetricRes
     solution with every weight nonzero (anything less is degenerate on
     the diagonal).  Returned weights are normalized to w_0 = 1.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     field = hat.default_field()
     rows = []
     for i in range(n + 1):
@@ -246,18 +250,15 @@ class IdealClassification:
 
     suffix_ideals lists every m with span{T_m..T_n} an ideal (always
     all of 0..n+1); skip_ideals lists the m with hat(m) = 0 whose
-    span{T_{m-2}} + span{T_m..T_n} is an ideal; other collects any
-    enumerated ideals outside the two patterns (expected empty).
+    span{T_{m-2}} + span{T_m..T_n} is an ideal.
     """
     n: int
     suffix_ideals: tuple[int, ...]
     skip_ideals: tuple[int, ...]
-    other: tuple[Subspace, ...]
 
     def subspaces(self, field=QQ) -> list[Subspace]:
         out = [suffix_subspace(self.n, m, field) for m in self.suffix_ideals]
         out += [skip_subspace(self.n, m, field) for m in self.skip_ideals]
-        out += list(self.other)
         return out
 
 
@@ -281,7 +282,7 @@ def classify_ideals(n: int, hat=MOD3_BALANCED,
         raise ValueError("n must be non-negative")
     suffix = tuple(range(0, n + 2))
     skip = tuple(m for m in range(2, n + 2) if hat.value(m) == 0)
-    result = IdealClassification(n, suffix, skip, ())
+    result = IdealClassification(n, suffix, skip)
     if cross_check:
         field = hat.default_field()
         alg = truncated_algebra(n, hat, field)
@@ -300,6 +301,8 @@ def hat_shift_automorphism(n: int, field=QQ) -> Matrix | None:
     For hat(n) = 1 the image of T_n would leave the algebra, so there
     is no such map and None is returned.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     hat = BalancedMod3()
     if hat.value(n) == 1:
         return None

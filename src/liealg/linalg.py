@@ -427,54 +427,21 @@ def _equations(field, ncols: int, rows: Iterable[dict]) -> _Rows:
     return _Rows(field, ncols, tuple(map(tuple, eqs)))
 
 
-def _blocks(rows: tuple) -> list[list]:
-    """Nonempty rows of ``(col, coeff)`` pairs grouped into blocks that
-    share no column: two rows are in one block when a chain of rows,
-    each sharing a column with the next, joins them (a union-find over
-    the columns)."""
-    parent: dict = {}
-
-    def find(c):
-        root = c
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while c != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    for r in rows:
-        a = find(r[0][0])
-        for c, _ in r:
-            b = find(c)
-            if b != a:
-                parent[b] = a
-    blocks: dict = {}
-    for r in rows:
-        blocks.setdefault(find(r[0][0]), []).append(r)
-    return list(blocks.values())
-
-
 def nullspace(m: Matrix | _Rows) -> "Subspace":
     """Canonical basis of {v : m v = 0} as a subspace of the column space.
 
     ``m`` is a ``Matrix`` or a sparse system built by ``_equations``; a
-    system with no rows has the whole column space as its kernel.  The
-    rows are eliminated one block at a time (``_blocks``): blocks share
-    no column, so the union of their RREFs is the RREF of the system,
-    and each new pivot clears its column from the rows of its own block
-    only.  Within a block the equations go in sparsest first
-    (``_echelon``); the order of ``_equations`` is a set's and does not
-    matter.  Each free column f gives the vector with x_f = 1 and x_q =
-    -row_q[f] / lead_q at the pivots q, cleared to integers; these
-    vectors are re-reduced into the canonical RREF basis like any other
-    span.
+    system with no rows has the whole column space as its kernel.  One
+    elimination takes the equations sparsest first (``_echelon``); the
+    order of ``_equations`` is a set's and does not matter.  Each free
+    column f gives the vector with x_f = 1 and x_q = -row_q[f] / lead_q
+    at the pivots q, cleared to integers; these vectors are re-reduced
+    into the canonical RREF basis like any other span.
     """
     if isinstance(m, Matrix):
         m = _equations(m.field, m.ncols, m._cleared()[1])
     p = m.field.characteristic
-    echelon: dict = {}
-    for block in _blocks(m.rows):
-        echelon.update(_echelon((dict(r) for r in block), p))
+    echelon = _echelon(map(dict, m.rows), p)
     free = {f: {} for f in range(m.ncols) if f not in echelon}
     for q, row in echelon.items():
         for f, x in row.items():

@@ -36,8 +36,8 @@ from .core import BilinearForm, LieAlgebra, _digits, _form_of_blocks, _width
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
 from .hats import MOD3_BALANCED
 from .io import scalar_to_string
-from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _equations, _scalars,
-                     _sparse, nullspace)
+from .linalg import (Matrix, ShapeError, Subspace, _clear, _combine, _equations,
+                     _require_same_field, _scalars, _sparse, nullspace)
 
 __all__ = [
     "ConstructionError",
@@ -394,6 +394,8 @@ def orthogonal_complement(alg: LieAlgebra, form: BilinearForm,
     """{x : form(x, v) = 0 for all v in s}; form must be non-degenerate."""
     if form.dim != alg.dim or s.ambient_dim != alg.dim:
         raise ShapeError("dimension mismatch")
+    _require_same_field(form.field, alg.field)
+    _require_same_field(s.field, alg.field)
     if not form.is_nondegenerate():
         raise ValueError("orthogonal complement requires a non-degenerate form")
     return nullspace(_equations(alg.field, alg.dim, form._images(s._echelon.values())))
@@ -664,6 +666,8 @@ def double_extension_candidates(n: int) -> list[int]:
     or almost-Abelian acting parts worth considering, exactly as the
     inequality chain allows.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if MOD3_BALANCED.value(n) != 0:
         raise ValueError("the candidate analysis applies when hat(n) = 0")
     return [m for m in (1, 2) if 2 * m <= n + 1 and n <= 3 * m]

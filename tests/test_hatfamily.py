@@ -29,6 +29,7 @@ from liealg.hats import (
     jacobi_hat_scan,
 )
 from liealg.linalg import Subspace, det
+from liealg.selfdual import double_extension_candidates
 
 
 def test_hat_values():
@@ -268,7 +269,6 @@ def test_classify_ideals_pins():
     c4 = classify_ideals(4)
     assert c4.skip_ideals == (3,)
     assert c4.suffix_ideals == tuple(range(0, 6))
-    assert c4.other == ()
 
 
 def test_classify_matches_brute_force_through_dim_13():
@@ -415,6 +415,19 @@ def test_all_nonzero_element_scans_combinations():
 def test_truncated_algebra_rejects_negative_n():
     with pytest.raises(ValueError, match="non-negative"):
         truncated_algebra(-1)
+
+
+@pytest.mark.parametrize("build, n", [
+    (canonical_metric, -1),
+    (single_diagonal_metric_solve, -1),
+    (hat_shift_automorphism, -1),
+    (hat_shift_automorphism, -2),
+    (double_extension_candidates, -3),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_member_helpers_reject_negative_n(build, n):
+    # a negative n names no member, whatever hat(n) would be
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        build(n)
 
 
 def test_hat_equality_hashing_and_names():

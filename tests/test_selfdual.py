@@ -15,7 +15,7 @@ from liealg.family import (
     suffix_subspace,
     truncated_algebra,
 )
-from liealg.fields import QQ, PrimeField
+from liealg.fields import QQ, FieldMismatchError, PrimeField
 from liealg.hats import IDENTITY_HAT
 from liealg.io import string_to_scalar
 from liealg.linalg import Matrix, Subspace, det, solve
@@ -348,6 +348,16 @@ def test_orthogonal_complement_rejects_degenerate():
     with pytest.raises(ValueError):
         orthogonal_complement(truncated_algebra(3), BilinearForm.zero(QQ, 4),
                               Subspace.zero(QQ, 4))
+
+
+def test_orthogonal_complement_rejects_mixed_fields():
+    f5 = PrimeField(5)
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        orthogonal_complement(truncated_algebra(3), canonical_metric(3),
+                              Subspace(f5, 4, [[1, 4, 0, 0]]))
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        orthogonal_complement(truncated_algebra(3, field=f5), canonical_metric(3),
+                              Subspace.zero(f5, 4))
 
 
 def test_family_members_indecomposable():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from liealg import core, linalg, selfdual
+from liealg import core, selfdual
 from liealg.core import BilinearForm, DerivationSpace, LieAlgebra, direct_sum
 from liealg.family import (DiagonalMetricResult, _all_nonzero_element,
                            single_diagonal_metric_solve, suffix_subspace, truncated_algebra)
@@ -385,23 +385,20 @@ def test_generating_sets_and_work_counts(monkeypatch):
     # a bracket-free basis vector joins without a closure bracket
     assert LieAlgebra(QQ, 40, {})._generators() == tuple(range(40))
     assert brackets == []
-    systems, blocks = [], []
-    real_nullspace, real_blocks = core.nullspace, linalg._blocks
+    systems = []
+    real_nullspace = core.nullspace
 
     def recording(m):
         systems.append((m.nrows, m.ncols))
         return real_nullspace(m)
     monkeypatch.setattr(core, "nullspace", recording)
     monkeypatch.setattr(selfdual, "nullspace", recording)
-    monkeypatch.setattr(linalg, "_blocks",
-                        lambda rows: blocks.append(real_blocks(rows)) or blocks[-1])
     a30 = truncated_algebra(30)
     assert _assembled_invariant_form_space(a30) == invariant_form_space(a30)
     # the reference: the equations of x_0, x_1, x_2 for the 496 unknowns
     # B_ij, i <= j; the closure solve: the distinct equations of the
     # relations, for the 31 unknowns B(T0, T_j)
     assert systems == [(900, 496), (20, 31)]
-    assert len(blocks) == 2 and len(blocks[0]) > 1
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -19,12 +19,13 @@ hits the memo.  If the exit code, stdout or output-file bytes of a
 request differ between the trees or between the passes, the script
 names it on stderr and exits 1.
 
-Then ROUNDS (default 10, at least 2) rounds time one call per tree, the
-trees alternating within a round and the first flipping every round,
-with the ``load_algebra`` memo cleared before each call.  Each line
-gives both trees' medians and the median, quartiles and win count of
-the per-round ratio (this checkout / the parent); a run against a copy
-of the same tree gives the baseline.  The calls:
+Then ROUNDS (default 10, at least 2) rounds time each pass and solver
+column on both trees, the trees alternating and the first flipping
+every round, with the ``load_algebra`` memo cleared before each pass
+and each ``analyze`` call.  Each line gives both trees' medians and the
+median, quartiles and win count of the per-round ratio (this checkout
+/ the parent); a run against a copy of the same tree gives the
+baseline.  The calls:
 
 - one pass of each workload at seed 7.  No output file of any request
   exists when a pass starts, as after perfbench's set-up: truncating
@@ -36,10 +37,20 @@ of the same tree gives the baseline.  The calls:
   ``cli.main(["analyze", FILE])`` on a fresh load, output discarded;
   ``forms``, ``invariant_form_space`` on a fresh copy of the algebra
   whose generating set (and so its Jacobi check) is computed untimed;
-  ``self-dual``, ``is_self_dual`` on that copy right after, keeping
-  nothing of the form solve, so its search costs self-dual minus forms;
-  and on the ``DERIVED`` inputs ``derivations``, ``derivation_space`` on
-  another fresh copy, center solve included (rotated A15 takes ~12 s).
+  ``self-dual``, ``is_self_dual`` on another such copy, so its search
+  costs self-dual minus forms; and on the ``DERIVED`` inputs
+  ``derivations``, ``derivation_space`` on another such copy, center
+  solve included (rotated A15 takes ~12 s).  One call of a
+  sub-millisecond row cannot resolve a 10 % change, so a round makes k
+  calls of a column per tree, each on its own fresh load or copy, the
+  trees alternating call by call, and reports the mean per call.  k is
+  the least count whose calls last ``TARGET`` (20 ms) at the time of
+  one untimed call on the parent tree per input and column, and both
+  trees use that k.  The collector runs before each call, so the
+  collections inside a call fall at the same points on both trees
+  (else a full collection lands on one tree's call by round parity);
+  the objects of both imports are frozen once (``gc.freeze``), so that
+  costs microseconds.
 """
 
 import contextlib
@@ -47,6 +58,7 @@ import gc
 import importlib
 import io
 import itertools
+import math
 import os
 import random
 import statistics
@@ -64,6 +76,8 @@ import workloads  # noqa: E402
 
 # the inputs whose derivation space is timed
 DERIVED = {"rotated A9", "rotated A12", "A30", "Abelian d=40"}
+# the least time, in seconds, that a round's k calls of a solver column last
+TARGET = 0.02
 
 
 def _install(modules: dict) -> None:
@@ -166,19 +180,49 @@ def cases():
         yield f"rotated A{n}", inputs.rotate(inputs.family(n), p), None
 
 
-def solver_seconds(modules: dict, path: str, derive: bool) -> list:
-    with contextlib.redirect_stdout(io.StringIO()):
-        seconds = [timed(modules["liealg.cli"].main, ["analyze", path])]
+def solver_calls(modules: dict, path: str, derive: bool) -> list:
+    """(fresh, call) per solver column of the installed tree: ``call(fresh())``
+    is one call, on a fresh load or on a fresh copy made by ``fresh``."""
+    cli, core, selfdual = (modules[f"liealg.{m}"] for m in ("cli", "core", "selfdual"))
     alg, _ = modules["liealg.io"].load_algebra(path)
-    core, selfdual = modules["liealg.core"], modules["liealg.selfdual"]
-    copies = [core.LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
-                                          alg.labels, alg.grading) for _ in range(1 + derive)]
-    for copy in copies:
-        copy._generators()
-    seconds += [timed(selfdual.invariant_form_space, copies[0]),
-                timed(selfdual.is_self_dual, copies[0])]
+
+    def copy():
+        out = core.LieAlgebra._of_cleared(alg.field, alg.dim, alg._scale, alg._isc,
+                                          alg.labels, alg.grading)
+        out._generators()
+        return out
+
+    columns = [(modules["liealg.io"]._parse.cache_clear, lambda _: cli.main(["analyze", path])),
+               (copy, selfdual.invariant_form_space), (copy, selfdual.is_self_dual)]
     if derive:
-        seconds.append(timed(core.LieAlgebra.derivation_space, copies[1]))
+        columns.append((copy, core.LieAlgebra.derivation_space))
+    return columns
+
+
+def solver_rows(trees: dict, rounds: int, path: str, derive: bool) -> dict:
+    """Mean seconds per call of each solver column, per tree and round, laid
+    out as ``alternate`` gives them; the first tree flips every call and every
+    round."""
+    columns = {}
+    for tree, modules in trees.items():
+        _install(modules)
+        columns[tree] = solver_calls(modules, path, derive)
+    _install(trees["parent"])
+    counts = [max(1, math.ceil(TARGET / timed(call, fresh())))
+              for fresh, call in columns["parent"]]
+    seconds = {tree: [] for tree in trees}
+    for r in range(rounds):
+        totals = {tree: [0.0] * len(counts) for tree in trees}
+        for c, k in enumerate(counts):
+            for j in range(k):
+                for tree in ("change", "parent") if (r + j) % 2 == 0 else ("parent", "change"):
+                    _install(trees[tree])
+                    fresh, call = columns[tree][c]
+                    arg = fresh()
+                    gc.collect()
+                    totals[tree][c] += timed(call, arg)
+        for tree in trees:
+            seconds[tree].append([t / k for t, k in zip(totals[tree], counts)])
     return seconds
 
 
@@ -190,6 +234,7 @@ def main() -> int:
         return 2
     trees = {"parent": load(os.path.join(os.path.abspath(sys.argv[1]), "src")),
              "change": load(os.path.join(ROOT, "src"))}
+    gc.freeze()
     differing = check_answers(trees)
     for line in differing:
         print(f"answers differ: {line}", file=sys.stderr)
@@ -206,8 +251,8 @@ def main() -> int:
         for name, alg, metric in cases():
             inputs.write_json(path, inputs.algebra_document(alg, metric))
             columns = ["analyze", "forms", "self-dual"] + ["derivations"] * (name in DERIVED)
-            seconds = alternate(trees, rounds,
-                                lambda modules: solver_seconds(modules, path, name in DERIVED))
+            with contextlib.redirect_stdout(io.StringIO()):
+                seconds = solver_rows(trees, rounds, path, name in DERIVED)
             for column, solver in enumerate(columns):
                 report(f"{name} {solver}", seconds, column, 1e3, "ms")
     return 0
