@@ -24,7 +24,7 @@ L^2; the invariance sums are bilinear in the table and in a form
 cleared by its own lcm M, so they carry L * M, and only their zero test
 is used.  Homogeneous systems (invariant forms, center, derivations)
 and spans do not depend on the scale and take the integers as they
-are, nor do quotients.  A ``BilinearForm`` is its integer rows,
+are.  A ``BilinearForm`` is its integer rows,
 cleared once where it enters; the Killing form, block forms and
 restrictions are rows, and its determinant is that of the rows.  The
 adjoint matrix and the isomorphism test take the integer bracket of
@@ -32,7 +32,9 @@ rows cleared once, and a form applied to vectors, a map applied to a
 bracket or the Gram matrix of a subspace is a combination of integer
 rows (``linalg._combine``).  The table in another basis comes from one
 elimination of the new basis rows, each tagged with its own column
-(``_rebase``).
+(``_rebase``); a quotient is such a change of basis, to the kept unit
+vectors and then the ideal's kernel rows, with the ideal's part of each
+bracket dropped.
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -606,19 +608,20 @@ class LieAlgebra(_Immutable):
             raise FieldMismatchError("subspace over a different field")
 
     def quotient(self, j: Subspace) -> "LieAlgebra":
-        """Quotient by an ideal, on the non-pivot coordinates of its basis;
-        stored brackets of kept basis vectors are reduced by its kernel rows."""
+        """Quotient by an ideal, on the non-pivot coordinates of its basis.
+
+        It is a change of basis (``_rebase``): the kept unit vectors first,
+        then the ideal's kernel rows.  The bracket of two kept vectors,
+        less its part in the ideal, is its bracket in the quotient."""
         if not self.is_ideal(j):
             raise NotAnIdealError("quotient requires an ideal")
-        echelon, p = j._echelon, self.field.characteristic
+        echelon = j._echelon
         kept = [c for c in range(self.dim) if c not in echelon]
-        pos = {c: a for a, c in enumerate(kept)}
-        brackets = {}
-        for (a, b), terms in sorted(self._isc.items()):
-            if a in pos and b in pos:
-                row = dict(terms)
-                conv = _scalars(self.field, self._scale * _reduce(echelon, row, p))
-                brackets[(pos[a], pos[b])] = {pos[c]: conv(x) for c, x in row.items()}
+        r = len(kept)
+        rebased = self._rebase([({c: 1}, 1) for c in kept]
+                               + [(u, u[q]) for q, u in echelon.items()])
+        brackets = {(a, b): [(c, x) for c, x in terms if c < r]
+                    for (a, b), terms in rebased.items() if b < r}
         labels = tuple(self.labels[c] for c in kept) if self.labels else None
         grading = None
         if self.grading is not None and all(len(row) == 1 for row in echelon.values()):

@@ -13,17 +13,21 @@ identity map gives truncated Witt tables, ``ZModHat`` gives prime-field
 variants) reuse the same constructor.
 
 Everything here is exact; solvers return canonical objects from
-``liealg.linalg`` so results compare bit-identically in tests.
+``liealg.linalg`` so results compare bit-identically in tests.  The
+single-diagonal solve scans integer combinations of its solution
+space's kernel rows, not of dense scalar tuples, and builds its metric
+over the weights' own field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .core import BilinearForm, LieAlgebra, _is_symmetric
-from .fields import QQ
+from .fields import FpElement, PrimeField, QQ
 from .hats import MOD3_BALANCED, BalancedMod3
-from .linalg import Matrix, Subspace, _clear, _equations, nullspace
+from .linalg import Matrix, Subspace, _clear, _combine, _dense, _equations, nullspace
 
 __all__ = [
     "truncated_algebra",
@@ -71,6 +75,8 @@ def truncated_algebra(n: int, hat=MOD3_BALANCED, field=None) -> LieAlgebra:
 
 def suffix_subspace(n: int, m: int, field=QQ) -> Subspace:
     """span{T_m..T_n} inside the (n+1)-dimensional member; m = n+1 is zero."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if not 0 <= m <= n + 1:
         raise ValueError(f"suffix start {m} out of range 0..{n + 1}")
     return Subspace.coordinate(field, n + 1, range(m, n + 1))
@@ -82,6 +88,8 @@ def skip_subspace(n: int, m: int, field=QQ) -> Subspace:
     m = n + 1 is allowed and gives the lone line span{T_{n-1}} (empty
     suffix part), which is an ideal exactly when hat(n + 1) = 0.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if not 2 <= m <= n + 1:
         raise ValueError(f"skip parameter {m} out of range 2..{n + 1}")
     return Subspace.coordinate(field, n + 1, [m - 2, *range(m, n + 1)])
@@ -107,10 +115,12 @@ class DiagonalMetricResult:
     exists: bool
     weights: tuple | None
 
-    def form(self, field=QQ) -> BilinearForm:
+    def form(self) -> BilinearForm:
+        """The metric over the weights' own field: F_p for residues, else Q."""
         if not self.exists:
             raise ValueError("no single-diagonal invariant metric exists")
-        n = self.n
+        n, w = self.n, self.weights[0]
+        field = PrimeField(w.p) if isinstance(w, FpElement) else QQ
         scale, rows = _clear(field, [{n - i: field(self.weights[n - i])} for i in range(n + 1)])
         if not _is_symmetric(rows):
             raise ValueError("bilinear form matrix must be symmetric")
@@ -154,32 +164,25 @@ def _all_nonzero_element(space: Subspace, field):
     """A vector in the space with every coordinate nonzero, or None.
 
     Coordinates are linear functionals on the space, so if none of them
-    vanishes identically a combination sum(t^a basis_a) avoids all of
-    them for some small t (each coordinate is a nonzero polynomial of
-    degree < dim in t).  Over Q the scan below is therefore complete.
+    vanishes identically (every column is touched by a kernel row) a
+    combination sum(t^a v_a) of the basis vectors v_a = u_a / lead_a
+    avoids all of them for some small t (each coordinate is a nonzero
+    polynomial of degree < dim in t).  Over Q the scan is therefore
+    complete.  It runs on the integer kernel rows u_a: with l the lcm of
+    the leads, sum(t^a (l / lead_a) u_a) is l times that combination,
+    converted once; over F_p every lead is 1 and t stops below p.  A
+    kernel row has no entry in another pivot column, so a basis vector
+    with no zero coordinate exists only at dim 1, where t = 1 returns it.
     """
-    zero = field.zero
-    if space.dim == 0:
+    d, p, rows = space.ambient_dim, field.characteristic, space._echelon
+    if not rows or len(set().union(*rows.values())) < d:
         return None
-    cols = list(zip(*space.basis))
-    if any(all(x == zero for x in col) for col in cols):
-        return None
-    for v in space.basis:
-        if all(x != zero for x in v):
-            return v
-    bound = (space.dim - 1) * space.ambient_dim + 1
-    if getattr(field, "characteristic", 0):
-        bound = min(bound, field.characteristic - 1)
-    for t in range(1, bound + 1):
-        tt = field(t)
-        v = space.basis[0]
-        power = field.one
-        acc = list(v)
-        for w in space.basis[1:]:
-            power = power * tt
-            acc = [x + power * y for x, y in zip(acc, w)]
-        if all(x != zero for x in acc):
-            return tuple(acc)
+    bound = (len(rows) - 1) * d + 1
+    l = lcm(*(u[q] for q, u in rows.items()))
+    for t in range(1, (min(bound, p - 1) if p else bound) + 1):
+        v = _combine(((t ** a * (l // u[q]), u.items()) for a, (q, u) in enumerate(rows.items())), p)
+        if len(v) == d:
+            return _dense(field, v, d, l)
     return None
 
 

@@ -5,11 +5,14 @@ codomain ring: the balanced mod-3 map picks representatives {-1, 0, 1},
 the identity map leaves integers alone (giving truncated Witt tables
 downstream), ``ZModHat`` is the natural homomorphism onto Z_p, and
 ``RangeHat`` reduces mod p onto an arbitrary complete residue system.
+A hat is its name ("mod3", "identity", "zmod:p", "modrange:p:{reps}"),
+which spells out the map: two hats are equal, and hash alike, exactly
+when they are of one class and have one name.
 
 Besides evaluation, this module checks the algebraic properties a hat
 map needs for the family construction to work (it must preserve
-multiplication and "almost" preserve addition) and scans the hatted
-Jacobi identity
+multiplication and "almost" preserve addition), each by a scan that
+stops at its first failure, and scans the hatted Jacobi identity
 
     c_hat(i,j,k) + c_hat(j,k,i) + c_hat(k,i,j) = 0,
     where c(i,j,k) = (i - j)(i + j - k),
@@ -42,7 +45,17 @@ __all__ = [
 ]
 
 
-class _IntegerHat:
+class _Hat:
+    """Equality and hash by class and name, which spells out the map."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class _IntegerHat(_Hat):
     """A hat map whose codomain is Z itself: hat values are compared and
     summed as honest integers, and the scalars are Q."""
 
@@ -64,12 +77,6 @@ class BalancedMod3(_IntegerHat):
     def value(self, i: int) -> int:
         return (i + 1) % 3 - 1
 
-    def __eq__(self, other):
-        return isinstance(other, BalancedMod3)
-
-    def __hash__(self):
-        return hash(self.name)
-
     def __repr__(self):
         return "BalancedMod3()"
 
@@ -82,17 +89,11 @@ class IdentityHat(_IntegerHat):
     def value(self, i: int) -> int:
         return i
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityHat)
-
-    def __hash__(self):
-        return hash(self.name)
-
     def __repr__(self):
         return "IdentityHat()"
 
 
-class ZModHat:
+class ZModHat(_Hat):
     """Natural ring homomorphism Z -> Z_p, residues in [0, p).
 
     Codomain arithmetic is mod p, so equality and zero tests reduce
@@ -124,12 +125,6 @@ class ZModHat:
                 "no scalar field available")
         return PrimeField(self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, ZModHat) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("zmod", self.p))
-
     def __repr__(self):
         return f"ZModHat({self.p})"
 
@@ -160,13 +155,6 @@ class RangeHat(_IntegerHat):
     def value(self, i: int) -> int:
         return self._by_residue[i % self.p]
 
-    def __eq__(self, other):
-        return (isinstance(other, RangeHat) and other.p == self.p
-                and other.representatives == self.representatives)
-
-    def __hash__(self):
-        return hash(("modrange", self.p, self.representatives))
-
     def __repr__(self):
         return f"RangeHat({self.p}, {self.representatives})"
 
@@ -190,33 +178,26 @@ class HatPropertyReport:
 
 
 def hat_properties(hat, window: Iterable[int]) -> HatPropertyReport:
-    """Exhaustively check the three hat identities over all window pairs."""
+    """Exhaustively check the three hat identities over all window pairs.
+
+    Each identity is one scan that stops at its first failure, its
+    witness: the pairs in product order, and for add1 the single points
+    (oddness) before the pairs.
+    """
     points = sorted(set(window))
-    results = {"multiplicative": True, "add1": True, "add2": True}
-    witnesses: dict[str, tuple] = {}
-
-    def fail(key, witness):
-        if results[key]:
-            results[key] = False
-            witnesses[key] = witness
-
-    for i in points:
-        if results["add1"] and not hat.same(hat.value(-i), -hat.value(i)):
-            fail("add1", (i,))
-    for i, j in itertools.product(points, repeat=2):
-        if results["multiplicative"] and not hat.same(
-                hat.value(i * j), hat.value(i) * hat.value(j)):
-            fail("multiplicative", (i, j))
-        if results["add1"] and not hat.same(
-                hat.value(i + j), hat.value(hat.value(i) + hat.value(j))):
-            fail("add1", (i, j))
-        if results["add2"] and (
-                (hat.value(i - j) == 0) != hat.same(hat.value(i), hat.value(j))):
-            fail("add2", (i, j))
-        if not any(results.values()):
-            break
-    return HatPropertyReport(results["multiplicative"], results["add1"],
-                             results["add2"], witnesses)
+    pairs = list(itertools.product(points, repeat=2))
+    v, same = hat.value, hat.same
+    found = {
+        "multiplicative": next(((i, j) for i, j in pairs
+                                if not same(v(i * j), v(i) * v(j))), None),
+        "add1": next(itertools.chain(
+            ((i,) for i in points if not same(v(-i), -v(i))),
+            ((i, j) for i, j in pairs if not same(v(i + j), v(v(i) + v(j))))), None),
+        "add2": next(((i, j) for i, j in pairs
+                      if (v(i - j) == 0) != same(v(i), v(j))), None),
+    }
+    witnesses = {key: w for key, w in found.items() if w is not None}
+    return HatPropertyReport(*(key not in witnesses for key in found), witnesses)
 
 
 @dataclass(frozen=True)

@@ -675,6 +675,8 @@ def double_extension_candidates(n: int) -> list[int]:
 
 def derived_suffix_check(n: int, m: int) -> bool:
     """Verify [span{T_m..T_n}, span{T_m..T_n}] = span{T_{2m+1}..T_n}."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if not 0 <= m <= n:
         raise ValueError("m out of range")
     alg = truncated_algebra(n)

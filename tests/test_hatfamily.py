@@ -1,5 +1,6 @@
 """Hat maps, family members, the diagonal-metric solver, ideal classification."""
 
+import functools
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from liealg.hats import (
     IDENTITY_HAT,
     MOD3_BALANCED,
     BalancedMod3,
+    HatPropertyReport,
     IdentityHat,
     RangeHat,
     ZModHat,
@@ -29,7 +31,7 @@ from liealg.hats import (
     jacobi_hat_scan,
 )
 from liealg.linalg import Subspace, det
-from liealg.selfdual import double_extension_candidates
+from liealg.selfdual import derived_suffix_check, double_extension_candidates
 
 
 def test_hat_values():
@@ -230,6 +232,16 @@ def test_single_diagonal_solver_mod3_residue_hat():
         assert single_diagonal_metric_solve(n, hat).exists == (n % 3 == 0)
 
 
+def test_single_diagonal_form_is_over_the_weights_field():
+    # F_3 weights give an F_3 metric, invariant on the F_3 member
+    hat = ZModHat(3)
+    form = single_diagonal_metric_solve(3, hat).form()
+    assert form.field == PrimeField(3)
+    assert form.invariance_witness(truncated_algebra(3, hat)) is None
+    assert form.is_nondegenerate()
+    assert single_diagonal_metric_solve(3).form().field == QQ
+
+
 def test_enumerate_coordinate_ideals_abelian():
     ideals = enumerate_coordinate_ideals(truncated_algebra(0))
     assert len(ideals) == 2
@@ -412,6 +424,115 @@ def test_all_nonzero_element_scans_combinations():
     assert _all_nonzero_element(Subspace(QQ, 3, [(1, 0, 0), (0, 1, 0)]), QQ) is None
 
 
+def _scalar_all_nonzero_element(space, field):
+    """The search on dense basis tuples of scalars, kept as the reference."""
+    zero = field.zero
+    if space.dim == 0:
+        return None
+    cols = list(zip(*space.basis))
+    if any(all(x == zero for x in col) for col in cols):
+        return None
+    for v in space.basis:
+        if all(x != zero for x in v):
+            return v
+    bound = (space.dim - 1) * space.ambient_dim + 1
+    if getattr(field, "characteristic", 0):
+        bound = min(bound, field.characteristic - 1)
+    for t in range(1, bound + 1):
+        tt = field(t)
+        v = space.basis[0]
+        power = field.one
+        acc = list(v)
+        for w in space.basis[1:]:
+            power = power * tt
+            acc = [x + power * y for x, y in zip(acc, w)]
+        if all(x != zero for x in acc):
+            return tuple(acc)
+    return None
+
+
+def test_all_nonzero_element_equals_the_scalar_reference():
+    from liealg.family import _all_nonzero_element
+    rng = random.Random(33)
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
+        kinds = {"vanishing": 0, "scan": 0, "after t = 1": 0, "ran out": 0}
+        # coordinate k of v_0 + t v_1 vanishes at t = 1/k: over F_p every t
+        # in 1..p-1 is hit, over Q (p = 3) t = 2 is the first that passes
+        p = field.characteristic or 3
+        spread = [[1, 0] + [1] * (p - 1), [0, 1] + [-k for k in range(1, p)]]
+        corpus = [spread]
+        for _ in range(300):
+            d = rng.randint(1, 6)
+            corpus.append([[0 if rng.random() < 0.3 else rng.choice((-3, -2, -1, 1, 2, 3))
+                            for _ in range(d)] for _ in range(rng.randint(1, d))])
+        for vectors in corpus:
+            d = len(vectors[0])
+            space = Subspace(field, d, vectors)
+            want = _scalar_all_nonzero_element(space, field)
+            assert _all_nonzero_element(space, field) == want
+            if any(all(x == 0 for x in col) for col in zip(*space.basis)):
+                kinds["vanishing"] += 1
+            elif space.dim > 1:
+                kinds["scan"] += 1
+                kinds["ran out"] += want is None
+                kinds["after t = 1"] += want not in (None, tuple(map(sum, zip(*space.basis))))
+        # the corpus reaches every branch; over F_2 the scan stops at t = 1,
+        # and over Q it never runs out
+        assert kinds["vanishing"] and kinds["scan"]
+        assert bool(kinds["after t = 1"]) == (field.characteristic != 2)
+        assert bool(kinds["ran out"]) == bool(field.characteristic)
+
+
+def _loop_hat_properties(hat, window):
+    """The three identities checked in one loop over the pairs, kept as
+    the reference."""
+    points = sorted(set(window))
+    results = {"multiplicative": True, "add1": True, "add2": True}
+    witnesses = {}
+
+    def fail(key, witness):
+        if results[key]:
+            results[key] = False
+            witnesses[key] = witness
+
+    for i in points:
+        if results["add1"] and not hat.same(hat.value(-i), -hat.value(i)):
+            fail("add1", (i,))
+    for i, j in itertools.product(points, repeat=2):
+        if results["multiplicative"] and not hat.same(
+                hat.value(i * j), hat.value(i) * hat.value(j)):
+            fail("multiplicative", (i, j))
+        if results["add1"] and not hat.same(
+                hat.value(i + j), hat.value(hat.value(i) + hat.value(j))):
+            fail("add1", (i, j))
+        if results["add2"] and (
+                (hat.value(i - j) == 0) != hat.same(hat.value(i), hat.value(j))):
+            fail("add2", (i, j))
+        if not any(results.values()):
+            break
+    return HatPropertyReport(results["multiplicative"], results["add1"],
+                             results["add2"], witnesses)
+
+
+def test_hat_properties_equal_the_loop_reference():
+    rng = random.Random(33)
+    hats = [RangeHat(p, [r + p * rng.randint(-2, 2) for r in range(p)])
+            for p in (2, 3, 4, 5, 7) for _ in range(4)]
+    hats += [ZModHat(p) for p in (2, 3, 4, 6, 7)] + [MOD3_BALANCED, IDENTITY_HAT]
+    hats += [_DuckHat(lambda i: i ** 3), _DuckHat(lambda i: i + 1), _DuckHat(abs),
+             _DuckHat(lambda i: i, lambda a, b: (a - b) % 2 == 0),
+             _DuckHat(lambda i: i % 3 - 1, lambda a, b: (a - b) % 3 == 0)]
+    failed = set()
+    for hat in hats:
+        for _ in range(5):
+            window = rng.sample(range(-9, 10), rng.randint(1, 8))
+            report = hat_properties(hat, window)
+            assert report == _loop_hat_properties(hat, window)
+            failed.update(report.witnesses)
+            failed.update(f"{key} at a point" for key, w in report.witnesses.items() if len(w) == 1)
+    assert failed == {"multiplicative", "add1", "add2", "add1 at a point"}
+
+
 def test_truncated_algebra_rejects_negative_n():
     with pytest.raises(ValueError, match="non-negative"):
         truncated_algebra(-1)
@@ -423,7 +544,10 @@ def test_truncated_algebra_rejects_negative_n():
     (hat_shift_automorphism, -1),
     (hat_shift_automorphism, -2),
     (double_extension_candidates, -3),
-], ids=lambda x: getattr(x, "__name__", str(x)))
+    (functools.partial(suffix_subspace, m=0), -1),
+    (functools.partial(skip_subspace, m=2), -1),
+    (functools.partial(derived_suffix_check, m=0), -1),
+], ids=lambda x: getattr(getattr(x, "func", x), "__name__", str(x)))
 def test_member_helpers_reject_negative_n(build, n):
     # a negative n names no member, whatever hat(n) would be
     with pytest.raises(ValueError, match="n must be non-negative"):

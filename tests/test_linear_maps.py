@@ -25,7 +25,7 @@ from liealg.core import BilinearForm, LieAlgebra
 from liealg.family import (DiagonalMetricResult, canonical_metric, hat_shift_automorphism,
                            single_diagonal_metric_solve, truncated_algebra)
 from liealg.fields import FieldMismatchError, PrimeField, QQ
-from liealg.hats import IDENTITY_HAT
+from liealg.hats import IDENTITY_HAT, MOD3_BALANCED, ZModHat
 from liealg.linalg import Matrix, ShapeError, Subspace, det
 from liealg.selfdual import (ContractionInput, DoubleExtensionInput, double_extend,
                              wigner_contract)
@@ -291,12 +291,15 @@ def test_family_metrics_match_the_grid_built_forms():
             for b in (0, 1, Fraction(5, 3)):
                 assert _outcome(canonical_metric, n, b, field) == \
                     _outcome(_grid_canonical_metric, n, b, field)
-            result = single_diagonal_metric_solve(n)
-            assert _outcome(result.form, field) == _outcome(_grid_diagonal_form, result, field)
+    # a diagonal metric is built over its weights' field
+    for hat, field in ((MOD3_BALANCED, QQ), (ZModHat(3), PrimeField(3)), (ZModHat(5), F5)):
+        for n in range(31):
+            result = single_diagonal_metric_solve(n, hat)
+            assert _outcome(result.form) == _outcome(_grid_diagonal_form, result, field)
     for weights in ((1, 2, 1), (3, 5, 3), (1, 2, 4), (0, 1, 0)):
-        result = DiagonalMetricResult(2, True, weights)
         for field in (QQ, F5):
-            assert _outcome(result.form, field) == _outcome(_grid_diagonal_form, result, field)
+            result = DiagonalMetricResult(2, True, tuple(map(field, weights)))
+            assert _outcome(result.form) == _outcome(_grid_diagonal_form, result, field)
 
 
 def test_linear_map_paths_make_no_scalar_matrix_or_bracket_calls(monkeypatch):

@@ -51,6 +51,12 @@ baseline.  The calls:
   (else a full collection lands on one tree's call by round parity);
   the objects of both imports are frozen once (``gc.freeze``), so that
   costs microseconds.
+
+A row whose single call lasts 20 ms or more (so k = 1) resolves about
+10 %, not 5 %, on a shared two-vCPU virtual machine: an A/A run of one
+tree against a copy of itself spread such rows (A300, Abelian d = 40
+and 80) past [0.95, 1.05], where the host, not the pairing, sets the
+spread.
 """
 
 import contextlib
