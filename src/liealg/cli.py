@@ -149,14 +149,14 @@ def _cmd_gen(args):
             b = string_to_scalar(field, args.metric[2:])
         except AlgebraFileError as exc:
             raise _Usage(f"bad --metric value: {exc}")
-        if hat.value(args.n) != 0:
-            condition = ("exists iff n mod 3 = 0" if hat is MOD3_BALANCED
-                         else "exists iff hat(n) = 0")
-            raise _Failure(
-                f"no invariant metric on the diagonal i + j = n: {condition} "
-                f"(n = {args.n}, hat(n) = {hat.value(args.n)})",
-                n=args.n, hat=hat.name)
         metric = canonical_metric(args.n, b, field)
+        triple = metric.invariance_witness(alg)
+        if triple or not metric.is_nondegenerate():
+            reason = f"invariance fails at triple {triple}" if triple else "it is degenerate"
+            if triple and hat is MOD3_BALANCED:
+                reason += "; one on the diagonal i + j = n exists iff n mod 3 = 0"
+            raise _Failure(f"the diagonal form is not an invariant metric: {reason} "
+                           f"(n = {args.n}, b = {args.metric[2:]})", n=args.n, hat=hat.name)
     save_algebra(args.output, alg, metric)
     report = {
         "n": args.n,

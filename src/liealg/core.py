@@ -11,9 +11,12 @@ A ``LieAlgebra`` has one state, its integer table (``_scale`` L,
 denominators, over Q, and their residues (L = 1) over F_p.
 ``__init__`` coerces and merges the given scalars and clears them;
 the file loader and the family constructor build the integer table
-directly (``_of_cleared``).  ``sc``, the table in field scalars, is a
-read-only view: kept from ``__init__``, converted on first read
-otherwise.
+directly (``_of_cleared``).  Both set the state through
+``linalg._Immutable._set``, which leaves every other slot None.
+``sc``, the table in field scalars, is a read-only view
+(``_Immutable._memo``): kept from ``__init__``, converted on its first
+read otherwise.  A ``BilinearForm`` and its ``matrix`` view follow the
+same pattern.
 
 All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``,
@@ -33,8 +36,9 @@ bracket or the Gram matrix of a subspace is a combination of integer
 rows (``linalg._combine``).  The table in another basis comes from one
 elimination of the new basis rows, each tagged with its own column
 (``_rebase``); a quotient is such a change of basis, to the kept unit
-vectors and then the ideal's kernel rows, with the ideal's part of each
-bracket dropped.
+vectors and then the ideal's kernel rows, in which only the pairs of
+kept vectors are bracketed and the ideal's part of each bracket is
+dropped.
 
 The two identity checks, ``check_jacobi`` and ``invariance_witness``,
 return the lexicographically first failing basis triple.  They visit
@@ -71,7 +75,7 @@ the answers stay those of the definitions.
 
 The generating set, [L, L] (the span of the stored brackets) and the
 center are computed once per algebra and kept beside the table
-(``LieAlgebra._memo``): the derived and lower central series start from
+(``_Immutable._memo``): the derived and lower central series start from
 the one [L, L], and the center serves ``analyze``, the derivations and
 the self-duality search alike.  A pickled algebra starts without them.
 
@@ -146,11 +150,12 @@ class DerivationSpace:
 class LieAlgebra(_Immutable):
     """An algebra on basis x_0..x_{dim-1} with sparse bracket table.
 
-    The algebra is its integer table (``_scale``, ``_isc``); ``sc``, the
-    table in field scalars, is a read-only view, kept from ``__init__`` or
-    converted on first read from a table given to ``_of_cleared``.  The
-    generating set, [L, L] and the center are computed once per algebra
-    and kept in the slots beside the table.
+    The algebra is its integer table (``_scale``, ``_isc``), set by
+    ``_set``; ``sc``, the table in field scalars, is a read-only view,
+    kept from ``__init__`` or converted on its first read (``_memo``)
+    from a table given to ``_of_cleared``.  The generating set, [L, L]
+    and the center are computed once per algebra (``_memo``) and kept
+    in the slots beside the table.
     """
 
     __slots__ = ("field", "dim", "labels", "grading", "_scale", "_isc", "_sc",
@@ -185,8 +190,9 @@ class LieAlgebra(_Immutable):
             if len(grading) != dim:
                 raise ValueError("grading length mismatch")
         scale, rows = _clear(field, [dict(terms) for terms in sc.values()])
-        self._hold(field, dim, scale, {key: tuple(r.items()) for key, r in zip(sc, rows)},
-                   labels, grading, MappingProxyType(sc))
+        self._set(field=field, dim=dim, labels=labels, grading=grading, _scale=scale,
+                  _isc={key: tuple(r.items()) for key, r in zip(sc, rows)},
+                  _sc=MappingProxyType(sc))
 
     @classmethod
     def _of_cleared(cls, field, dim: int, scale: int, isc: dict,
@@ -197,29 +203,8 @@ class LieAlgebra(_Immutable):
         the lcm of the reduced denominators, so that its gcd with the
         entries is 1 (1 over F_p).  Labels and grading are tuples of dim
         entries or None.  Nothing is coerced or re-checked."""
-        alg = object.__new__(cls)
-        alg._hold(field, dim, scale, isc, labels, grading, None)
-        return alg
-
-    def _hold(self, field, dim: int, scale: int, isc: dict, labels, grading, sc):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_isc", isc)
-        object.__setattr__(self, "_sc", sc)
-        for slot in ("_gens", "_derived", "_center"):
-            object.__setattr__(self, slot, None)
-
-    def _memo(self, slot: str, compute: Callable[[], object]):
-        """The value kept in ``slot``, computed on first use: the algebra
-        is immutable, so it is computed once per algebra."""
-        value = getattr(self, slot)
-        if value is None:
-            value = compute()
-            object.__setattr__(self, slot, value)
-        return value
+        return object.__new__(cls)._set(field=field, dim=dim, labels=labels,
+                                        grading=grading, _scale=scale, _isc=isc)
 
     def __reduce__(self):
         return self._of_cleared, (self.field, self.dim, self._scale, self._isc,
@@ -229,11 +214,9 @@ class LieAlgebra(_Immutable):
     def sc(self) -> Mapping:
         """The table {(i, j): ((k, c), ...)}, i < j, in field scalars, as a
         read-only mapping."""
-        if self._sc is None:
-            conv = _scalars(self.field, self._scale)
-            object.__setattr__(self, "_sc", MappingProxyType({
-                key: tuple((k, conv(c)) for k, c in terms) for key, terms in self._isc.items()}))
-        return self._sc
+        conv = _scalars(self.field, self._scale)
+        return self._memo("_sc", lambda: MappingProxyType({
+            key: tuple((k, conv(c)) for k, c in terms) for key, terms in self._isc.items()}))
 
     def __eq__(self, other):
         # both constructors give the canonical scale, so equal tables have
@@ -619,9 +602,8 @@ class LieAlgebra(_Immutable):
         kept = [c for c in range(self.dim) if c not in echelon]
         r = len(kept)
         rebased = self._rebase([({c: 1}, 1) for c in kept]
-                               + [(u, u[q]) for q, u in echelon.items()])
-        brackets = {(a, b): [(c, x) for c, x in terms if c < r]
-                    for (a, b), terms in rebased.items() if b < r}
+                               + [(u, u[q]) for q, u in echelon.items()], r)
+        brackets = {key: [(c, x) for c, x in terms if c < r] for key, terms in rebased.items()}
         labels = tuple(self.labels[c] for c in kept) if self.labels else None
         grading = None
         if self.grading is not None and all(len(row) == 1 for row in echelon.values()):
@@ -629,12 +611,13 @@ class LieAlgebra(_Immutable):
         return LieAlgebra(self.field, len(kept), brackets,
                           labels=labels, grading=grading)
 
-    def _rebase(self, basis: Sequence[tuple[dict, int]]) -> dict | None:
+    def _rebase(self, basis: Sequence[tuple[dict, int]], lead: int | None = None) -> dict | None:
         """The table in the basis v_a = u_a / l_a, from pairs (u_a, l_a) of a
         kernel row and a positive integer (a unit mod p over F_p): {(a, b):
         [(c, x), ...]} with [v_a, v_b] = sum_c x v_c, for the a < b with a
-        nonzero bracket, as ``__init__`` takes it.  None unless the v_a
-        are a basis.
+        nonzero bracket, as ``__init__`` takes it; with ``lead``, only for
+        the pairs of the first ``lead`` vectors, b < lead.  None unless
+        the v_a are a basis.
 
         The rows (u_a, l_a e_{dim+a}), a tag column per v_a, are eliminated
         once.  The v_a are a basis exactly when there are dim of them and
@@ -649,7 +632,7 @@ class LieAlgebra(_Immutable):
         if len(basis) != d or any(q >= d for q in tagged):
             return None
         brackets = {}
-        for (a, (u, lu)), (b, (v, lv)) in combinations(enumerate(basis), 2):
+        for (a, (u, lu)), (b, (v, lv)) in combinations(enumerate(basis[:lead]), 2):
             row = self._bracket(u, v)
             if row:
                 conv = _scalars(self.field, -_reduce(tagged, row, p) * self._scale * lu * lv)
@@ -764,9 +747,11 @@ class BilinearForm(_Immutable):
 
     def __init__(self, matrix: Matrix):
         scale, rows = matrix._cleared()
-        if not matrix.is_square() or not _is_symmetric(rows):
+        if not matrix.is_square():
+            raise ValueError(f"bilinear form matrix is {matrix.nrows}x{matrix.ncols}, not square")
+        if not _is_symmetric(rows):
             raise ValueError("bilinear form matrix must be symmetric")
-        self._hold(matrix.field, matrix.nrows, matrix, (scale, rows))
+        self._set(field=matrix.field, dim=matrix.nrows, _matrix=matrix, _ints=(scale, rows))
 
     @classmethod
     def _of_cleared(cls, field, scale: int, rows: list[dict]) -> "BilinearForm":
@@ -775,17 +760,9 @@ class BilinearForm(_Immutable):
         dropped, an empty row is kept as it is, nothing is coerced or
         re-checked."""
         p = field.characteristic
-        form = object.__new__(cls)
-        form._hold(field, len(rows), None, (scale, [
+        return object.__new__(cls)._set(field=field, dim=len(rows), _ints=(scale, [
             {} if not r else {c: x % p for c, x in r.items() if x % p} if p else
             {c: x for c, x in r.items() if x} for r in rows]))
-        return form
-
-    def _hold(self, field, dim: int, matrix, ints):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_ints", ints)
 
     def __reduce__(self):
         return self._of_cleared, (self.field, *self._ints)
@@ -800,11 +777,8 @@ class BilinearForm(_Immutable):
 
     @property
     def matrix(self) -> Matrix:
-        if self._matrix is None:
-            scale, rows = self._ints
-            object.__setattr__(self, "_matrix", Matrix._of_scalars(self.field, tuple(
-                _dense(self.field, r, self.dim, scale) for r in rows)))
-        return self._matrix
+        return self._memo("_matrix", lambda: Matrix._of_scalars(self.field, tuple(
+            _dense(self.field, r, self.dim, self._ints[0]) for r in self._ints[1])))
 
     def entry(self, i: int, j: int):
         return self.matrix.entry(i, j)

@@ -98,8 +98,12 @@ def skip_subspace(n: int, m: int, field=QQ) -> Subspace:
 def canonical_metric(n: int, b=0, field=QQ) -> BilinearForm:
     """(T_i, T_j) = [i + j = n] + b [i = 0][j = 0].
 
-    Always constructible; it is an invariant metric exactly when
-    hat(n) = 0, which downstream checks verify rather than assume.
+    Always constructible.  With the balanced mod-3 hat it is ad-invariant
+    exactly when n mod 3 = 0, whatever b, and then non-degenerate except
+    for n = 0 and b = -1, the zero 1 x 1 form.  Other hats give no such
+    rule: hat(n) = 0 is not enough (zmod:5 at n = 5 fails invariance).
+    Callers decide with the form's own checks (``invariance_witness``,
+    ``is_nondegenerate``) rather than assume.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -79,10 +79,29 @@ class ShapeError(ValueError):
 
 
 class _Immutable:
-    """A value that forbids attribute assignment (state is set once
-    through ``object.__setattr__``), so a copy is the value itself."""
+    """A value that forbids attribute assignment, so a copy is the value
+    itself.  Its state is set once, by ``_set``; a lazy view or a derived
+    value lives in a slot that is None until its first read (``_memo``)."""
 
     __slots__ = ()
+
+    def _set(self, **state):
+        """Set every slot of the class to its value in ``state``, or to
+        None; returns the object, so a trusted constructor is
+        ``object.__new__(cls)._set(...)``."""
+        put = object.__setattr__
+        for slot in type(self).__slots__:
+            put(self, slot, state.get(slot))
+        return self
+
+    def _memo(self, slot: str, compute):
+        """The value kept in ``slot``, computed on first use: the object
+        is immutable, so it is computed once per object."""
+        value = getattr(self, slot)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, slot, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -106,23 +125,17 @@ class Matrix(_Immutable):
 
     def __init__(self, field, rows: Iterable[Sequence]):
         coerced = tuple(tuple(field(x) for x in row) for row in rows)
-        if coerced and any(len(r) != len(coerced[0]) for r in coerced):
+        ncols = len(coerced[0]) if coerced else 0
+        if any(len(r) != ncols for r in coerced):
             raise ShapeError("ragged rows")
-        self._hold(field, coerced)
+        self._set(field=field, nrows=len(coerced), ncols=ncols, rows=coerced)
 
     @classmethod
     def _of_scalars(cls, field, rows: tuple[tuple, ...]) -> "Matrix":
         """The matrix of equal-length rows of canonical scalars of ``field``
         (as ``_dense`` gives them), held as given: nothing is coerced."""
-        m = object.__new__(cls)
-        m._hold(field, rows)
-        return m
-
-    def _hold(self, field, rows: tuple[tuple, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "rows", rows)
+        return object.__new__(cls)._set(field=field, nrows=len(rows),
+                                        ncols=len(rows[0]) if rows else 0, rows=rows)
 
     def __reduce__(self):
         return self._of_scalars, (self.field, self.rows)
@@ -530,7 +543,7 @@ class Subspace(_Immutable):
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("spanning vector of wrong length")
-        self._hold(field, ambient_dim, _echelon(
+        self._set(field=field, ambient_dim=ambient_dim, _echelon=_echelon(
             _clear(field, map(_sparse, rows))[1], field.characteristic))
 
     @classmethod
@@ -538,15 +551,8 @@ class Subspace(_Immutable):
         """Span of kernel rows ``{col: int}`` of any scale (residues over
         F_p), in any order: ``_echelon`` takes them all and inserts them
         sparsest first, and consumes them."""
-        s = object.__new__(cls)
-        s._hold(field, ambient_dim, _echelon(rows, field.characteristic))
-        return s
-
-    def _hold(self, field, ambient_dim: int, echelon: dict):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_echelon", echelon)
-        object.__setattr__(self, "_basis", None)
+        return object.__new__(cls)._set(field=field, ambient_dim=ambient_dim,
+                                        _echelon=_echelon(rows, field.characteristic))
 
     def __reduce__(self):
         # canonical rows, inserted in any order, are their own echelon
@@ -572,20 +578,19 @@ class Subspace(_Immutable):
         echelon = {}
         for i in map(operator.index, indices):
             if not 0 <= i < ambient_dim:
-                raise ShapeError(f"coordinate {i} out of range 0..{ambient_dim - 1}")
+                raise ShapeError(f"coordinate {i} out of range 0..{ambient_dim - 1}"
+                                 if ambient_dim else
+                                 f"coordinate {i} of the zero-dimensional space")
             echelon[i] = {i: 1}
-        s = object.__new__(cls)
-        s._hold(field, ambient_dim, dict(sorted(echelon.items())))
-        return s
+        return object.__new__(cls)._set(field=field, ambient_dim=ambient_dim,
+                                        _echelon=dict(sorted(echelon.items())))
 
     @property
     def basis(self) -> tuple:
         """The canonical RREF basis, one dense tuple of scalars per pivot."""
-        if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(
-                _dense(self.field, row, self.ambient_dim, row[q])
-                for q, row in self._echelon.items()))
-        return self._basis
+        return self._memo("_basis", lambda: tuple(
+            _dense(self.field, row, self.ambient_dim, row[q])
+            for q, row in self._echelon.items()))
 
     @property
     def dim(self) -> int:
@@ -621,16 +626,17 @@ class Subspace(_Immutable):
         _reduce(self._echelon, row, self.field.characteristic)
         return not row
 
-    def contains_subspace(self, other: "Subspace") -> bool:
+    def _check_operand(self, other: "Subspace"):
         _require_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
+
+    def contains_subspace(self, other: "Subspace") -> bool:
+        self._check_operand(other)
         return all(self._contains_row(dict(r)) for r in other._echelon.values())
 
     def add(self, other: "Subspace") -> "Subspace":
-        _require_same_field(self.field, other.field)
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("ambient dimension mismatch")
+        self._check_operand(other)
         return Subspace._span(self.field, self.ambient_dim, [
             dict(r) for r in (*self._echelon.values(), *other._echelon.values())])
 
@@ -638,9 +644,7 @@ class Subspace(_Immutable):
         """Intersection by Zassenhaus: the RREF of the rows (u, u) for u
         in this basis and (v, 0) for v in the other's; its rows (0, w)
         are the canonical basis of the intersection."""
-        _require_same_field(self.field, other.field)
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("ambient dimension mismatch")
+        self._check_operand(other)
         n = self.ambient_dim
         echelon = _echelon(
             [{**u, **{c + n: x for c, x in u.items()}} for u in self._echelon.values()]

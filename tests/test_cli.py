@@ -192,6 +192,32 @@ def test_gen_metric_refused_off_lattice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_metric_refused_when_the_form_fails_invariance(tmp_path, capsys):
+    """hat(n) = 0 is not enough: for zmod:5 at n = 5 the diagonal form
+    fails invariance, so no file is written."""
+    out = tmp_path / "z5.json"
+    code, report = _porcelain(capsys, ["gen", "--family", "an", "--n", "5",
+                                       "--hat", "zmod:5", "--field", "Fp",
+                                       "--metric", "b=0", "-o", str(out)])
+    assert code == 1 and report["ok"] is False
+    assert "invariance fails at triple (1, 0, 4)" in report["error"]
+    assert not out.exists()
+
+
+def test_gen_metric_refused_when_the_form_is_degenerate(tmp_path, capsys):
+    """At n = 0, b = -1 the form is the zero 1 x 1 form: invariant, not a
+    metric."""
+    out = tmp_path / "z0.json"
+    code, report = _porcelain(capsys, ["gen", "--family", "an", "--n", "0",
+                                       "--metric", "b=-1", "-o", str(out)])
+    assert code == 1 and report["ok"] is False
+    assert "degenerate" in report["error"]
+    assert not out.exists()
+    code, _ = _porcelain(capsys, ["gen", "--family", "an", "--n", "0",
+                                  "--metric", "b=0", "-o", str(out)])
+    assert code == 0 and out.exists()
+
+
 def test_gen_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     code, _, err = _run(capsys, ["gen", "--family", "an", "--n", "-1",

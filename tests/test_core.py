@@ -9,7 +9,7 @@ import pytest
 
 from liealg.core import (BilinearForm, JacobiWitness, LieAlgebra, NotAnIdealError, direct_sum,
                          form_block_sum)
-from liealg.family import canonical_metric, suffix_subspace, truncated_algebra
+from liealg.family import canonical_metric, skip_subspace, suffix_subspace, truncated_algebra
 from liealg.fields import FieldMismatchError, PrimeField, QQ
 from liealg.linalg import Matrix, ShapeError, Subspace, _scalars, det, solve
 from liealg.selfdual import orthogonal_complement
@@ -241,6 +241,26 @@ def test_quotient_respects_brackets():
         x = [Fraction(rng.randint(-2, 2)) for _ in range(7)]
         y = [Fraction(rng.randint(-2, 2)) for _ in range(7)]
         assert project(alg.bracket(x, y)) == q.bracket(project(x), project(y))
+
+
+def test_quotient_brackets_only_the_pairs_of_kept_vectors(monkeypatch):
+    """Beyond the ideal test, a quotient of dimension r brackets at most
+    C(r, 2) pairs: the new basis's ideal rows are never bracketed."""
+    calls = []
+    bracket = LieAlgebra._bracket
+    monkeypatch.setattr(LieAlgebra, "_bracket",
+                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    for n, j in ((20, suffix_subspace(20, 1)), (20, suffix_subspace(20, 12)),
+                 (20, skip_subspace(20, 3)), (8, Subspace.zero(QQ, 9))):
+        alg = truncated_algebra(n)
+        alg.is_ideal(j)  # the generating set is computed once per algebra
+        calls.clear()
+        alg.is_ideal(j)
+        ideal = len(calls)
+        calls.clear()
+        r = alg.quotient(j).dim
+        assert r == n + 1 - j.dim
+        assert len(calls) - ideal <= r * (r - 1) // 2
 
 
 def test_quotient_requires_ideal():
@@ -727,6 +747,11 @@ def _symmetry_cases(rng):
             yield Matrix(field, grid[:-1])
 
 
+def test_a_non_square_form_matrix_is_named_by_its_shape():
+    with pytest.raises(ValueError, match="bilinear form matrix is 1x2, not square"):
+        BilinearForm(Matrix(QQ, [[1, 2]]))
+
+
 def test_forms_accept_exactly_the_symmetric_matrices():
     """The symmetry check runs on the cleared integer rows: it agrees with
     Matrix.is_symmetric on mixed denominators, F_2, F_5, one-entry
@@ -741,7 +766,9 @@ def test_forms_accept_exactly_the_symmetric_matrices():
         else:
             with pytest.raises(ValueError) as exc:
                 BilinearForm(m)
-            assert str(exc.value) == "bilinear form matrix must be symmetric"
+            assert str(exc.value) == (
+                "bilinear form matrix must be symmetric" if m.is_square()
+                else f"bilinear form matrix is {m.nrows}x{m.ncols}, not square")
             rejected += 1
     assert accepted > 60 and rejected > 150
 

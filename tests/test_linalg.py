@@ -231,6 +231,14 @@ def test_subspace_coordinate():
     assert s.dim == 2
 
 
+def test_a_coordinate_of_the_zero_dimensional_space_is_named_as_such():
+    with pytest.raises(ShapeError) as exc:
+        Subspace.coordinate(QQ, 0, [0])
+    assert str(exc.value) == "coordinate 0 of the zero-dimensional space"
+    with pytest.raises(ShapeError, match="coordinate 4 out of range 0..3"):
+        Subspace.coordinate(QQ, 4, [4])
+
+
 def test_float_rank_cross_check():
     """numpy's floating rank agrees with the exact rank on int matrices."""
     numpy = pytest.importorskip("numpy")
