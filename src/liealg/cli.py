@@ -19,7 +19,9 @@ ideals) of an algebra whose coordinate ideals are enumerated; the
 enumeration itself visits only the closed sets of the bracket support,
 not every subset.  The cap bounds ``ideals`` and ``classify FILE``
 (exit 2 over the cap) and the decomposability verdict of ``dext``
-("unknown" over the cap).
+("unknown" over the cap).  Each of these three reads the cap before it
+reads or writes any file, so a malformed value exits 2 and leaves no
+output behind; ``classify --family an --n N`` never reads it.
 """
 
 from __future__ import annotations
@@ -120,15 +122,28 @@ def _hat_field(hat, field_flag: str):
     raise _Usage("--field Fp needs a hat with a finite modulus")
 
 
-def _matrix_json(m: Matrix) -> list:
-    return [[scalar_to_string(x) for x in r] for r in m.rows]
+def _grid_json(rows) -> list:
+    """Rows of scalars as rows of canonical strings."""
+    return [[scalar_to_string(x) for x in r] for r in rows]
 
 
-def _witness_json(witness) -> dict:
-    return {
-        "i": witness.i, "j": witness.j, "k": witness.k,
-        "defect": [scalar_to_string(x) for x in witness.defect],
-    }
+def _coordinate_ideals(alg, cap: int) -> list:
+    """The coordinate ideals of ``alg``; over the cap a usage error."""
+    try:
+        return enumerate_coordinate_ideals(alg, cap)
+    except ValueError as exc:
+        raise _Usage(str(exc))
+
+
+def _construct(build, inp, output: str):
+    """The algebra and metric ``build(inp)`` returns, saved to ``output``;
+    a construction that fails exits 1 and writes nothing."""
+    try:
+        out, metric = build(inp)
+    except (ValueError, ConstructionError) as exc:
+        raise _Failure(str(exc))
+    save_algebra(output, out, metric)
+    return out, metric
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +197,12 @@ def _cmd_check(args):
         report = {"property": "jacobi", "holds": witness is None}
         if witness is None:
             return 0, report, ["jacobi: holds on all basis triples"]
-        report["witness"] = _witness_json(witness)
+        defect = _grid_json([witness.defect])[0]
+        report["witness"] = {"i": witness.i, "j": witness.j, "k": witness.k,
+                             "defect": defect}
         return 1, report, [
             f"jacobi: fails at triple ({witness.i}, {witness.j}, {witness.k})",
-            "defect: (" + ", ".join(scalar_to_string(x)
-                                    for x in witness.defect) + ")",
+            "defect: (" + ", ".join(defect) + ")",
         ]
     if prop == "invariance":
         if metric is None:
@@ -210,12 +226,9 @@ def _cmd_check(args):
 
 
 def _cmd_ideals(args):
-    alg, _ = load_algebra(args.file)
     cap = _brute_cap()
-    try:
-        ideals = enumerate_coordinate_ideals(alg, cap)
-    except ValueError as exc:
-        raise _Usage(str(exc))
+    alg, _ = load_algebra(args.file)
+    ideals = _coordinate_ideals(alg, cap)
     listing = [list(s.pivot_columns()) for s in ideals]
     report = {"count": len(ideals), "ideals": listing}
     human = [f"{len(ideals)} coordinate ideals"]
@@ -258,11 +271,11 @@ def _cmd_analyze(args):
         "center_dim": center,
         "solvable": derived[-1] == 0,
         "nilpotent": lower[-1] == 0,
-        "killing": _matrix_json(killing.matrix),
+        "killing": _grid_json(killing.matrix.rows),
         "self_dual": duality.verdict,
     }
     if duality.metric is not None:
-        report["invariant_metric"] = _matrix_json(duality.metric.matrix)
+        report["invariant_metric"] = _grid_json(duality.metric.matrix.rows)
     if duality.certificate is not None:
         report["certificate"] = duality.certificate
     if duality.reason is not None:
@@ -290,52 +303,30 @@ def _cmd_analyze(args):
 def _split_json(split):
     if split is None:
         return None
-    return {
-        "component": [[scalar_to_string(x) for x in v]
-                      for v in split.component.basis],
-        "complement": [[scalar_to_string(x) for x in v]
-                       for v in split.complement.basis],
-    }
+    return {"component": _grid_json(split.component.basis),
+            "complement": _grid_json(split.complement.basis)}
 
 
 def _cmd_classify(args):
+    """One path for a family member and a file: only the algebra, the
+    metric and the candidate ideals come from different places."""
     if (args.file is None) == (args.n is None):
         raise _Usage("classify takes either FILE or --family an --n N")
-    if args.n is not None:
-        if args.family != "an":
-            raise _Usage("only --family an is supported")
-        n = args.n
+    if args.family != "an":
+        raise _Usage("only --family an is supported")
+    n = args.n
+    if n is not None:
         if MOD3_BALANCED.value(n) != 0 or n < 3:
             raise _Usage(
                 "the family classification needs n >= 3 with n mod 3 = 0")
-        alg = truncated_algebra(n)
-        metric = canonical_metric(n)
-        classification = classify_ideals(n, cross_check=False)
-        ideals = classification.subspaces()
-        split = decomposability_check(alg, metric, ideals)
-        verdict = deeper_verdict(n)
-        report = {
-            "n": n,
-            "decomposable": split is not None,
-            "split": _split_json(split),
-            "candidates": list(verdict.candidates),
-            "verdict": verdict.verdict.value,
-        }
-        human = [
-            f"family member n={n} (dim {n + 1})",
-            f"decomposable: {split is not None}",
-            f"double-extension candidates m: {report['candidates']}",
-            f"verdict: {verdict.verdict.value}",
-        ]
-        return 0, report, human
-    cap = _brute_cap()
-    alg, metric = load_algebra(args.file)
-    if metric is None:
-        raise _Usage("classify FILE needs a metric in the file")
-    try:
-        ideals = enumerate_coordinate_ideals(alg, cap)
-    except ValueError as exc:
-        raise _Usage(str(exc))
+        alg, metric = truncated_algebra(n), canonical_metric(n)
+        ideals = classify_ideals(n, cross_check=False).subspaces()
+    else:
+        cap = _brute_cap()
+        alg, metric = load_algebra(args.file)
+        if metric is None:
+            raise _Usage("classify FILE needs a metric in the file")
+        ideals = _coordinate_ideals(alg, cap)
     try:
         split = decomposability_check(alg, metric, ideals)
     except ValueError as exc:
@@ -344,6 +335,14 @@ def _cmd_classify(args):
     human = [f"decomposable: {split is not None}"]
     if split is not None:
         human.append(f"component indices: {list(split.component.pivot_columns())}")
+    if n is None:
+        return 0, report, human
+    verdict = deeper_verdict(n)
+    report = {"n": n, **report, "candidates": list(verdict.candidates),
+              "verdict": verdict.verdict.value}
+    human = [f"family member n={n} (dim {n + 1})", *human,
+             f"double-extension candidates m: {report['candidates']}",
+             f"verdict: {verdict.verdict.value}"]
     return 0, report, human
 
 
@@ -369,6 +368,7 @@ def _load_form_file(path, field) -> BilinearForm:
 
 
 def _cmd_dext(args):
+    cap = _brute_cap()
     base_alg, omega = load_algebra(args.base)
     if omega is None:
         raise _Usage("--base file must carry the metric of the Abelian part")
@@ -384,14 +384,10 @@ def _cmd_dext(args):
     inp = DoubleExtensionInput(
         abelian_dim=base_alg.dim, omega=omega, acting=acting,
         action=tuple(action), pairing=pairing)
+    out, metric = _construct(double_extend, inp, args.output)
     try:
-        out, metric = double_extend(inp)
-    except (ValueError, ConstructionError) as exc:
-        raise _Failure(str(exc))
-    save_algebra(args.output, out, metric)
-    try:
-        ideals = enumerate_coordinate_ideals(out, _brute_cap())
-    except ValueError:
+        ideals = _coordinate_ideals(out, cap)
+    except _Usage:
         verdict = "unknown"
     else:
         split = decomposability_check(out, metric, ideals)
@@ -433,11 +429,7 @@ def _cmd_wigner(args):
     indices = _parse_index_list(args.subalgebra, alg.dim)
     b0 = Subspace.coordinate(alg.field, alg.dim, indices)
     inp = ContractionInput(algebra=alg, metric=metric, subalgebra=b0)
-    try:
-        out, out_metric = wigner_contract(inp)
-    except (ValueError, ConstructionError) as exc:
-        raise _Failure(str(exc))
-    save_algebra(args.output, out, out_metric)
+    out, _ = _construct(wigner_contract, inp, args.output)
     report = {
         "dim": out.dim,
         "subalgebra_indices": indices,

@@ -277,8 +277,15 @@ def dump_document(doc) -> str:
 
 
 def save_algebra(path, alg: LieAlgebra, metric: BilinearForm | None = None):
+    """Write the document of ``alg`` and ``metric`` to ``path``.
+
+    The text is built before the file is opened, so a metric that does
+    not match the algebra raises ``AlgebraFileError`` and leaves whatever
+    was at ``path`` as it was.
+    """
+    text = dump_document(algebra_to_document(alg, metric))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_document(algebra_to_document(alg, metric)))
+        fh.write(text)
 
 
 class _NotJSON(Exception):

@@ -119,7 +119,14 @@ def _require_same_field(f1, f2):
 
 
 class Matrix(_Immutable):
-    """An immutable exact matrix over a fixed field."""
+    """An immutable exact matrix over a fixed field.
+
+    A matrix the library builds keeps its shape when it has no rows:
+    ``zeros``, ``transpose``, the products, ``scale``, negation, sums,
+    ``rref`` and ``Subspace.basis_matrix`` carry the column count, and a
+    pickle keeps it.  ``Matrix(field, [])`` has no rows to read a width
+    from and is 0 x 0.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -131,14 +138,16 @@ class Matrix(_Immutable):
         self._set(field=field, nrows=len(coerced), ncols=ncols, rows=coerced)
 
     @classmethod
-    def _of_scalars(cls, field, rows: tuple[tuple, ...]) -> "Matrix":
+    def _of_scalars(cls, field, rows: tuple[tuple, ...], ncols: int | None = None) -> "Matrix":
         """The matrix of equal-length rows of canonical scalars of ``field``
-        (as ``_dense`` gives them), held as given: nothing is coerced."""
-        return object.__new__(cls)._set(field=field, nrows=len(rows),
-                                        ncols=len(rows[0]) if rows else 0, rows=rows)
+        (as ``_dense`` gives them), held as given: nothing is coerced.
+        ``ncols`` defaults to the length of the first row, or 0."""
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        return object.__new__(cls)._set(field=field, nrows=len(rows), ncols=ncols, rows=rows)
 
     def __reduce__(self):
-        return self._of_scalars, (self.field, self.rows)
+        return self._of_scalars, (self.field, self.rows, self.ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -148,8 +157,9 @@ class Matrix(_Immutable):
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        if nrows < 0 or ncols < 0:
+            raise ShapeError(f"no {nrows}x{ncols} matrix")
+        return cls._of_scalars(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -161,8 +171,7 @@ class Matrix(_Immutable):
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else \
-            Matrix(self.field, [])
+        return self._of_scalars(self.field, _columns(self), self.nrows)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -186,18 +195,20 @@ class Matrix(_Immutable):
 
     def scale(self, c) -> "Matrix":
         c = self.field(c)
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows])
+        return self._of_scalars(self.field, tuple(tuple(c * x for x in r) for r in self.rows),
+                                self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-x for x in r] for r in self.rows])
+        return self._of_scalars(self.field, tuple(tuple(-x for x in r) for r in self.rows),
+                                self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _require_same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("matrix addition shape mismatch")
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return self._of_scalars(self.field, tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+            self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -207,10 +218,11 @@ class Matrix(_Immutable):
             _require_same_field(self.field, other.field)
             if self.ncols != other.nrows:
                 raise ShapeError("matrix product shape mismatch")
-            cols = [_sparse(c) for c in zip(*other.rows)]
+            cols = [_sparse(c) for c in _columns(other)]
             zero = self.field.zero
-            return Matrix(self.field, [[_dot(r, c, zero) for c in cols]
-                                       for r in map(_sparse, self.rows)])
+            return self._of_scalars(self.field, tuple(
+                tuple(_dot(r, c, zero) for c in cols) for r in map(_sparse, self.rows)),
+                other.ncols)
         # vector on the right
         vec = [self.field(x) for x in other]
         if self.ncols != len(vec):
@@ -234,6 +246,11 @@ class Matrix(_Immutable):
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
+
+
+def _columns(m: Matrix) -> tuple:
+    """The columns of ``m`` as tuples, ``ncols`` of them even with no rows."""
+    return tuple(zip(*m.rows)) if m.rows else ((),) * m.ncols
 
 
 def _dot(u: dict, v: dict, zero):
@@ -408,7 +425,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     zero = m.field.zero
     rows = [_dense(m.field, row, m.ncols, row[q]) for q, row in echelon.items()]
     rows += [(zero,) * m.ncols] * (m.nrows - len(pivots))
-    return Matrix(m.field, rows), pivots
+    return Matrix._of_scalars(m.field, tuple(rows), m.ncols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -600,7 +617,7 @@ class Subspace(_Immutable):
         return not self._echelon
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis)
+        return Matrix._of_scalars(self.field, self.basis, self.ambient_dim)
 
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(self._echelon)
