@@ -16,7 +16,10 @@ directly (``_of_cleared``).  Both set the state through
 ``sc``, the table in field scalars, is a read-only view
 (``_Immutable._memo``): kept from ``__init__``, converted on its first
 read otherwise.  A ``BilinearForm`` and its ``matrix`` view follow the
-same pattern.
+same pattern.  The package has two value idioms: the four structured
+values (``LieAlgebra``, ``BilinearForm``, ``Matrix``, ``Subspace``) are
+``_Immutable``, and every record (a witness, a verdict, a
+construction's input) is a ``typing.NamedTuple``.
 
 All derived computations (Killing form, series, center, quotients,
 derivations) reduce to exact linear algebra from ``liealg.linalg``,
@@ -90,7 +93,6 @@ B(e_m, .) for m in M, not all dim (dim + 1) / 2 entries.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 from types import MappingProxyType
@@ -116,8 +118,7 @@ class NotAnIdealError(ValueError):
     """Raised when a quotient is requested by a non-ideal."""
 
 
-@dataclass(frozen=True)
-class JacobiWitness:
+class JacobiWitness(NamedTuple):
     """A basis triple where the Jacobi identity fails, with the defect."""
     i: int
     j: int
@@ -139,8 +140,7 @@ class _Closure(NamedTuple):
     tags: dict
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Derivations of an algebra, flattened row-major into dim^2 space."""
     space: Subspace
     inner_dim: int

@@ -21,8 +21,8 @@ over the weights' own field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import FpElement, PrimeField, QQ
@@ -112,8 +112,7 @@ def canonical_metric(n: int, b=0, field=QQ) -> BilinearForm:
     return BilinearForm._of_cleared(field, *_clear(field, rows))
 
 
-@dataclass(frozen=True)
-class DiagonalMetricResult:
+class DiagonalMetricResult(NamedTuple):
     """Outcome of the single-diagonal metric solve."""
     n: int
     exists: bool
@@ -251,8 +250,7 @@ class ClassificationMismatchError(RuntimeError):
     """Closed-form ideal list disagreed with the coordinate-ideal enumeration."""
 
 
-@dataclass(frozen=True)
-class IdealClassification:
+class IdealClassification(NamedTuple):
     """Coordinate ideals of a family member, in closed form.
 
     suffix_ideals lists every m with span{T_m..T_n} an ideal (always

@@ -26,8 +26,7 @@ reported together with its three hat values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fields import PrimeField, QQ, is_prime
 
@@ -163,18 +162,19 @@ MOD3_BALANCED = BalancedMod3()
 IDENTITY_HAT = IdentityHat()
 
 
-@dataclass(frozen=True)
-class HatPropertyReport:
+class HatPropertyReport(NamedTuple):
     """Which structural identities a hat map satisfies on a window.
 
     multiplicative: hat(ij) = hat(i) hat(j)
     add1:           hat(i+j) = hat(hat(i) + hat(j)) and hat(-i) = -hat(i)
     add2:           hat(i-j) = 0  iff  hat(i) = hat(j)
+    witnesses:      {identity: its first failing point or pair}, for
+                    each identity that fails
     """
     multiplicative: bool
     add1: bool
     add2: bool
-    witnesses: dict = dc_field(default_factory=dict)
+    witnesses: dict
 
 
 def hat_properties(hat, window: Iterable[int]) -> HatPropertyReport:
@@ -200,8 +200,7 @@ def hat_properties(hat, window: Iterable[int]) -> HatPropertyReport:
     return HatPropertyReport(*(key not in witnesses for key in found), witnesses)
 
 
-@dataclass(frozen=True)
-class HatScanWitness:
+class HatScanWitness(NamedTuple):
     """A triple where the hatted Jacobi identity fails."""
     i: int
     j: int

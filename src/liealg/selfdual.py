@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .core import BilinearForm, LieAlgebra, _digits, _form_of_blocks, _width
 from .family import enumerate_coordinate_ideals, suffix_subspace, truncated_algebra
@@ -283,8 +283,7 @@ def _seeded_points(s: int, d: int):
         yield tuple(rng.randint(-d, d) for _ in range(s))
 
 
-@dataclass(frozen=True)
-class SelfDuality:
+class SelfDuality(NamedTuple):
     """Tri-state answer: yes (with metric), no (with certificate),
     unknown (with reason)."""
     verdict: str
@@ -401,8 +400,7 @@ def orthogonal_complement(alg: LieAlgebra, form: BilinearForm,
     return nullspace(_equations(alg.field, alg.dim, form._images(s._echelon.values())))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """An orthogonal split into two complementary ideals."""
     component: Subspace
     complement: Subspace
@@ -439,8 +437,7 @@ def decomposability_check(alg: LieAlgebra, form: BilinearForm,
 # constructions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleExtensionInput:
+class DoubleExtensionInput(NamedTuple):
     """Data for a double extension.
 
     abelian_dim: dimension of the Abelian metric space being acted on.
@@ -574,8 +571,7 @@ def _enforce_metric_postconditions(alg: LieAlgebra, metric: BilinearForm,
         raise ConstructionError(f"{what} output metric is degenerate")
 
 
-@dataclass(frozen=True)
-class ContractionInput:
+class ContractionInput(NamedTuple):
     """Data for the contraction construction.
 
     algebra:    the metric algebra being contracted.
@@ -691,8 +687,7 @@ class Verdict(enum.Enum):
     DEEPER = "deeper"
 
 
-@dataclass(frozen=True)
-class DeeperVerdict:
+class DeeperVerdict(NamedTuple):
     n: int
     candidates: tuple[int, ...]
     verdict: Verdict
@@ -736,8 +731,7 @@ def deeper_verdict(n: int) -> DeeperVerdict:
 # invariant profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     """Cheap isomorphism invariants used to compare constructions."""
     dim: int
     derived_dims: tuple[int, ...]

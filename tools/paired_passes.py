@@ -19,14 +19,21 @@ hits the memo.  If the exit code, stdout or output-file bytes of a
 request differ between the trees or between the passes, the script
 names it on stderr and exits 1.
 
-Then ROUNDS (default 10, at least 2) rounds time each pass and solver
-column on both trees, the trees alternating and the first flipping
-every round, with the ``load_algebra`` memo cleared before each pass
-and each ``analyze`` call.  Each line gives both trees' medians and the
-median, quartiles and win count of the per-round ratio (this checkout
-/ the parent); a run against a copy of the same tree gives the
-baseline.  The calls:
+Then ROUNDS (default 10, at least 2) rounds time a fresh import, each
+pass and each solver column on both trees, the trees alternating and
+the first flipping every round, with the ``load_algebra`` memo cleared
+before each pass and each ``analyze`` call.  Each line gives both
+trees' medians and the median, quartiles and win count of the per-round
+ratio (this checkout / the parent); a run against a copy of the same
+tree gives the baseline.  The calls:
 
+- ``import liealg.cli``: ``load`` of the tree's ``src``, k calls per
+  round sized as for the solver rows below, the trees alternating call
+  by call.  No bytecode is written or read (``sys.pycache_prefix``
+  names no directory), so each call compiles the tree from source, as
+  perfbench's set-up does in a fresh checkout, whatever ``__pycache__``
+  either tree holds.  The passes and solver rows then install and run
+  the modules loaded at the start;
 - one pass of each workload at seed 7.  No output file of any request
   exists when a pass starts, as after perfbench's set-up: truncating
   an output rewritten moments before took about 60 ms a file on one
@@ -75,6 +82,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave both checkouts' trees as they are
+sys.pycache_prefix = os.devnull  # and read no cached bytecode of either
 
 import inputs  # noqa: E402
 import run  # noqa: E402
@@ -166,6 +174,22 @@ def report(label: str, seconds: dict, column: int, scale: float, unit: str) -> N
           f"change {statistics.median(change) * scale:.4g} {unit}", flush=True)
 
 
+def import_seconds(srcs: dict, rounds: int) -> dict:
+    """Mean seconds per ``load`` of each tree's ``src``, per round, laid out as
+    ``alternate`` gives them; the first tree flips every call and every round."""
+    k = max(1, math.ceil(TARGET / timed(load, srcs["parent"])))
+    seconds = {tree: [] for tree in srcs}
+    for r in range(rounds):
+        totals = dict.fromkeys(srcs, 0.0)
+        for j in range(k):
+            for tree in ("change", "parent") if (r + j) % 2 == 0 else ("parent", "change"):
+                gc.collect()
+                totals[tree] += timed(load, srcs[tree])
+        for tree in srcs:
+            seconds[tree].append([totals[tree] / k])
+    return seconds
+
+
 def cases():
     """(name, algebra, metric grid or None) of every solver row; rotated rows without
     a metric are in the basis of the nonmetric-search workload's rotation."""
@@ -238,14 +262,16 @@ def main() -> int:
         print("usage: python3 tools/paired_passes.py PARENT_CHECKOUT [ROUNDS >= 2]",
               file=sys.stderr)
         return 2
-    trees = {"parent": load(os.path.join(os.path.abspath(sys.argv[1]), "src")),
-             "change": load(os.path.join(ROOT, "src"))}
+    srcs = {"parent": os.path.join(os.path.abspath(sys.argv[1]), "src"),
+            "change": os.path.join(ROOT, "src")}
+    trees = {tree: load(src) for tree, src in srcs.items()}
     gc.freeze()
     differing = check_answers(trees)
     for line in differing:
         print(f"answers differ: {line}", file=sys.stderr)
     if differing:
         return 1
+    report("import liealg.cli", import_seconds(srcs, rounds), 0, 1e3, "ms")
     for name in sorted(workloads.WORKLOADS):
         with tempfile.TemporaryDirectory(prefix="liealg-paired-") as work:
             requests = workloads.build(name, 7, work)
