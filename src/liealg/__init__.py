@@ -9,88 +9,23 @@ indexed by a truncation size and an integer "hat" reduction, ties the
 pieces together and drives the command-line front end.
 """
 
+# The package surface: the ``__all__`` of each module star-imported below, plus
+# five ``fields`` names and three ``io`` names.  A new public name goes in its
+# module's ``__all__``.
+
 from .fields import FieldMismatchError, FpElement, PrimeField, QQ, RationalField
-from .linalg import Matrix, ShapeError, Subspace, det, nullspace, rank, rref, solve
-from .core import (
-    BilinearForm,
-    DerivationSpace,
-    JacobiWitness,
-    LieAlgebra,
-    NotAnIdealError,
-    direct_sum,
-    form_block_sum,
-)
-from .hats import (
-    IDENTITY_HAT,
-    MOD3_BALANCED,
-    BalancedMod3,
-    HatPropertyReport,
-    HatScanWitness,
-    IdentityHat,
-    RangeHat,
-    ZModHat,
-    hat_properties,
-    jacobi_hat_scan,
-)
-from .family import (
-    DEFAULT_BRUTE_CAP,
-    ClassificationMismatchError,
-    DiagonalMetricResult,
-    IdealClassification,
-    canonical_metric,
-    classify_ideals,
-    enumerate_coordinate_ideals,
-    hat_shift_automorphism,
-    single_diagonal_metric_solve,
-    skip_subspace,
-    suffix_subspace,
-    truncated_algebra,
-)
-from .selfdual import (
-    ConstructionError,
-    ContractionInput,
-    Decomposition,
-    DeeperVerdict,
-    DoubleExtensionInput,
-    InvariantProfile,
-    SelfDuality,
-    Verdict,
-    decomposability_check,
-    deeper_verdict,
-    derived_suffix_check,
-    double_extend,
-    double_extension_candidates,
-    invariant_form_space,
-    invariant_profile,
-    is_self_dual,
-    nondegenerate_invariant_metric,
-    orthogonal_complement,
-    wigner_contract,
-)
+from . import linalg, core, hats, family, selfdual
+from .linalg import *
+from .core import *
+from .hats import *
+from .family import *
+from .selfdual import *
 from .io import AlgebraFileError, load_algebra, save_algebra
 
 __version__ = "0.1.0"
 
-__all__ = [
+__all__ = list(dict.fromkeys([
     "FieldMismatchError", "FpElement", "PrimeField", "QQ", "RationalField",
-    "Matrix", "ShapeError", "Subspace", "det", "nullspace", "rank", "rref",
-    "solve",
-    "BilinearForm", "DerivationSpace", "JacobiWitness", "LieAlgebra",
-    "NotAnIdealError", "direct_sum", "form_block_sum",
-    "IDENTITY_HAT", "MOD3_BALANCED", "BalancedMod3", "HatPropertyReport",
-    "HatScanWitness", "IdentityHat", "RangeHat", "ZModHat", "hat_properties",
-    "jacobi_hat_scan",
-    "DEFAULT_BRUTE_CAP", "ClassificationMismatchError", "DiagonalMetricResult",
-    "IdealClassification", "canonical_metric", "classify_ideals",
-    "enumerate_coordinate_ideals", "hat_shift_automorphism",
-    "single_diagonal_metric_solve", "skip_subspace", "suffix_subspace",
-    "truncated_algebra",
-    "ConstructionError", "ContractionInput", "Decomposition", "DeeperVerdict",
-    "DoubleExtensionInput", "InvariantProfile", "SelfDuality", "Verdict",
-    "decomposability_check", "deeper_verdict", "derived_suffix_check",
-    "double_extend", "double_extension_candidates", "invariant_form_space",
-    "invariant_profile", "is_self_dual", "nondegenerate_invariant_metric",
-    "orthogonal_complement", "wigner_contract",
-    "AlgebraFileError", "load_algebra", "save_algebra",
-    "__version__",
-]
+    *linalg.__all__, *core.__all__, *hats.__all__, *family.__all__, *selfdual.__all__,
+    "AlgebraFileError", "load_algebra", "save_algebra", "__version__",
+]))

@@ -40,6 +40,7 @@ from .family import (
     enumerate_coordinate_ideals,
     truncated_algebra,
 )
+from .fields import PrimeField, QQ
 from .hats import IDENTITY_HAT, MOD3_BALANCED, ZModHat
 from .io import (
     AlgebraFileError,
@@ -108,7 +109,6 @@ def _parse_hat(name: str):
 
 
 def _hat_field(hat, field_flag: str):
-    from .fields import QQ
     if field_flag == "Q":
         return QQ
     if isinstance(hat, ZModHat):
@@ -117,7 +117,6 @@ def _hat_field(hat, field_flag: str):
         except ValueError as exc:
             raise _Usage(str(exc))
     if hat is MOD3_BALANCED:
-        from .fields import PrimeField
         return PrimeField(3)
     raise _Usage("--field Fp needs a hat with a finite modulus")
 
@@ -284,7 +283,7 @@ def _cmd_analyze(args):
         report["file_metric_invariant"] = metric.is_invariant(alg)
         report["file_metric_nondegenerate"] = metric.is_nondegenerate()
     human = [
-        f"dim {alg.dim}" + (", Abelian" if alg.is_abelian() else ""),
+        f"dim {alg.dim}" + (", Abelian" if report["abelian"] else ""),
         f"derived series dims: {derived}",
         f"lower central series dims: {lower}",
         f"center dim: {center}",

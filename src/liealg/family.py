@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .core import BilinearForm, LieAlgebra, _is_symmetric
 from .fields import FpElement, PrimeField, QQ
-from .hats import MOD3_BALANCED, BalancedMod3
+from .hats import MOD3_BALANCED
 from .linalg import Matrix, Subspace, _clear, _combine, _dense, _equations, nullspace
 
 __all__ = [
@@ -308,7 +308,7 @@ def hat_shift_automorphism(n: int, field=QQ) -> Matrix | None:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    hat = BalancedMod3()
+    hat = MOD3_BALANCED
     if hat.value(n) == 1:
         return None
     zero, one = field.zero, field.one

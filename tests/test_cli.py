@@ -8,8 +8,9 @@ import pytest
 from liealg import selfdual
 from liealg.cli import main
 from liealg.core import BilinearForm, LieAlgebra, direct_sum
-from liealg.family import canonical_metric, truncated_algebra
+from liealg.family import canonical_metric, enumerate_coordinate_ideals, truncated_algebra
 from liealg.fields import QQ, PrimeField
+from liealg.hats import ZModHat
 from liealg.io import (
     FORMAT_TAG,
     AlgebraFileError,
@@ -21,8 +22,15 @@ from liealg.io import (
     scalar_to_string,
     string_to_scalar,
 )
-from liealg.linalg import Matrix
-from liealg.selfdual import invariant_profile
+from liealg.linalg import Matrix, Subspace
+from liealg.selfdual import (
+    ContractionInput,
+    decomposability_check,
+    invariant_form_space,
+    invariant_profile,
+    is_self_dual,
+    wigner_contract,
+)
 
 
 def _run(capsys, argv):
@@ -758,3 +766,83 @@ def test_rebound_command_functions_are_called_with_the_reused_parser(capsys, mon
     original = cli._cmd_classify
     monkeypatch.setattr(cli, "_cmd_classify", wrapper)
     assert _run(capsys, argv) == expected and calls == ["classify"]
+
+
+def _strings(form):
+    """A form's matrix as the rows of canonical strings a report holds."""
+    return [[scalar_to_string(x) for x in row] for row in form.matrix.rows]
+
+
+def test_prime_field_member_through_every_command(tmp_path, capsys):
+    """A6 over F_3, generated and run through each command that reads a
+    file: the answers are the library's over the same field."""
+    f3 = PrimeField(3)
+    alg = truncated_algebra(6, field=f3)
+    path, contracted = str(tmp_path / "a6.json"), str(tmp_path / "w.json")
+    code, report = _porcelain(capsys, ["gen", "--family", "an", "--n", "6", "--field", "Fp",
+                                       "--metric", "b=1", "-o", path])
+    assert code == 0 and report["field"] == "F3"
+    loaded, metric = load_algebra(path)
+    assert loaded == alg and metric == canonical_metric(6, f3.one, f3)
+
+    duality = is_self_dual(alg)
+    code, report = _porcelain(capsys, ["analyze", path])
+    assert code == 0
+    assert report["derived_dims"] == [s.dim for s in alg.derived_series()] == [7, 6, 4, 0]
+    assert report["lower_central_dims"] == [s.dim for s in alg.lower_central_series()] == [7, 6]
+    assert report["center_dim"] == alg.center().dim == 1
+    assert report["killing"] == _strings(alg.killing_form())
+    assert report["self_dual"] == duality.verdict == "yes"
+    assert report["invariant_metric"] == _strings(duality.metric)
+    assert report["file_metric_invariant"] is report["file_metric_nondegenerate"] is True
+
+    for prop in ("jacobi", "invariance", "grading"):
+        code, report = _porcelain(capsys, ["check", prop, path])
+        assert code == 0 and report["holds"] is True
+
+    code, report = _porcelain(capsys, ["classify", path])
+    assert code == 0 and report["decomposable"] is False
+    assert decomposability_check(alg, metric) is None
+
+    code, report = _porcelain(capsys, ["ideals", path, "--classify-an"])
+    assert code == 0 and report["closed_form"]["match"] is True
+    assert report["ideals"] == [list(s.pivot_columns()) for s in enumerate_coordinate_ideals(alg)]
+
+    code, report = _porcelain(capsys, ["wigner", "--algebra", path, "--subalgebra", "0",
+                                       "-o", contracted])
+    assert code == 0 and report["dim"] == 8
+    b0 = Subspace.coordinate(f3, alg.dim, [0])
+    assert load_algebra(contracted) == wigner_contract(ContractionInput(alg, metric, b0))
+    code, report = _porcelain(capsys, ["check", "invariance", contracted])
+    assert code == 0 and report["holds"] is True
+
+
+def test_zmod_member_over_its_prime_field_is_not_self_dual(tmp_path, capsys):
+    path = str(tmp_path / "a9.json")
+    code, _ = _porcelain(capsys, ["gen", "--family", "an", "--n", "9", "--hat", "zmod:5",
+                                  "--field", "Fp", "-o", path])
+    assert code == 0
+    duality = is_self_dual(truncated_algebra(9, ZModHat(5), PrimeField(5)))
+    code, report = _porcelain(capsys, ["analyze", path])
+    assert code == 0 and report["self_dual"] == duality.verdict == "no"
+    assert report["certificate"] == duality.certificate
+
+
+def test_analyze_finds_the_first_seeded_sum(tmp_path, capsys):
+    """A3 + A3 has five invariant forms, each degenerate, and its 9^5 grid
+    is over the budget: the metric is the first seeded sum, -(F_1 + ... + F_5)."""
+    a3 = truncated_algebra(3)
+    alg = direct_sum(a3, a3)
+    path = tmp_path / "a33.json"
+    save_algebra(path, alg)
+    forms = invariant_form_space(alg)
+    assert len(forms) == 5 and not any(f.is_nondegenerate() for f in forms)
+    total = forms[0].matrix
+    for form in forms[1:]:
+        total = total + form.matrix
+    duality = is_self_dual(alg)
+    assert duality.metric == BilinearForm(total.scale(QQ(-1)))
+    assert duality.metric.is_invariant(alg) and duality.metric.is_nondegenerate()
+    code, report = _porcelain(capsys, ["analyze", str(path)])
+    assert code == 0 and report["self_dual"] == "yes"
+    assert report["invariant_metric"] == _strings(duality.metric)
